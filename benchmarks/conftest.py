@@ -1,8 +1,11 @@
 """Benchmark fixtures: one shared experiment context per session.
 
-Each benchmark regenerates one table/figure of the paper.  The rendered
-result is printed and also written to ``benchmarks/results/<id>.txt`` so a
-run leaves a reviewable artifact trail (EXPERIMENTS.md points here).
+Each benchmark regenerates one table/figure of the paper and prints the
+rendered result.  The tracked ``benchmarks/results/<id>.txt`` artifacts
+(EXPERIMENTS.md points there) carry wall-clock numbers, so an ordinary
+run leaves them alone; refresh them on purpose with::
+
+    PYTHONPATH=src python -m pytest benchmarks --update-results
 """
 
 from __future__ import annotations
@@ -28,13 +31,26 @@ def context(scale):
     return build_context(scale)
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-results",
+        action="store_true",
+        default=False,
+        help="rewrite the tracked benchmarks/results/*.txt from this run",
+    )
+
+
 @pytest.fixture(scope="session")
-def save_result():
-    RESULTS_DIR.mkdir(exist_ok=True)
+def save_result(request):
+    # The option only exists when this conftest was loaded at start-up
+    # (a run given the benchmarks/ path); a whole-repo run never updates.
+    update = request.config.getoption("update_results", default=False)
 
     def _save(result) -> None:
         text = result.render()
-        (RESULTS_DIR / f"{result.experiment_id}.txt").write_text(text + "\n")
+        if update:
+            RESULTS_DIR.mkdir(exist_ok=True)
+            (RESULTS_DIR / f"{result.experiment_id}.txt").write_text(text + "\n")
         print("\n" + text)
 
     return _save

@@ -10,8 +10,10 @@ Design notes
 * Gradients are plain ``numpy.ndarray`` objects stored on ``Tensor.grad``.
 * Broadcasting is fully supported: :func:`_unbroadcast` sums a gradient back
   down to the shape of the input it belongs to.
-* A module-level switch (:func:`no_grad`) disables graph construction during
-  inference, which matters a lot for decoding speed.
+* A per-thread switch (:func:`no_grad`) disables graph construction during
+  inference, which matters a lot for decoding speed: with grad disabled
+  every operation returns through :func:`_graph_free` before it defines a
+  backward closure, so a decode step costs its NumPy calls and little else.
 * Only float64/float32 data participates in differentiation; integer tensors
   (token ids) are carried as constants.
 """
@@ -19,28 +21,38 @@ Design notes
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """The grad switch, one per thread: every thread starts enabled, so
+    overlapping :func:`no_grad` blocks on different threads cannot restore
+    each other's state."""
+
+    enabled = True
+
+
+_MODE = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables autograd graph construction."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager that disables autograd graph construction
+    (on the calling thread only)."""
+    previous = _MODE.enabled
+    _MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _MODE.enabled = previous
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record gradient information."""
-    return _GRAD_ENABLED
+    return _MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -71,6 +83,26 @@ def _as_array(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+def _operand(value) -> np.ndarray:
+    """The array an op computes with: a tensor's payload, else exactly
+    what ``Tensor(value).data`` would be."""
+    return value.data if isinstance(value, Tensor) else _as_array(value)
+
+
+def _graph_free(data) -> "Tensor":
+    """The result every op returns while grad is disabled: a plain
+    :class:`Tensor` (never a subclass) cut from the graph, built without
+    ``__init__``, a backward closure or a parents tuple."""
+    out = Tensor.__new__(Tensor)
+    out.data = _as_array(data)
+    out.grad = None
+    out.requires_grad = False
+    out._backward = None
+    out._parents = ()
+    out.name = None
+    return out
+
+
 class Tensor:
     """An n-dimensional array with reverse-mode automatic differentiation.
 
@@ -95,7 +127,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(data)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _MODE.enabled
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -137,7 +169,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
+        return _graph_free(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -151,8 +183,9 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        """Create an op output, wiring the backward closure if grad is on."""
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        """Create an op output, wiring the backward closure if any parent
+        requires grad (ops return before this point while grad is off)."""
+        requires = any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
@@ -233,8 +266,10 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
+        out_data = self.data + _operand(other)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, _unbroadcast(grad, self.shape))
@@ -246,6 +281,9 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
+        if not _MODE.enabled:
+            return _graph_free(-self.data)
+
         def backward(grad: np.ndarray) -> None:
             out._acc(self, -grad)
 
@@ -253,8 +291,10 @@ class Tensor:
         return out
 
     def __sub__(self, other) -> "Tensor":
+        out_data = self.data - _operand(other)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data - other.data
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, _unbroadcast(grad, self.shape))
@@ -264,11 +304,15 @@ class Tensor:
         return out
 
     def __rsub__(self, other) -> "Tensor":
+        if not _MODE.enabled:
+            return _graph_free(_as_array(other) - self.data)
         return Tensor(other) - self
 
     def __mul__(self, other) -> "Tensor":
+        out_data = self.data * _operand(other)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, _unbroadcast(grad * other.data, self.shape))
@@ -280,8 +324,10 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
+        out_data = self.data / _operand(other)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, _unbroadcast(grad / other.data, self.shape))
@@ -294,12 +340,16 @@ class Tensor:
         return out
 
     def __rtruediv__(self, other) -> "Tensor":
+        if not _MODE.enabled:
+            return _graph_free(_as_array(other) / self.data)
         return Tensor(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise TypeError("tensor exponents are not supported; use exp/log")
         out_data = self.data**exponent
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad * exponent * self.data ** (exponent - 1))
@@ -308,8 +358,10 @@ class Tensor:
         return out
 
     def __matmul__(self, other) -> "Tensor":
+        out_data = self.data @ _operand(other)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
             a, b = self.data, other.data
@@ -346,6 +398,8 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad * out_data)
@@ -355,6 +409,8 @@ class Tensor:
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad / self.data)
@@ -364,6 +420,8 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad * 0.5 / out_data)
@@ -373,6 +431,8 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad * (1.0 - out_data**2))
@@ -381,9 +441,15 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable piecewise formulation.
+        # Numerically stable piecewise formulation, 1/(1+exp(-x)) for x >= 0
+        # and exp(x)/(1+exp(x)) below, on a single exp(-|x|) that cannot
+        # overflow.
         x = self.data
-        out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+        positive = x >= 0
+        e = np.exp(np.where(positive, -x, x))
+        out_data = np.where(positive, 1.0, e) / (1.0 + e)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad * out_data * (1.0 - out_data))
@@ -394,6 +460,8 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out_data = self.data * mask
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad * mask)
@@ -408,6 +476,8 @@ class Tensor:
         inner = c * (x + 0.044715 * x**3)
         t = np.tanh(inner)
         out_data = 0.5 * x * (1.0 + t)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             dinner = c * (1.0 + 3 * 0.044715 * x**2)
@@ -422,6 +492,8 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             g = grad
@@ -434,6 +506,8 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.mean(axis=axis, keepdims=keepdims)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
         if axis is None:
             count = self.data.size
         else:
@@ -451,6 +525,8 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             g = grad
@@ -473,6 +549,8 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad.reshape(self.shape))
@@ -486,6 +564,8 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         out_data = self.data.transpose(axes)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
         inverse = np.argsort(axes)
 
         def backward(grad: np.ndarray) -> None:
@@ -501,6 +581,8 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data, dtype=np.float64)
@@ -518,6 +600,8 @@ class Tensor:
         """
         idx = np.asarray(indices)
         out_data = self.data[idx]
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data, dtype=np.float64)
@@ -531,6 +615,8 @@ class Tensor:
         """Return a tensor with positions where ``mask`` is True set to ``value``."""
         mask = np.asarray(mask, dtype=bool)
         out_data = np.where(mask, value, self.data)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, _unbroadcast(np.where(mask, 0.0, grad), self.shape))
@@ -545,6 +631,8 @@ class Tensor:
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         exp = np.exp(shifted)
         out_data = exp / exp.sum(axis=axis, keepdims=True)
+        if not _MODE.enabled:
+            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             dot = (grad * out_data).sum(axis=axis, keepdims=True)
@@ -557,6 +645,8 @@ class Tensor:
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         out_data = shifted - log_z
+        if not _MODE.enabled:
+            return _graph_free(out_data)
         softmax = np.exp(out_data)
 
         def backward(grad: np.ndarray) -> None:
@@ -590,6 +680,8 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    if not _MODE.enabled:
+        return _graph_free(out_data)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -599,7 +691,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             slicer[axis] = slice(start, stop)
             out._acc(t, grad[tuple(slicer)])
 
-    requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+    requires = any(t.requires_grad for t in tensors)
     out = Tensor(out_data, requires_grad=requires)
     if requires:
         out._parents = tuple(tensors)
@@ -611,12 +703,14 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient support."""
     tensors = list(tensors)
     out_data = np.stack([t.data for t in tensors], axis=axis)
+    if not _MODE.enabled:
+        return _graph_free(out_data)
 
     def backward(grad: np.ndarray) -> None:
         for i, t in enumerate(tensors):
             out._acc(t, np.take(grad, i, axis=axis))
 
-    requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+    requires = any(t.requires_grad for t in tensors)
     out = Tensor(out_data, requires_grad=requires)
     if requires:
         out._parents = tuple(tensors)
@@ -627,15 +721,17 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise select with gradient flow into both branches."""
     condition = np.asarray(condition, dtype=bool)
+    out_data = np.where(condition, _operand(a), _operand(b))
+    if not _MODE.enabled:
+        return _graph_free(out_data)
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
-    out_data = np.where(condition, a.data, b.data)
 
     def backward(grad: np.ndarray) -> None:
         out._acc(a, _unbroadcast(np.where(condition, grad, 0.0), a.shape))
         out._acc(b, _unbroadcast(np.where(condition, 0.0, grad), b.shape))
 
-    requires = _GRAD_ENABLED and (a.requires_grad or b.requires_grad)
+    requires = a.requires_grad or b.requires_grad
     out = Tensor(out_data, requires_grad=requires)
     if requires:
         out._parents = (a, b)
@@ -644,15 +740,11 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    return where(a.data >= b.data, a, b)
+    return where(_operand(a) >= _operand(b), a, b)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    return where(a.data <= b.data, a, b)
+    return where(_operand(a) <= _operand(b), a, b)
 
 
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -662,8 +754,8 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     where sums of products of probabilities are evaluated in log space.
     """
     shifted_max = x.data.max(axis=axis, keepdims=True)
-    shifted = x - Tensor(shifted_max)
-    summed = shifted.exp().sum(axis=axis, keepdims=True).log() + Tensor(shifted_max)
+    shifted = x - shifted_max
+    summed = shifted.exp().sum(axis=axis, keepdims=True).log() + shifted_max
     if keepdims:
         return summed
     return summed.reshape(tuple(s for i, s in enumerate(summed.shape) if i != (axis % x.ndim)))

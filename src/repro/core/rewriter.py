@@ -215,13 +215,13 @@ class DirectRewriter:
         query_tokens = tokenize(query) if isinstance(query, str) else list(query)
         if not query_tokens:
             return []
-        src = np.array([self.vocab.encode(query_tokens, add_eos=True)])
+        source = self.vocab.encode(query_tokens, add_eos=True)
         self.model.eval()
         hyps = top_n_sampling(
-            self.model, src, k=k, n=cfg.top_n, max_len=cfg.max_query_len,
+            self.model, np.array([source]), k=k, n=cfg.top_n, max_len=cfg.max_query_len,
             rng=self._rng, forbid_tokens=(self.vocab.unk_id,),
         )
-        return self._results_from_hyps(hyps, query_tokens, k)
+        return self._results_from_hyps(hyps, source, k)
 
     def rewrite_batch(
         self, queries: list[str | list[str]], k: int | None = None
@@ -251,14 +251,16 @@ class DirectRewriter:
             k=k, n=cfg.top_n, max_len=cfg.max_query_len,
             rng=self._rng, forbid_tokens=(self.vocab.unk_id,),
         )
-        for i, hyps in zip(live, grouped):
-            results[i] = self._results_from_hyps(hyps, token_lists[i], k)
+        for i, source, hyps in zip(live, sources, grouped):
+            results[i] = self._results_from_hyps(hyps, source, k)
         return results
 
     def _results_from_hyps(
-        self, hyps, query_tokens: list[str], k: int
+        self, hyps, source: list[int], k: int
     ) -> list[RewriteResult]:
-        original = tuple(self.vocab.encode(query_tokens, add_eos=False))
+        """Best-first results; ``source`` is the query's encoded ids
+        (EOS last), whose echo is never a rewrite of itself."""
+        original = tuple(source[:-1])
         results = [
             RewriteResult(tokens=tuple(self.vocab.decode(list(h.tokens))), log_prob=h.log_prob)
             for h in sorted(hyps, key=lambda h: h.log_prob, reverse=True)

@@ -70,10 +70,12 @@ def greedy_decode_batch(
     # `live[i]` is the original source index of decode-batch row i.
     live = np.arange(batch)
     last = np.full(batch, model.sos_id, dtype=np.int64)
-    sequences: list[list[int]] = [[] for _ in range(batch)]
+    # Row i of `tokens` holds source i's sequence, `lengths[i]` long.
+    tokens = np.zeros((batch, max(max_len, 0)), dtype=np.int64)
+    lengths = np.zeros(batch, dtype=np.int64)
     log_probs = np.zeros(batch)
     finished = np.zeros(batch, dtype=bool)
-    for _ in range(max_len):
+    for position in range(max_len):
         if live.size == 0:
             break
         logits, state = model.step(state, last)
@@ -82,8 +84,6 @@ def greedy_decode_batch(
         log_probs[live] += step_log_probs[np.arange(live.size), choices]
         hit_eos = choices == model.eos_id
         finished[live[hit_eos]] = True
-        for row in np.nonzero(~hit_eos)[0]:
-            sequences[live[row]].append(int(choices[row]))
         if hit_eos.any():
             keep = np.nonzero(~hit_eos)[0]
             state = state.reorder(keep, model)
@@ -91,7 +91,12 @@ def greedy_decode_batch(
             last = choices[keep]
         else:
             last = choices
+        # A live row has emitted a token at every earlier step.
+        tokens[live, position] = last
+        lengths[live] += 1
     return [
-        Hypothesis(tokens=tuple(seq), log_prob=float(lp), finished=bool(done))
-        for seq, lp, done in zip(sequences, log_probs, finished)
+        Hypothesis(tokens=tuple(row[:length]), log_prob=log_prob, finished=done)
+        for row, length, log_prob, done in zip(
+            tokens.tolist(), lengths.tolist(), log_probs.tolist(), finished.tolist()
+        )
     ]

@@ -49,11 +49,18 @@ def sample_top_n_pools(
     """
     rows, vocab = log_probs.shape
     width = min(n, vocab)
-    part = np.argpartition(-log_probs, width - 1, axis=1)[:, :width]
-    vals = np.take_along_axis(log_probs, part, axis=1)
-    order = np.argsort(-vals, axis=1)
-    pool = np.take_along_axis(part, order, axis=1)
-    pool_logp = np.take_along_axis(vals, order, axis=1)
+    # The descending pool by `width` argmax sweeps over a scratch copy:
+    # for the small n of top-n sampling this beats partitioning the whole
+    # vocabulary, and equal log-probs enter the pool lowest token id first.
+    scratch = log_probs.copy()
+    row_index = np.arange(rows)
+    pool = np.empty((rows, width), dtype=np.int64)
+    pool_logp = np.empty((rows, width))
+    for j in range(width):
+        best = scratch.argmax(axis=1)
+        pool[:, j] = best
+        pool_logp[:, j] = scratch[row_index, best]
+        scratch[row_index, best] = -np.inf
     legal = np.isfinite(pool_logp[:, 0])
     choices = np.full(rows, -1, dtype=np.int64)
     if not legal.any():
@@ -65,7 +72,7 @@ def sample_top_n_pools(
     cdf /= cdf[:, -1:]
     draws = rng.random(int(legal.sum()))
     positions = (cdf <= draws[:, None]).sum(axis=1)
-    choices[legal] = pool[legal][np.arange(positions.size), positions]
+    choices[legal] = pool[legal, positions]
     return choices, legal
 
 
@@ -137,6 +144,7 @@ def top_n_sampling_batch(
     rng = rng or np.random.default_rng()
     blocked = set(forbid_tokens) | {model.pad_id, model.sos_id}
     blocked_cols = np.fromiter(blocked, dtype=np.int64)
+    not_first = blocked | {model.eos_id}
     batch = src.shape[0]
 
     state = model.start(src)
@@ -148,29 +156,29 @@ def top_n_sampling_batch(
     owner: list[int] = []  # source index of each flat candidate slot
     first_tokens: list[int] = []
     for s in range(batch):
-        order = np.argsort(-first_log_probs[s])
-        firsts = [
-            int(t) for t in order if int(t) not in blocked and int(t) != model.eos_id
-        ][:k]
-        owner.extend(s for _ in firsts)
+        # k survivors sit within the best k + |not_first| ids of the order.
+        order = np.argsort(-first_log_probs[s])[: k + len(not_first)]
+        firsts = [t for t in order.tolist() if t not in not_first][:k]
+        owner.extend([s] * len(firsts))
         first_tokens.extend(firsts)
     if not first_tokens:
         return [[] for _ in range(batch)]
     flat = len(first_tokens)
 
+    last = np.array(first_tokens, dtype=np.int64)
     state = state.reorder(np.array(owner, dtype=np.int64), model)
-    sequences: list[list[int]] = [[t] for t in first_tokens]
-    log_probs = np.array(
-        [float(first_log_probs[s, t]) for s, t in zip(owner, first_tokens)]
-    )
+    # Row i of `tokens` holds candidate i's sequence, `lengths[i]` long.
+    tokens = np.zeros((flat, max(max_len, 1)), dtype=np.int64)
+    tokens[:, 0] = last
+    lengths = np.ones(flat, dtype=np.int64)
+    log_probs = first_log_probs[owner, last].astype(np.float64)
     finished_flags = np.zeros(flat, dtype=bool)
     # `slots[i]` maps live decode-batch row i back to its candidate slot;
     # compaction keeps rows in ascending slot order, which is what keeps
     # the RNG draw order identical to the uncompacted per-row loop.
     slots = np.arange(flat)
-    last = np.array(first_tokens, dtype=np.int64)
 
-    for _ in range(max_len - 1):
+    for position in range(1, max_len):
         if slots.size == 0:
             break
         logits, state = model.step(state, last)
@@ -182,8 +190,6 @@ def top_n_sampling_batch(
         hit_eos = legal & (choices == model.eos_id)
         finished_flags[slots[hit_eos]] = True
         keep = legal & ~hit_eos
-        for row in np.nonzero(keep)[0]:
-            sequences[slots[row]].append(int(choices[row]))
         if keep.all():
             last = choices
         else:
@@ -191,14 +197,16 @@ def top_n_sampling_batch(
             state = state.reorder(kept_rows, model)
             slots = slots[kept_rows]
             last = choices[kept_rows]
+        # Every live candidate has survived every earlier step, so its
+        # next token lands in column `position`.
+        tokens[slots, position] = last
+        lengths[slots] += 1
 
     grouped: list[list[Hypothesis]] = [[] for _ in range(batch)]
-    for i in range(flat):
-        grouped[owner[i]].append(
-            Hypothesis(
-                tokens=tuple(sequences[i]),
-                log_prob=float(log_probs[i]),
-                finished=bool(finished_flags[i]),
-            )
+    for s, row, length, log_prob, done in zip(
+        owner, tokens.tolist(), lengths.tolist(), log_probs.tolist(), finished_flags.tolist()
+    ):
+        grouped[s].append(
+            Hypothesis(tokens=tuple(row[:length]), log_prob=log_prob, finished=done)
         )
     return grouped

@@ -118,7 +118,7 @@ class RecurrentNMT(Seq2SeqModel):
         """One recurrent decode step (constant cost in the prefix length)."""
         self._count_step(state.batch_size)
         with no_grad():
-            embedded = self.embedding(np.asarray(last_tokens).reshape(-1, 1))[:, 0, :]
+            embedded = self.embedding(np.asarray(last_tokens).reshape(-1))
             output, hidden = self.decoder.step(
                 embedded,
                 Tensor(state.payload["hidden"]),

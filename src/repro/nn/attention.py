@@ -92,7 +92,7 @@ class MultiHeadAttention(Module):
         if mask is not None:
             scores = scores.masked_fill(mask, _NEG_INF)
         weights = scores.softmax(axis=-1)
-        self.last_weights = weights.data.copy()
+        self.last_weights = weights.data
         weights = self.attn_dropout(weights)
         context = self._merge_heads(weights @ Tensor(v))
         return self.out_proj(context)
@@ -122,7 +122,7 @@ class MultiHeadAttention(Module):
         if mask is not None:
             scores = scores.masked_fill(mask, _NEG_INF)
         weights = scores.softmax(axis=-1)
-        self.last_weights = weights.data.copy()
+        self.last_weights = weights.data
         weights = self.attn_dropout(weights)
         context = self._merge_heads(weights @ v)
         return self.out_proj(context)

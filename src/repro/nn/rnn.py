@@ -55,8 +55,10 @@ class GRUCell(Module):
         hs = self.hidden_size
         gates_x = x @ self.w_x + self.bias
         gates_h = h @ self.w_h
-        z = (gates_x[:, :hs] + gates_h[:, :hs]).sigmoid()
-        r = (gates_x[:, hs : 2 * hs] + gates_h[:, hs : 2 * hs]).sigmoid()
+        # z and r share one sigmoid over their adjacent columns
+        # (elementwise, so each gate's bytes are what two calls give).
+        zr = (gates_x[:, : 2 * hs] + gates_h[:, : 2 * hs]).sigmoid()
+        z, r = zr[:, :hs], zr[:, hs:]
         n = (gates_x[:, 2 * hs :] + r * gates_h[:, 2 * hs :]).tanh()
         return (1.0 - z) * n + z * h
 
@@ -191,6 +193,6 @@ class AdditiveAttention(Module):
         if memory_pad_mask is not None:
             scores = scores.masked_fill(memory_pad_mask, -1e9)
         weights = scores.softmax(axis=-1)
-        self.last_weights = weights.data.copy()
+        self.last_weights = weights.data
         context = (weights[:, None, :] @ memory)[:, 0, :]
         return context, weights
