@@ -7,7 +7,8 @@ Three claims must hold on a ≥50k-document catalog (see
    built from query-side-only tokens, so every rewrite misses the
    inverted index), hybrid recall@10 is strictly above lexical-only.
 2. **Speed** — the IVF probe search beats per-query brute-force dot
-   products by ≥5× while agreeing with the exact top-10 at ≥0.95.
+   products by ≥5× (a wall-clock ratio: asserted under ``--wall-clock``,
+   rendered always) while agreeing with the exact top-10 at ≥0.95.
 3. **Churn** — products delisted through the hybrid engine (catalog,
    inverted index, and vector index in lockstep) never surface from the
    vector tier again, even probed with their own embeddings.
@@ -16,7 +17,7 @@ Three claims must hold on a ≥50k-document catalog (see
 from repro.experiments import hybrid_retrieval
 
 
-def test_hybrid_retrieval(benchmark, save_result):
+def test_hybrid_retrieval(benchmark, save_result, wall_clock):
     result = benchmark.pedantic(lambda: hybrid_retrieval.run(), rounds=1, iterations=1)
     save_result(result)
     measured = result.measured
@@ -34,7 +35,8 @@ def test_hybrid_retrieval(benchmark, save_result):
 
     # ANN vs brute force: matched recall first, then the speed claim.
     assert measured["ann_matched_recall"] >= 0.95
-    assert measured["ann_speedup"] >= 5.0
+    if wall_clock:
+        assert measured["ann_speedup"] >= 5.0
 
     # Churn-interleaved: removed products never surface from the vector
     # tier; a surviving fresh product is findable in both tiers.

@@ -10,13 +10,15 @@ must still hold at this scale.
 The worker-scaling sweep adds the GIL-breaking bar: process shard
 workers must return the exact unsharded top-k at every worker count,
 and — on machines with the cores to show it (the bar is cores-gated,
-3x at >= 8 cores) — 8 workers must beat the thread fan-out's qps.
+3x at >= 8 cores) — 8 workers must beat the thread fan-out's qps.  That
+last bar is a ratio of two wall-clock timings, so it is asserted only
+under ``--wall-clock`` (see ``conftest.py``) and rendered always.
 """
 
 from repro.experiments import retrieval_scale
 
 
-def test_retrieval_scale(benchmark, save_result):
+def test_retrieval_scale(benchmark, save_result, wall_clock):
     result = benchmark.pedantic(lambda: retrieval_scale.run(), rounds=1, iterations=1)
     save_result(result)
     measured = result.measured
@@ -39,6 +41,6 @@ def test_retrieval_scale(benchmark, save_result):
     # at every worker count, unconditionally.
     assert measured["worker_match_rate"] == 1.0
     # The qps ratio bar only applies where the cores exist (0.0 = SKIP).
-    if measured["worker_qps_bar"] > 0.0:
+    if wall_clock and measured["worker_qps_bar"] > 0.0:
         assert measured["worker_scaling_ratio"] >= measured["worker_qps_bar"]
         assert measured["worker_bar_met"]

@@ -110,27 +110,33 @@ def lexical_stats_raw(index) -> tuple:
     )
 
 
-def lexical_search(index, trees, query_tokens, ranker, k: int) -> tuple:
-    """One shard's share of a fan-out search.
+def lexical_search(index, requests, ranker, k: int) -> list:
+    """One shard's share of a micro-batch of fan-out searches.
 
-    Evaluates every syntax tree against the local postings, unions the
-    branch candidates, and ranks the local top-``k`` with the pinned
-    ranker (global statistics travel inside it).  Returns ``(top, cost,
-    num_candidates)`` exactly as the thread fan-out always has.
+    ``requests`` is ``[(trees, query_tokens), ...]`` — a lone search is a
+    batch of one.  Each request evaluates its syntax trees against the
+    local postings, unions the branch candidates, and ranks the local
+    top-``k`` with the pinned ranker (global statistics travel inside
+    it, once for the batch).  Returns one ``(top, cost,
+    num_candidates)`` per request, in order, exactly as the thread
+    fan-out always has per query.
     """
     # Imported here, like the digest codecs: repro.search itself imports
     # this package, so a module-level import would be circular.
     from repro.search.postings import union_sorted
 
-    branches = []
-    cost = 0
-    for tree in trees:
-        docs, tree_cost = tree.evaluate_postings(index)
-        branches.append(docs)
-        cost += tree_cost
-    candidates = union_sorted(branches)
-    top = ranker.rank_scored(index, query_tokens, candidates, k)
-    return top, cost, int(candidates.size)
+    results = []
+    for trees, query_tokens in requests:
+        branches = []
+        cost = 0
+        for tree in trees:
+            docs, tree_cost = tree.evaluate_postings(index)
+            branches.append(docs)
+            cost += tree_cost
+        candidates = union_sorted(branches)
+        top = ranker.rank_scored(index, query_tokens, candidates, k)
+        results.append((top, cost, int(candidates.size)))
+    return results
 
 
 def lexical_digest(index) -> int:

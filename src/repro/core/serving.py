@@ -71,7 +71,8 @@ class ServedSearch:
     """Outcome of one end-to-end request: rewrite tiers plus retrieval.
 
     ``latency_ms`` covers the whole request (cache lookup, amortized
-    model decode if any, and the retrieval fan-out)."""
+    model decode if any, and the retrieval fan-out — amortized evenly
+    over the requests that shared one ``search_many`` call)."""
 
     served: ServedRewrite
     doc_ids: list[int]
@@ -240,7 +241,9 @@ class ServingPipeline:
         ``search_engine`` is any object with ``search(query, rewrites) ->
         SearchOutcome`` (a :class:`~repro.search.SearchEngine` or
         :class:`~repro.search.ShardedSearchEngine`); it enables
-        :meth:`search_batch`, the end-to-end rewrite-then-retrieve path.
+        :meth:`search_batch`, the end-to-end rewrite-then-retrieve path,
+        which additionally uses ``search_many([(query, rewrites), ...])``
+        when the engine provides it.
 
         ``tenant`` names the marketplace this pipeline serves in a
         multi-tenant deployment (``repro.online.scenarios``); it is a
@@ -452,7 +455,11 @@ class ServingPipeline:
         through the configured search engine as ``original query +
         rewrites`` — the Section III-H merged-tree path.  Queries that
         tokenize to nothing and produced no rewrites come back with an
-        empty candidate list instead of failing the batch.
+        empty candidate list instead of failing the batch.  Every request
+        that would be a plain ``search(query, rewrites)`` goes to the
+        engine's ``search_many`` in ONE call when it has that method (one
+        round trip per shard for the micro-batch); engines with only
+        ``search`` are called once per request.
 
         ``modes`` selects the retrieval mode per request (``"lexical" |
         "semantic" | "hybrid"``) for engines that support modes (a
@@ -467,22 +474,46 @@ class ServingPipeline:
             )
         per_request = self._resolve_modes(queries, modes)
         served_batch = self.serve_batch(queries)
-        results: list[ServedSearch] = []
-        for served, mode in zip(served_batch, per_request):
+        engine = self.search_engine
+        # Mode-less engines take no ``mode`` kwarg; _resolve_modes already
+        # guaranteed their requests are lexical-or-default.
+        modeless = not hasattr(engine, "retrieval_modes")
+        batched = hasattr(engine, "search_many")
+        outcomes: list = [None] * len(queries)
+        retrieval_ms = [0.0] * len(queries)
+        together: list[int] = []
+        for i, (served, mode) in enumerate(zip(served_batch, per_request)):
             started = time.perf_counter()
             # Only search when something actually tokenizes: a rewrite list
             # of punctuation-only strings must not fail the whole batch.
             # Short-circuits on the query, so the common case pays one
             # extra tokenize and never touches the rewrites.
             if tokenize(served.query) or any(tokenize(r) for r in served.rewrites):
-                # Mode-less engines take no ``mode`` kwarg; _resolve_modes
-                # already guaranteed their requests are lexical-or-default.
-                if mode is None or not hasattr(self.search_engine, "retrieval_modes"):
-                    outcome = self.search_engine.search(served.query, served.rewrites)
-                else:
-                    outcome = self.search_engine.search(
+                if mode is not None and not modeless:
+                    outcomes[i] = engine.search(
                         served.query, served.rewrites, mode=mode
                     )
+                elif batched:
+                    together.append(i)
+                else:
+                    outcomes[i] = engine.search(served.query, served.rewrites)
+            retrieval_ms[i] = (time.perf_counter() - started) * 1000.0
+        if together:
+            # One engine call for the micro-batch; its time is shared work,
+            # amortized evenly like serve_batch's stacked decode.
+            started = time.perf_counter()
+            found = engine.search_many(
+                [(served_batch[i].query, served_batch[i].rewrites) for i in together]
+            )
+            amortized_ms = (time.perf_counter() - started) * 1000.0 / len(together)
+            for i, outcome in zip(together, found):
+                outcomes[i] = outcome
+                retrieval_ms[i] += amortized_ms
+        results: list[ServedSearch] = []
+        for served, mode, outcome, spent_ms in zip(
+            served_batch, per_request, outcomes, retrieval_ms
+        ):
+            if outcome is not None:
                 doc_ids = outcome.doc_ids
                 postings = outcome.postings_accessed
                 used_mode = getattr(outcome, "mode", "lexical")
@@ -492,10 +523,7 @@ class ServingPipeline:
                 # No retrieval ran, so tally under the mode that WOULD
                 # have served the request: the explicit one, else the
                 # engine's advertised default.
-                used_mode = mode or getattr(
-                    self.search_engine, "default_mode", "lexical"
-                )
-            retrieval_ms = (time.perf_counter() - started) * 1000.0
+                used_mode = mode or getattr(engine, "default_mode", "lexical")
             self.stats.search_requests += 1
             self.stats.search_postings_accessed += postings
             self.stats.search_by_mode[used_mode] = (
@@ -506,7 +534,7 @@ class ServingPipeline:
                     served=served,
                     doc_ids=doc_ids,
                     postings_accessed=postings,
-                    latency_ms=served.latency_ms + retrieval_ms,
+                    latency_ms=served.latency_ms + spent_ms,
                 )
             )
         self._sync_cluster_gauges()

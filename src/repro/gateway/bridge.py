@@ -9,10 +9,11 @@ outcome.  :class:`SchedulerBridge` connects the two per tenant:
   identity of its :class:`~repro.online.scheduler.ScheduledRequest`
   (identity, not value — two byte-identical requests are distinct
   submissions);
-* the scheduler's ``on_batch`` / ``on_shed`` callbacks resolve exactly
-  one future per submitted request — with the
-  :class:`~repro.online.scheduler.CompletedRequest` on dispatch, or with
-  :class:`RequestShed` when admission control drops it;
+* the scheduler's ``on_batch`` / ``on_shed`` / ``on_failed`` callbacks
+  resolve exactly one future per submitted request — with the
+  :class:`~repro.online.scheduler.CompletedRequest` on dispatch, with
+  :class:`RequestShed` when admission control drops it, or with the
+  pipeline's own exception when its batch failed (the gateway's 500);
 * a background **pump** task periodically folds real time into the
   shared :class:`~repro.online.clock.WallClock` (``clock.sync()``) and
   advances the scheduler to it, so deadline-triggered batches dispatch
@@ -59,6 +60,7 @@ class SchedulerBridge:
             config,
             on_batch=self._on_batch,
             on_shed=self._on_shed,
+            on_failed=self._fail,
         )
         # id(request) -> (request, future); holding the request keeps its
         # id stable for the lifetime of the entry.
@@ -75,9 +77,14 @@ class SchedulerBridge:
 
     def _on_shed(self, request) -> None:
         """Fail the future of a shed request (arrival or evicted victim)."""
+        self._fail(request, RequestShed(request))
+
+    def _fail(self, request, error) -> None:
+        """Fail one request's future with ``error`` — :class:`RequestShed`,
+        or (as ``on_failed``) whatever its batch's pipeline call raised."""
         entry = self._waiting.pop(id(request), None)
         if entry is not None and not entry[1].done():
-            entry[1].set_exception(RequestShed(request))
+            entry[1].set_exception(error)
 
     # -- submission ----------------------------------------------------------
     def submit(

@@ -492,7 +492,8 @@ class DrainResponse(WireModel):
     admitted: int
     #: requests completed (served a 200)
     completed: int
-    #: admitted requests shed by admission control (each got a 429)
+    #: admitted requests not served: shed by admission control (a 429
+    #: each) or riding a batch whose pipeline call raised (a 500 each)
     shed: int
     #: wall-clock seconds the drain spent flushing in-flight work
     drain_seconds: float

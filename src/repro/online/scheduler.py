@@ -225,6 +225,15 @@ class MicroBatchScheduler:
     polling.  Both callbacks observe only outcomes; they cannot change a
     scheduling decision, so fingerprints are callback-invariant.
 
+    ``on_failed`` (optional) is called with ``(request, error)`` for each
+    request of a batch whose ``serve_batch`` / ``search_batch`` raised.
+    The batch is already off the lanes by then, so its requests are
+    accounted under ``shed`` (admitted and not served — the conservation
+    receipt keeps holding) and handed over here instead of to
+    ``on_batch``; the scheduler carries on with the next batch.  Without
+    the callback the error is re-raised once the batch is accounted, so
+    an offline replay still fails loudly.
+
     Not thread-safe by design: determinism comes from a single logical
     event loop.  Concurrency lives below (the pipeline's sharded engine
     fan-out) and above (independent scheduler instances per arm).
@@ -238,6 +247,7 @@ class MicroBatchScheduler:
         *,
         on_batch=None,
         on_shed=None,
+        on_failed=None,
     ):
         """``pipeline`` must have a search engine if search requests are
         submitted; ``clock`` is shared with the cache/freshness stack."""
@@ -246,6 +256,7 @@ class MicroBatchScheduler:
         self.config = config or SchedulerConfig()
         self.on_batch = on_batch
         self.on_shed = on_shed
+        self.on_failed = on_failed
         self.report = SchedulerReport(
             shed_by_lane=[0] * self.config.num_lanes,
             admitted_by_lane=[0] * self.config.num_lanes,
@@ -332,12 +343,15 @@ class MicroBatchScheduler:
         return self.report
 
     # -- internals -----------------------------------------------------------
-    def _shed(self, request: ScheduledRequest) -> None:
+    def _shed(self, request: ScheduledRequest, error: Exception | None = None) -> None:
         self.report.shed += 1
         self.report.shed_by_lane[request.lane] += 1
         self.pipeline.stats.shed += 1
-        if self.on_shed is not None:
-            self.on_shed(request)
+        if error is None:
+            if self.on_shed is not None:
+                self.on_shed(request)
+        elif self.on_failed is not None:
+            self.on_failed(request, error)
 
     def _shed_victim(self, arriving_lane: int) -> tuple[str, int] | None:
         """The (kind, lane) whose youngest pending request should be shed
@@ -419,17 +433,26 @@ class MicroBatchScheduler:
         if at > now:
             self.clock.advance(at - now)
         batch = self._take_batch(kind)
-        if kind == "search":
-            modes = [request.mode for request in batch]
-            if all(mode is None for mode in modes):
-                modes = None  # mode-less engines take no mode kwarg
-            outcomes = self.pipeline.search_batch(
-                [request.query for request in batch], modes=modes
-            )
-        else:
-            outcomes = self.pipeline.serve_batch(
-                [request.query for request in batch]
-            )
+        try:
+            if kind == "search":
+                modes = [request.mode for request in batch]
+                if all(mode is None for mode in modes):
+                    modes = None  # mode-less engines take no mode kwarg
+                outcomes = self.pipeline.search_batch(
+                    [request.query for request in batch], modes=modes
+                )
+            else:
+                outcomes = self.pipeline.serve_batch(
+                    [request.query for request in batch]
+                )
+        except Exception as error:
+            # The batch has left the lanes: nothing else would ever
+            # account for its requests or answer whoever waits on them.
+            for request in batch:
+                self._shed(request, error)
+            if self.on_failed is None:
+                raise
+            return
         self._busy_until = at + (
             self.config.batch_cost_seconds
             + len(batch) * self.config.request_cost_seconds

@@ -27,7 +27,9 @@ Layout and semantics:
   against *global* corpus statistics, pinned into the ranker and pruned
   to the query's own tokens (the only frequencies the ranker protocol
   consults) so they ship over a pipe in O(query) bytes — the merged
-  result is identical to ranking an unsharded index, bit for bit.
+  result is identical to ranking an unsharded index, bit for bit.  A
+  micro-batch of searches (``search_many``) shares one pin and ONE
+  request and reply per shard; a lone ``search`` is the batch of one.
 * **Cost accounting** — ``postings_accessed`` sums over shards.  A term's
   postings are split across shards, so the total equals the unsharded
   cost modulo per-shard early exits, and the merged-tree-vs-separate-trees
@@ -334,35 +336,62 @@ class ShardedIndex:
         merge_trees: bool = True,
     ) -> ShardedOutcome:
         """Evaluate ``queries`` (original + rewrites, tokenized) on every
-        shard and merge the per-shard top-k heaps into the global top-k."""
-        queries = [q for q in queries if q]
-        if not queries:
+        shard and merge the per-shard top-k heaps into the global top-k
+        (:meth:`search_many` over a batch of one)."""
+        return self.search_many([queries], k, ranker, merge_trees)[0]
+
+    def search_many(
+        self,
+        batch: list[list[list[str]]],
+        k: int,
+        ranker: Ranker | None = None,
+        merge_trees: bool = True,
+    ) -> list[ShardedOutcome]:
+        """A micro-batch of searches in ONE request and reply per shard.
+
+        Each entry of ``batch`` is one search's ``queries``.  The ranker
+        is pinned once, to the statistics of the batch's token union (a
+        ranker reads only the frequencies of the query it ranks, so every
+        score is what a lone search computes); one fan-out carries every
+        request's trees, and the per-shard top-k heaps are merged per
+        request.  An empty batch sends nothing.
+        """
+        batch = [[q for q in queries if q] for queries in batch]
+        if not all(batch):
             raise ValueError("sharded search received no non-empty query")
+        if not batch:
+            return []
         ranker = (ranker or make_ranker("bm25")).with_stats(
-            self._query_stats(queries)
+            self._query_stats([q for queries in batch for q in queries])
         )
 
-        if merge_trees:
-            trees = [merge_queries(queries)]
-        else:
-            trees = [build_tree(q) for q in queries]
-        nodes = sum(tree_size(t) for t in trees)
-        query_tokens = list(queries[0])
+        requests = []
+        nodes = []
+        for queries in batch:
+            if merge_trees:
+                trees = [merge_queries(queries)]
+            else:
+                trees = [build_tree(q) for q in queries]
+            nodes.append(sum(tree_size(t) for t in trees))
+            requests.append((trees, list(queries[0])))
 
-        shard_results = self._backend.fanout(
-            "search", trees, query_tokens, ranker, k
-        )
+        shard_results = self._backend.fanout("search", requests, ranker, k)
 
-        # Global top-k: k-way merge of the per-shard bounded heaps.
-        merged = merge_topk([top for top, _, _ in shard_results], k)
-        return ShardedOutcome(
-            doc_ids=[doc_id for _, doc_id in merged],
-            scores=[score for score, _ in merged],
-            postings_accessed=sum(cost for _, cost, _ in shard_results),
-            per_shard_postings=[cost for _, cost, _ in shard_results],
-            per_shard_candidates=[n for _, _, n in shard_results],
-            tree_nodes=nodes,
-        )
+        # Global top-k per request: k-way merge of the per-shard bounded heaps.
+        outcomes = []
+        for tree_nodes, results in zip(nodes, zip(*shard_results)):
+            merged = merge_topk([top for top, _, _ in results], k)
+            outcomes.append(
+                ShardedOutcome(
+                    doc_ids=[doc_id for _, doc_id in merged],
+                    scores=[score for score, _ in merged],
+                    postings_accessed=sum(cost for _, cost, _ in results),
+                    per_shard_postings=[cost for _, cost, _ in results],
+                    per_shard_candidates=[n for _, _, n in results],
+                    tree_nodes=tree_nodes,
+                )
+            )
+        return outcomes
 
     # -- deployment reporting --------------------------------------------------
     def cluster_stats(self) -> dict:
@@ -478,31 +507,44 @@ class ShardedSearchEngine:
         self.index.remove_document(product_id)
 
     def search(self, query: str, rewrites: list[str] | None = None) -> SearchOutcome:
-        """Fan-out retrieval of ``query`` + rewrites over every shard.
+        """Fan-out retrieval of ``query`` + rewrites over every shard
+        (:meth:`search_many` over a batch of one)."""
+        return self.search_many([(query, rewrites)])[0]
 
-        One merged syntax tree (Section III-H), per-shard evaluation and
-        ranking against global statistics, exact global top-k merge.
+    def search_many(self, batch: list[tuple]) -> list[SearchOutcome]:
+        """Retrieve a micro-batch of ``(query, rewrites)`` requests.
+
+        Per request: one merged syntax tree (Section III-H), per-shard
+        evaluation and ranking against global statistics, exact global
+        top-k merge — and for the whole batch one round trip per shard
+        (see :meth:`ShardedIndex.search_many`).
         """
-        rewrites = rewrites or []
-        queries = [tokenize(query)] + [tokenize(r) for r in rewrites]
-        queries = [q for q in queries if q]
-        if not queries:
-            raise ValueError("search received an empty query")
-        outcome = self.index.search(
-            queries,
+        batch = [(query, list(rewrites or [])) for query, rewrites in batch]
+        tokenized = []
+        for query, rewrites in batch:
+            queries = [tokenize(query)] + [tokenize(r) for r in rewrites]
+            queries = [q for q in queries if q]
+            if not queries:
+                raise ValueError("search received an empty query")
+            tokenized.append(queries)
+        outcomes = self.index.search_many(
+            tokenized,
             k=self.config.max_candidates,
             ranker=self.ranker,
             merge_trees=self.config.merge_trees,
         )
-        return SearchOutcome(
-            query=query,
-            rewrites=list(rewrites),
-            doc_ids=outcome.doc_ids,
-            postings_accessed=outcome.postings_accessed,
-            tree_nodes=outcome.tree_nodes,
-            num_trees=1 if self.config.merge_trees else len(queries),
-            scores=outcome.scores,
-        )
+        return [
+            SearchOutcome(
+                query=query,
+                rewrites=rewrites,
+                doc_ids=outcome.doc_ids,
+                postings_accessed=outcome.postings_accessed,
+                tree_nodes=outcome.tree_nodes,
+                num_trees=1 if self.config.merge_trees else len(queries),
+                scores=outcome.scores,
+            )
+            for (query, rewrites), queries, outcome in zip(batch, tokenized, outcomes)
+        ]
 
     def cluster_stats(self) -> dict:
         """Backend choice + failover counters of the underlying index."""

@@ -28,7 +28,9 @@ from repro.cluster import (
     clamp_workers,
 )
 from repro.search.inverted_index import InvertedIndex
+from repro.search.ranking import BM25Ranker
 from repro.search.sharded import ShardedIndex
+from repro.search.syntax_tree import build_tree
 from repro.store import ManifestError, SegmentCorruptError, SegmentStore
 
 NUM_DOCS = 20
@@ -176,6 +178,28 @@ class TestProcessBackend:
     def test_boot_from_missing_store_raises_manifest_error(self, tmp_path):
         with pytest.raises(ManifestError):
             ProcessBackend("lexical", store_root=tmp_path / "nowhere")
+
+
+# -- the micro-batched search op ------------------------------------------------
+@pytest.mark.parametrize("make_backend", [InprocBackend, ProcessBackend])
+def test_malformed_request_mid_batch_fails_the_fanout_and_nothing_else(make_backend):
+    """One bad request fails its whole fan-out with the worker's own
+    error; every shard still answered, so the next search lines up."""
+    backend = make_backend("lexical", indexes=lexical_indexes())
+    index = ShardedIndex(backend=backend)
+    try:
+        ranker = BM25Ranker().with_stats(index.stats())
+        good = ([build_tree(["common"])], ["common"])
+        not_a_tree = (["common"], ["common"])
+        with pytest.raises(AttributeError, match="evaluate_postings") as excinfo:
+            backend.fanout("search", [good, not_a_tree, good], ranker, 5)
+        assert "shard 0" in notes_of(excinfo.value)
+        # a reply left unread would come back here in place of this one
+        assert [len(reply) for reply in backend.fanout("search", [good, good], ranker, 5)] == [2, 2]
+        assert index.search([["common"]], k=5).doc_ids == [0, 1, 2, 3, 4]
+        assert backend.fanout("shard_size") == [NUM_DOCS // 2, NUM_DOCS // 2]
+    finally:
+        index.close()
 
 
 # -- replica router -----------------------------------------------------------

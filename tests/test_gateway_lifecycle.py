@@ -416,6 +416,82 @@ class TestShedding:
         asyncio.run(run())
 
 
+class TestFailedDispatch:
+    def test_failed_batch_500s_its_own_callers_and_serving_goes_on(self):
+        """A pipeline call that raises must cost exactly its own batch:
+        each of its requests gets the typed 500 on its own connection,
+        the pump survives, later requests are served, and the receipt
+        accounts the batch as admitted-and-shed."""
+
+        async def run():
+            clock = WallClock()
+            pipelines = make_pipelines(clock, tenants=("acme",))
+            pipeline = pipelines["acme"]
+            search_batch = pipeline.search_batch
+            failed_batch: list[str] = []
+
+            def fail_once(queries, modes=None):
+                if not failed_batch:
+                    failed_batch.extend(queries)
+                    raise RuntimeError("a shard fell over")
+                return search_batch(queries, modes=modes)
+
+            pipeline.search_batch = fail_once
+            config = make_config(
+                scheduler=SchedulerConfig(
+                    max_batch_size=4, max_wait_seconds=0.05, max_queue_depth=4096
+                )
+            )
+            async with Gateway(pipelines, config, clock=clock) as gateway:
+                clients = [
+                    MiniClient(gateway.config.host, gateway.port) for _ in range(3)
+                ]
+                try:
+                    # never a full batch: the pump's deadline tick dispatches
+                    first = await asyncio.wait_for(
+                        asyncio.gather(
+                            *(
+                                client.post(
+                                    "/v1/search", {"query": f"q{n}", "tenant": "acme"}
+                                )
+                                for n, client in enumerate(clients)
+                            )
+                        ),
+                        timeout=10,
+                    )
+                    assert failed_batch
+                    for n, (status, _, body) in enumerate(first):
+                        if f"q{n}" in failed_batch:
+                            assert status == 500
+                            envelope = ErrorEnvelope.parse(body)
+                            assert envelope.code == "internal"
+                            assert "a shard fell over" in envelope.message
+                        else:  # arrived after the failed batch had left
+                            assert status == 200
+                    for n in range(2):
+                        status, _, body = await asyncio.wait_for(
+                            clients[0].post(
+                                "/v1/search", {"query": f"later{n}", "tenant": "acme"}
+                            ),
+                            timeout=10,
+                        )
+                        assert status == 200 and body["doc_ids"] == [1, 2]
+                    assert gateway.bridges["acme"].waiting == 0
+                    status, _, receipt = await asyncio.wait_for(
+                        clients[0].post("/v1/drain", {}), timeout=10
+                    )
+                    assert status == 200
+                    assert receipt["admitted"] == 5
+                    assert receipt["shed"] == len(failed_batch)
+                    assert receipt["completed"] == 5 - len(failed_batch)
+                    assert pipeline.stats.shed == len(failed_batch)
+                finally:
+                    for client in clients:
+                        await client.close()
+
+        asyncio.run(run())
+
+
 class TestTenantIsolation:
     def test_caches_never_leak_across_tenants_over_http(self):
         """The cross-tenant no-leak audit, end to end through the API:

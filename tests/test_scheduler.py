@@ -508,6 +508,60 @@ class TestShedCallback:
         assert run(True) == run(False)
 
 
+class FailingOnce(EchoRewriter):
+    """Raises on its second ``rewrite`` call, then behaves."""
+
+    def rewrite(self, query, k=3):
+        if self.calls == 1:
+            self.calls += 1
+            raise RuntimeError("decoder fell over")
+        return super().rewrite(query, k)
+
+
+class TestFailedBatch:
+    """A batch whose pipeline call raises is accounted, not lost."""
+
+    CONFIG = SchedulerConfig(max_batch_size=3, max_wait_seconds=10.0)
+
+    def _stack(self, **callbacks):
+        pipeline = ServingPipeline(None, FailingOnce(), ServingConfig(max_rewrites=3))
+        return pipeline, MicroBatchScheduler(
+            pipeline, VirtualClock(), self.CONFIG, **callbacks
+        )
+
+    def test_each_request_fails_once_and_the_next_batch_is_served(self):
+        batches, sheds, failures = [], [], []
+        pipeline, scheduler = self._stack(
+            on_batch=batches.append,
+            on_shed=sheds.append,
+            on_failed=lambda request, error: failures.append((request.query, error)),
+        )
+        # the third arrival fills the batch: its submit triggers the dispatch
+        assert submit_at(scheduler, [0.1 * i for i in range(7)]) == [True] * 7
+        report = scheduler.drain()
+        assert [query for query, _ in failures] == ["query 0", "query 1", "query 2"]
+        assert {str(error) for _, error in failures} == {"decoder fell over"}
+        assert sheds == []
+        assert [c.request.query for batch in batches for c in batch] == [
+            f"query {i}" for i in range(3, 7)
+        ]
+        assert (report.admitted, report.completed, report.shed) == (7, 4, 3)
+        assert report.shed_by_lane == [3, 0]
+        assert report.batch_sizes == [3, 1]
+        assert pipeline.stats.shed == 3 and scheduler.queue_depth == 0
+
+    def test_without_a_callback_the_error_is_raised_after_accounting(self):
+        pipeline, scheduler = self._stack()
+        submit_at(scheduler, [0.0, 0.1])
+        with pytest.raises(RuntimeError, match="decoder fell over"):
+            scheduler.submit(ScheduledRequest(query="query 2", arrival_seconds=0.2))
+        assert scheduler.queue_depth == 0
+        assert (scheduler.report.admitted, scheduler.report.shed) == (3, 3)
+        # the scheduler is still usable: nothing of the failed batch lingers
+        submit_at(scheduler, [0.3])
+        assert scheduler.drain().completed == 1
+
+
 class TestWallClockDropIn:
     """A scheduler driven by explicit time is clock-implementation-blind.
 

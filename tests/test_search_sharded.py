@@ -2,10 +2,21 @@
 
 import threading
 
+import numpy as np
 import pytest
 
+from repro.cluster import InprocBackend, ProcessBackend, ReplicaRouter
+from repro.core import ServingPipeline
+from repro.data.catalog import CatalogConfig, CatalogGenerator
+from repro.online import (
+    MicroBatchScheduler,
+    ScheduledRequest,
+    SchedulerConfig,
+    VirtualClock,
+)
 from repro.search import (
     BM25Ranker,
+    InvertedIndex,
     SearchConfig,
     SearchEngine,
     ShardedIndex,
@@ -274,3 +285,209 @@ class TestShardedEngineParity:
         assert (
             sharded.search(q).postings_accessed == single.search(q).postings_accessed
         )
+
+
+# -- micro-batched fan-out ------------------------------------------------------
+NUM_SHARDS = 2
+
+
+def shard_indexes(products) -> list[InvertedIndex]:
+    """Correctly routed per-shard indexes over ``products``."""
+    indexes = [InvertedIndex() for _ in range(NUM_SHARDS)]
+    for product in products:
+        indexes[product.product_id % NUM_SHARDS].add_document(
+            product.product_id, product.title_tokens
+        )
+    return indexes
+
+
+def make_backend(deployment: str, products):
+    """One of the four deployments a lexical fan-out can run on."""
+    if deployment == "process":
+        return ProcessBackend("lexical", indexes=shard_indexes(products))
+    if deployment == "router":
+        return ReplicaRouter(
+            [
+                InprocBackend("lexical", indexes=shard_indexes(products))
+                for _ in range(2)
+            ]
+        )
+    return InprocBackend(
+        "lexical",
+        indexes=shard_indexes(products),
+        parallel=deployment == "inproc-parallel",
+    )
+
+
+def signature(outcome) -> tuple:
+    """Everything a search returns, floats by their exact bits."""
+    return (
+        outcome.query,
+        outcome.rewrites,
+        outcome.doc_ids,
+        [float(score).hex() for score in outcome.scores],
+        outcome.postings_accessed,
+        outcome.tree_nodes,
+        outcome.num_trees,
+    )
+
+
+def sample_request(rng, products) -> tuple:
+    """``(query, rewrites)`` drawn from live titles: 0-2 rewrites, and
+    now and then a token no product carries."""
+
+    def phrase():
+        title = products[int(rng.integers(0, len(products)))].title_tokens
+        picks = list(title[: int(rng.integers(1, min(3, len(title)) + 1))])
+        if rng.random() < 0.2:
+            picks.append("xyzzy")
+        return " ".join(picks)
+
+    return phrase(), [phrase() for _ in range(int(rng.integers(0, 3)))]
+
+
+class TestSearchMany:
+    """A micro-batch is N searches: same bytes, one round trip per shard."""
+
+    @pytest.mark.parametrize("merge_trees", [True, False])
+    @pytest.mark.parametrize("ranker", ["bm25", "overlap"])
+    @pytest.mark.parametrize(
+        "deployment", ["inproc-parallel", "inproc-serial", "process", "router"]
+    )
+    def test_equals_n_searches_and_the_unsharded_engine(
+        self, deployment, ranker, merge_trees
+    ):
+        generator = CatalogGenerator(CatalogConfig(products_per_category=4, seed=11))
+        config = SearchConfig(max_candidates=8, ranker=ranker, merge_trees=merge_trees)
+        reference = SearchEngine(generator.generate(), config)
+        catalog = generator.generate()
+        backend = make_backend(deployment, catalog.products)
+        engine = ShardedSearchEngine(catalog, config, index=ShardedIndex(backend=backend))
+        rng = np.random.default_rng(5)
+        next_id = catalog.next_product_id()
+        try:
+            for round_no, size in enumerate([1, 2, 16, 3, 16]):
+                batch = [sample_request(rng, catalog.products) for _ in range(size)]
+                if size == 3:  # the same request more than once in a batch
+                    batch = [batch[0], batch[1], batch[0], batch[0]]
+                many = engine.search_many(batch)
+                singles = [engine.search(query, rewrites) for query, rewrites in batch]
+                assert [signature(o) for o in many] == [signature(o) for o in singles]
+                for got, (query, rewrites) in zip(many, batch):
+                    # Shard-local early exits may touch fewer postings than
+                    # one index does; everything else matches the oracle.
+                    expected = reference.search(query, rewrites)
+                    expected.postings_accessed = got.postings_accessed
+                    assert signature(got) == signature(expected)
+                if deployment == "router" and round_no == 0:
+                    # not announced: the next batch finds out and reroutes whole
+                    backend.kill_replica(0)
+                # churn between batches: one listing in, one out
+                product = generator.sample_product("phone", next_id, rng)
+                next_id += 1
+                victim = catalog.products[int(rng.integers(0, len(catalog.products)))]
+                for target in (reference, engine):
+                    target.index.add_document(product.product_id, product.title_tokens)
+                    target.index.remove_document(victim.product_id)
+                catalog.add_product(product)
+                catalog.remove_product(victim.product_id)
+            if deployment == "router":
+                assert backend.stats()["failovers"] == 1
+                assert backend.stats()["healthy_replicas"] == 1
+        finally:
+            engine.close()
+
+    def test_empty_batch_sends_nothing(self, sharded, monkeypatch):
+        def no_fanout(*args):
+            raise AssertionError("an empty batch reached the backend")
+
+        monkeypatch.setattr(sharded.backend, "fanout", no_fanout)
+        assert sharded.search_many([], k=5) == []
+
+    def test_one_empty_request_fails_the_batch_before_any_fanout(self, sharded):
+        with pytest.raises(ValueError):
+            sharded.search_many([[["red"]], [[]]], k=5)
+
+
+class CountingSends:
+    """Counts the pipe messages a :class:`ProcessBackend` sends."""
+
+    def __init__(self, monkeypatch):
+        self.sent = 0
+        send = ProcessBackend._send
+
+        def counted(backend, shard_id, payload):
+            self.sent += 1
+            return send(backend, shard_id, payload)
+
+        monkeypatch.setattr(ProcessBackend, "_send", counted)
+
+
+class SearchOnly:
+    """A sharded engine seen through ``search`` alone — what every
+    engine without ``search_many`` looks like to the pipeline."""
+
+    def __init__(self, engine):
+        self.search = engine.search
+        self.cluster_stats = engine.cluster_stats
+
+
+class TestServingFanOutWork:
+    """Deterministic work gate: pipe messages per micro-batch, no clock."""
+
+    QUERIES = ["senior mobile phone", "nike shoe", "apple", "fresh fruit"] * 4
+
+    @pytest.fixture()
+    def process_engine(self, tiny_market):
+        engine = ShardedSearchEngine(
+            tiny_market.catalog,
+            SearchConfig(max_candidates=10, ranker="bm25"),
+            index=ShardedIndex(
+                backend=ProcessBackend(
+                    "lexical", indexes=shard_indexes(tiny_market.catalog.products)
+                )
+            ),
+        )
+        yield engine
+        engine.close()
+
+    def test_one_message_per_shard_per_micro_batch(self, process_engine, monkeypatch):
+        pipeline = ServingPipeline(None, None, search_engine=process_engine)
+        sends = CountingSends(monkeypatch)
+        results = pipeline.search_batch(self.QUERIES)
+        assert sends.sent == NUM_SHARDS  # 32 when every request fans out alone
+        assert all(result.doc_ids for result in results)
+        process_engine.search("nike shoe")
+        assert sends.sent == 2 * NUM_SHARDS
+
+    def test_engines_with_only_search_are_called_per_request(
+        self, process_engine, monkeypatch
+    ):
+        batched = ServingPipeline(None, None, search_engine=process_engine)
+        looped = ServingPipeline(None, None, search_engine=SearchOnly(process_engine))
+        expected = batched.search_batch(self.QUERIES)
+        sends = CountingSends(monkeypatch)
+        got = looped.search_batch(self.QUERIES)
+        assert sends.sent == NUM_SHARDS * len(self.QUERIES)
+        assert [(r.doc_ids, r.postings_accessed) for r in got] == [
+            (r.doc_ids, r.postings_accessed) for r in expected
+        ]
+
+    def test_scheduled_replay_counters_do_not_depend_on_search_many(
+        self, process_engine
+    ):
+        def replay(engine):
+            pipeline = ServingPipeline(None, None, search_engine=engine)
+            scheduler = MicroBatchScheduler(
+                pipeline,
+                VirtualClock(),
+                SchedulerConfig(max_batch_size=5, max_wait_seconds=0.05),
+            )
+            for n, query in enumerate(self.QUERIES + ["?!", "running shoe"]):
+                scheduler.submit(
+                    ScheduledRequest(query, arrival_seconds=0.01 * n, kind="search")
+                )
+            report = scheduler.drain()
+            return pipeline.stats.counters(), report.fingerprint()
+
+        assert replay(process_engine) == replay(SearchOnly(process_engine))
