@@ -338,9 +338,7 @@ class Gateway:
                 "tenant",
             )
         self.clock.sync()  # buckets refill from the shared latch
-        retry_after = 0.0
-        for _ in range(tokens):
-            retry_after = max(retry_after, self.limiter.check(tenant))
+        retry_after = self.limiter.check(tenant, tokens)
         if retry_after > 0.0:
             error = SchemaError(
                 schemas.RATE_LIMITED,
@@ -353,6 +351,19 @@ class Gateway:
     def _shed_retry_after(self) -> float:
         """Retry-After for queue-full sheds: one batch deadline's worth."""
         return max(0.001, self.config.scheduler.max_wait_seconds)
+
+    def _check_lane(self, lane: int) -> None:
+        """Reject a lane the schedulers do not run *before* anything is
+        submitted: the wire format allows 0..``MAX_LANE``, a deployment
+        has ``num_lanes`` of them."""
+        num_lanes = self.config.scheduler.num_lanes
+        if lane >= num_lanes:
+            raise SchemaError(
+                schemas.INVALID_VALUE,
+                f"lane {lane} is not served by this gateway; "
+                f"lanes are 0..{num_lanes - 1}",
+                "lane",
+            )
 
     def _check_mode(self, tenant: str, mode: str | None) -> None:
         """Reject unsupported retrieval modes *before* scheduler admission."""
@@ -376,6 +387,7 @@ class Gateway:
     async def _serve_one(self, tenant: str, kind: str, model) -> tuple:
         """Admit + submit + await one rewrite/search request."""
         self._admit(tenant)
+        self._check_lane(model.lane)
         mode = getattr(model, "mode", None)
         if kind == "search":
             self._check_mode(tenant, mode)
@@ -389,6 +401,7 @@ class Gateway:
         """Admit + submit every batch item; per-item outcomes, in order."""
         self._admit(model.tenant, tokens=len(model.items))
         for item in model.items:
+            self._check_lane(item.lane)
             if item.kind == "search":
                 self._check_mode(model.tenant, item.mode)
             elif item.mode is not None:

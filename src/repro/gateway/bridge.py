@@ -110,8 +110,15 @@ class SchedulerBridge:
             mode=mode,
         )
         future = asyncio.get_running_loop().create_future()
+        # Registered first: the submit itself may dispatch (or shed) the
+        # request and resolve the future through the callbacks.
         self._waiting[id(request)] = (request, future)
-        self.scheduler.submit(request)
+        try:
+            self.scheduler.submit(request)
+        except BaseException:
+            # Refused outright (bad lane or kind): nobody will ever answer.
+            self._waiting.pop(id(request), None)
+            raise
         # With a size trigger of 1 (or an expired deadline) the future is
         # already resolved here; otherwise the pump will get to it.
         return future

@@ -113,12 +113,12 @@ async def read_request(
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
 
+    # A declared body is consumed whatever the method: left in the stream
+    # it would be read as the head of the connection's next request.
     body = b""
-    if method == "POST":
-        if "content-length" not in headers:
-            raise SchemaError(
-                LENGTH_REQUIRED, "POST requires a Content-Length header"
-            )
+    if method == "POST" and "content-length" not in headers:
+        raise SchemaError(LENGTH_REQUIRED, "POST requires a Content-Length header")
+    if "content-length" in headers:
         try:
             length = int(headers["content-length"])
             if length < 0:
@@ -131,13 +131,14 @@ async def read_request(
                 f"request body of {length} bytes exceeds the "
                 f"{max_body_bytes}-byte limit",
             )
-        content_type = headers.get("content-type", "application/json")
-        media_type = content_type.split(";", 1)[0].strip().lower()
-        if media_type != "application/json" and not media_type.endswith("+json"):
-            raise SchemaError(
-                UNSUPPORTED_MEDIA_TYPE,
-                f"content type {media_type!r} is not JSON",
-            )
+        if method == "POST":  # the only method whose body a route decodes
+            content_type = headers.get("content-type", "application/json")
+            media_type = content_type.split(";", 1)[0].strip().lower()
+            if media_type != "application/json" and not media_type.endswith("+json"):
+                raise SchemaError(
+                    UNSUPPORTED_MEDIA_TYPE,
+                    f"content type {media_type!r} is not JSON",
+                )
         if length:
             try:
                 body = await reader.readexactly(length)

@@ -1,13 +1,16 @@
 """Per-tenant token-bucket rate limiting for gateway admission.
 
 Each tenant owns an independent :class:`TokenBucket`; a request costs
-one token.  Buckets refill continuously at ``rate_per_second`` up to
-``burst`` tokens, so short bursts ride through and sustained overload is
-shaped to the configured rate.  When a bucket is empty the limiter
-returns the exact number of seconds until the next token — the
-``Retry-After`` value of the resulting 429 — and, critically, only the
-offending tenant is limited: the buckets share nothing, which is the
-isolation property ``tests/test_gateway_lifecycle.py`` pins.
+one token and a ``/v1/batch`` call one per item, spent **all or
+nothing** in a single acquire.  Buckets refill continuously at
+``rate_per_second`` up to ``burst`` tokens, so short bursts ride through
+and sustained overload is shaped to the configured rate.  When a bucket
+holds too little the limiter takes nothing and returns the exact number
+of seconds until the whole call fits — the ``Retry-After`` value of the
+resulting 429 — and, critically, only the offending tenant is limited:
+the buckets share nothing, which is the isolation property
+``tests/test_gateway_lifecycle.py`` pins.  A call that asks for more
+than ``burst`` tokens can never fit and is refused every time.
 
 Time comes from the gateway's shared clock (the latched
 :class:`~repro.online.clock.WallClock`), so the limiter is deterministic
@@ -37,7 +40,7 @@ class RateLimitConfig:
 
 
 class TokenBucket:
-    """One tenant's bucket: continuous refill, one token per request."""
+    """One tenant's bucket: continuous refill, all-or-nothing acquires."""
 
     __slots__ = ("rate", "capacity", "_tokens", "_updated_at")
 
@@ -53,17 +56,18 @@ class TokenBucket:
         self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
         self._updated_at = now
 
-    def try_acquire(self, now: float) -> float:
-        """Spend one token; 0.0 on success, else seconds until retry.
+    def try_acquire(self, now: float, tokens: int = 1) -> float:
+        """Spend ``tokens`` or nothing; 0.0 on success, else seconds until retry.
 
         The returned delay is exact for a lone caller: after waiting that
-        long the bucket holds at least one token again.
+        long the bucket holds at least ``tokens`` again (unless ``tokens``
+        exceeds the capacity, which no wait can satisfy).
         """
         self._refill(now)
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
+        if self._tokens >= tokens:
+            self._tokens -= tokens
             return 0.0
-        return (1.0 - self._tokens) / self.rate
+        return (tokens - self._tokens) / self.rate
 
     @property
     def tokens(self) -> float:
@@ -83,8 +87,9 @@ class RateLimiter:
         #: 429s handed out, per tenant (telemetry for /v1/stats)
         self.limited: dict[str, int] = {}
 
-    def check(self, tenant: str) -> float:
-        """Admit one request for ``tenant``: 0.0, or a Retry-After delay."""
+    def check(self, tenant: str, tokens: int = 1) -> float:
+        """Admit one call of ``tokens`` requests for ``tenant`` as a whole:
+        0.0, or (nothing spent, one ``limited`` tick) a Retry-After delay."""
         now = self.clock.now()
         bucket = self._buckets.get(tenant)
         if bucket is None:
@@ -92,7 +97,7 @@ class RateLimiter:
                 self.config.rate_per_second, self.config.burst, now
             )
             self._buckets[tenant] = bucket
-        retry_after = bucket.try_acquire(now)
+        retry_after = bucket.try_acquire(now, tokens)
         if retry_after > 0.0:
             self.limited[tenant] = self.limited.get(tenant, 0) + 1
         return retry_after

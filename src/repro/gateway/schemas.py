@@ -150,97 +150,185 @@ def _type_name(value) -> str:
     return type(value).__name__
 
 
-def _check_scalar(value, expected: type, name: str):
-    """Validate one scalar against ``str``/``int``/``float``/``bool``.
+def _scalar_validator(expected: type, metadata, name: str):
+    """Closure checking one JSON scalar against ``expected`` and its bounds.
 
     JSON's number type maps onto both int and float: ints are accepted
     where floats are expected (never the reverse), and bool — a subclass
-    of int in Python — is accepted *only* where bool is expected.
+    of int in Python — is accepted *only* where bool is expected.  Which
+    ``constrained()`` bounds can apply is settled here, from the type, so
+    a call runs only the checks its field actually has.  List validators
+    pass the item's own name (``rewrites[2]``) as the second argument.
     """
-    if expected is bool:
-        if not isinstance(value, bool):
-            raise SchemaError(
-                INVALID_TYPE, f"{name} must be a boolean, got {_type_name(value)}", name
-            )
-        return value
-    if isinstance(value, bool):
-        raise SchemaError(
-            INVALID_TYPE, f"{name} must be a {expected.__name__}, got boolean", name
-        )
-    if expected is float:
-        if not isinstance(value, (int, float)):
-            raise SchemaError(
-                INVALID_TYPE, f"{name} must be a number, got {_type_name(value)}", name
-            )
-        return float(value)
-    if not isinstance(value, expected):
-        kind = "integer" if expected is int else expected.__name__
-        raise SchemaError(
-            INVALID_TYPE, f"{name} must be a {kind}, got {_type_name(value)}", name
-        )
-    return value
+    accepted = (int, float) if expected is float else expected
+    kind = {bool: "boolean", float: "number", int: "integer"}.get(
+        expected, expected.__name__
+    )
+    max_len = metadata.get("max_len") if expected is str else None
+    non_empty = expected is str and metadata.get("min_value") == 1
+    numeric = expected in (int, float)
+    min_value = metadata.get("min_value") if numeric else None
+    max_value = metadata.get("max_value") if numeric else None
+    choices = metadata.get("choices")
 
-
-def _apply_constraints(value, metadata, name: str):
-    """Enforce a field's ``constrained()`` metadata on a validated value."""
-    max_len = metadata.get("max_len")
-    if max_len is not None and isinstance(value, (str, list)):
-        if len(value) > max_len:
+    def validate(value, name=name):
+        if isinstance(value, bool) and expected is not bool:
+            raise SchemaError(
+                INVALID_TYPE, f"{name} must be a {expected.__name__}, got boolean", name
+            )
+        if not isinstance(value, accepted):
+            raise SchemaError(
+                INVALID_TYPE, f"{name} must be a {kind}, got {_type_name(value)}", name
+            )
+        if expected is float:
+            value = float(value)
+        if max_len is not None and len(value) > max_len:
+            raise SchemaError(
+                INVALID_VALUE, f"{name} exceeds the maximum length of {max_len}", name
+            )
+        if non_empty and not value.strip():
+            raise SchemaError(INVALID_VALUE, f"{name} must not be empty", name)
+        if min_value is not None and value < min_value:
+            raise SchemaError(INVALID_VALUE, f"{name} must be >= {min_value}", name)
+        if max_value is not None and value > max_value:
+            raise SchemaError(INVALID_VALUE, f"{name} must be <= {max_value}", name)
+        if choices is not None and value not in choices:
             raise SchemaError(
                 INVALID_VALUE,
-                f"{name} exceeds the maximum length of {max_len}",
+                f"{name} must be one of {', '.join(map(str, choices))}",
                 name,
             )
-    if isinstance(value, str) and not isinstance(value, bool):
-        if metadata.get("min_value") == 1 and not value.strip():
-            raise SchemaError(INVALID_VALUE, f"{name} must not be empty", name)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        min_value = metadata.get("min_value")
-        max_value = metadata.get("max_value")
-        if min_value is not None and value < min_value:
+        return value
+
+    return validate
+
+
+def _is_model(annotation) -> bool:
+    return isinstance(annotation, type) and issubclass(annotation, WireModel)
+
+
+def _list_validator(item_type, metadata, name: str) -> tuple:
+    """Closure checking a JSON array — its length, then every item in
+    order — and whether the items are models: ``(validate, nested)``."""
+    max_len = metadata.get("max_len")
+    nested = _is_model(item_type)
+    check_item = item_type.parse if nested else _scalar_validator(item_type, {}, name)
+
+    def validate(value):
+        if not isinstance(value, list):
             raise SchemaError(
-                INVALID_VALUE, f"{name} must be >= {min_value}", name
+                INVALID_TYPE, f"{name} must be an array, got {_type_name(value)}", name
             )
-        if max_value is not None and value > max_value:
+        if max_len is not None and len(value) > max_len:
             raise SchemaError(
-                INVALID_VALUE, f"{name} must be <= {max_value}", name
+                INVALID_VALUE, f"{name} exceeds the maximum length of {max_len}", name
             )
-    choices = metadata.get("choices")
-    if choices is not None and value is not None and value not in choices:
-        raise SchemaError(
-            INVALID_VALUE,
-            f"{name} must be one of {', '.join(map(str, choices))}",
-            name,
+        if nested:
+            return [check_item(item) for item in value]
+        return [
+            check_item(item, f"{name}[{position}]")
+            for position, item in enumerate(value)
+        ]
+
+    return validate, nested
+
+
+def _object_validator(name: str):
+    """Closure accepting any JSON object as is (``dict``-typed fields)."""
+
+    def validate(value):
+        if not isinstance(value, dict):
+            raise SchemaError(
+                INVALID_TYPE, f"{name} must be an object, got {_type_name(value)}", name
+            )
+        return value
+
+    return validate
+
+
+def _field_validator(annotation, metadata, name: str) -> tuple:
+    """``(validate, nested)`` for one field, resolved once per class.
+
+    ``validate`` is the closure :meth:`WireModel.parse` calls with the
+    field's JSON value; ``nested`` says whether the field can hold models
+    (a model, or a list of them), which is all ``to_wire`` needs to know.
+    """
+    origin = typing.get_origin(annotation)
+    # Optional[T] resolves to typing.Union; the PEP 604 spelling
+    # ``T | None`` resolves to types.UnionType — accept both.
+    optional = origin is typing.Union or isinstance(annotation, types.UnionType)
+    if optional:
+        annotation = next(
+            a for a in typing.get_args(annotation) if a is not type(None)
         )
-    return value
+        origin = typing.get_origin(annotation)
+    if origin in (list, tuple):
+        (item_type,) = typing.get_args(annotation)[:1] or (str,)
+        check, nested = _list_validator(item_type, metadata, name)
+    elif annotation is dict:
+        nested = False
+        check = _object_validator(name)
+    else:
+        nested = _is_model(annotation)
+        check = annotation.parse if nested else _scalar_validator(
+            annotation, metadata, name
+        )
+
+    def validate(value):
+        if value is None:
+            if optional:
+                return None
+            raise SchemaError(INVALID_TYPE, f"{name} must not be null", name)
+        return check(value)
+
+    return validate, nested
 
 
 class WireModel:
     """Base of every request/response model: parse + render + validate.
 
-    Subclasses are plain frozen dataclasses; :meth:`parse` validates an
-    untrusted JSON object against the dataclass fields (presence, JSON
-    type, ``constrained()`` bounds, and rejection of unknown keys) and
+    Subclasses are plain frozen dataclasses.  The first :meth:`parse` or
+    :meth:`to_wire` of a class compiles its **plan** from the dataclass
+    fields — the set of known names, and per field, in declared order,
+    whether it is required, one validator closure resolved from its
+    annotation and ``constrained()`` metadata, and whether it can hold
+    nested models — and caches it on the class; every later call walks
+    the plan, so no request pays for ``dataclasses.fields`` or ``typing``
+    introspection.  :meth:`parse` validates an untrusted JSON object
+    (rejection of unknown keys, presence, JSON type, bounds) and
     :meth:`to_wire` renders the instance back to a JSON-able dict in
     declared field order — the byte-stable wire form the golden fixture
     pins.
     """
 
     @classmethod
-    def _hints(cls) -> dict:
-        """Resolved (de-stringified) type annotations, cached per class."""
-        cached = cls.__dict__.get("_resolved_hints")
-        if cached is None:
-            cached = typing.get_type_hints(cls)
-            cls._resolved_hints = cached
-        return cached
+    def _plan(cls) -> tuple:
+        """``(known names, ((name, required, validate, nested), ...))``."""
+        plan = cls.__dict__.get("_compiled_plan")
+        if plan is None:
+            hints = typing.get_type_hints(cls)
+            fields = tuple(
+                (
+                    spec.name,
+                    spec.default is dataclasses.MISSING
+                    and spec.default_factory is dataclasses.MISSING,
+                    *_field_validator(hints[spec.name], spec.metadata, spec.name),
+                )
+                for spec in dataclasses.fields(cls)
+            )
+            plan = cls._compiled_plan = (frozenset(f[0] for f in fields), fields)
+        return plan
 
     @classmethod
     def parse(cls, data):
         """Validate ``data`` (a decoded JSON value) into an instance.
 
         Raises :class:`SchemaError` with a stable ``code`` on any
-        violation; never raises anything else for any JSON input.
+        violation; never raises anything else for any JSON input.  The
+        first fault wins, in a fixed order: the first key of the payload
+        the model does not define, then the first field *in declared
+        order* that is missing or fails its own checks (type before
+        length before value).
         """
         if not isinstance(data, dict):
             raise SchemaError(
@@ -248,94 +336,46 @@ class WireModel:
                 f"{cls.__name__} payload must be a JSON object, "
                 f"got {_type_name(data)}",
             )
-        spec = {f.name: f for f in dataclasses.fields(cls)}
+        known, fields = cls._plan()
         for key in data:
-            if not isinstance(key, str) or key not in spec:
+            if key not in known:
                 raise SchemaError(
                     UNKNOWN_FIELD,
                     f"{cls.__name__} does not define a field {key!r}",
                     str(key),
                 )
-        hints = cls._hints()
         kwargs = {}
-        for name, field_spec in spec.items():
-            if name not in data:
-                if (
-                    field_spec.default is dataclasses.MISSING
-                    and field_spec.default_factory is dataclasses.MISSING
-                ):
-                    raise SchemaError(
-                        MISSING_FIELD,
-                        f"{cls.__name__} requires the field {name!r}",
-                        name,
-                    )
-                continue
-            kwargs[name] = cls._parse_field(
-                data[name], hints[name], field_spec.metadata, name
-            )
+        for name, required, validate, _ in fields:
+            if name in data:
+                kwargs[name] = validate(data[name])
+            elif required:
+                raise SchemaError(
+                    MISSING_FIELD,
+                    f"{cls.__name__} requires the field {name!r}",
+                    name,
+                )
         return cls(**kwargs)
 
-    @classmethod
-    def _parse_field(cls, value, annotation, metadata, name: str):
-        """Validate one field value against its resolved annotation."""
-        origin = typing.get_origin(annotation)
-        # Optional[T] resolves to typing.Union; the PEP 604 spelling
-        # ``T | None`` resolves to types.UnionType — accept both.
-        if origin is typing.Union or isinstance(annotation, types.UnionType):
-            args = [a for a in typing.get_args(annotation) if a is not type(None)]
-            if value is None:
-                return None
-            annotation = args[0]
-            origin = typing.get_origin(annotation)
-        if value is None:
-            raise SchemaError(INVALID_TYPE, f"{name} must not be null", name)
-        if origin in (list, tuple):
-            if not isinstance(value, list):
-                raise SchemaError(
-                    INVALID_TYPE,
-                    f"{name} must be an array, got {_type_name(value)}",
-                    name,
-                )
-            _apply_constraints(value, metadata, name)
-            (item_type,) = typing.get_args(annotation)[:1] or (str,)
-            items = []
-            for position, item in enumerate(value):
-                item_name = f"{name}[{position}]"
-                if isinstance(item_type, type) and issubclass(item_type, WireModel):
-                    items.append(item_type.parse(item))
-                else:
-                    items.append(_check_scalar(item, item_type, item_name))
-            return items
-        if annotation is dict:
-            if not isinstance(value, dict):
-                raise SchemaError(
-                    INVALID_TYPE,
-                    f"{name} must be an object, got {_type_name(value)}",
-                    name,
-                )
-            return value
-        if isinstance(annotation, type) and issubclass(annotation, WireModel):
-            return annotation.parse(value)
-        checked = _check_scalar(value, annotation, name)
-        return _apply_constraints(checked, metadata, name)
-
     def to_wire(self) -> dict:
-        """JSON-able dict in declared field order (nested models recurse)."""
+        """JSON-able dict in declared field order.
+
+        The dict is new; its values are not copies.  Scalars, lists of
+        scalars and ``dict`` fields are handed over as the instance holds
+        them (they are JSON-able already, and the instance is frozen);
+        only a field that holds models is rendered, by :func:`_wire_value`.
+        """
         wire = {}
-        for field_spec in dataclasses.fields(self):
-            wire[field_spec.name] = _wire_value(getattr(self, field_spec.name))
+        for name, _, _, nested in self._plan()[1]:
+            value = getattr(self, name)
+            wire[name] = _wire_value(value) if nested else value
         return wire
 
 
 def _wire_value(value):
-    """Recursively render a field value to its JSON-able form."""
+    """Render a field that holds models: one model, a list of them, or null."""
     if isinstance(value, WireModel):
         return value.to_wire()
-    if isinstance(value, (list, tuple)):
-        return [_wire_value(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _wire_value(item) for key, item in value.items()}
-    return value
+    return value if value is None else [item.to_wire() for item in value]
 
 
 # -- request models ----------------------------------------------------------
@@ -440,12 +480,12 @@ class BatchResponse(WireModel):
     @classmethod
     def from_outcomes(cls, items, outcomes) -> "BatchResponse":
         """Assemble from parallel lists of :class:`BatchItem` and wire dicts."""
-        results = []
-        for item, outcome in zip(items, outcomes):
-            tagged = {"kind": item.kind}
-            tagged.update(outcome)
-            results.append(tagged)
-        return cls(results=results)
+        return cls(
+            results=[
+                {"kind": item.kind, **outcome}
+                for item, outcome in zip(items, outcomes)
+            ]
+        )
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,11 @@ class MicroBatchScheduler:
     ``on_batch`` (optional) is called once per dispatched batch with the
     list of :class:`CompletedRequest` — the hook the traffic replay uses
     for staleness accounting at the moment each request is actually
-    served.  Completions are also collected in :attr:`completed`.
+    served, and the only way to observe completions: the scheduler keeps
+    no reference to a request once its batch has been handed over (what
+    it does keep per completed request is one float in
+    ``report.queue_delays_seconds``, and per batch one int in
+    ``report.batch_sizes``).
 
     ``on_shed`` (optional) is called with each :class:`ScheduledRequest`
     that admission control sheds — the arriving request itself when
@@ -261,11 +265,13 @@ class MicroBatchScheduler:
             shed_by_lane=[0] * self.config.num_lanes,
             admitted_by_lane=[0] * self.config.num_lanes,
         )
-        self.completed: list[CompletedRequest] = []
         self._lanes: dict[str, list[_Lane]] = {
             kind: [_Lane() for _ in range(self.config.num_lanes)]
             for kind in REQUEST_KINDS
         }
+        # Pending counts, per kind and in total, kept beside the lanes so
+        # that no decision has to re-count them.
+        self._pending = dict.fromkeys(REQUEST_KINDS, 0)
         self._depth = 0
         self._busy_until = 0.0
 
@@ -277,7 +283,7 @@ class MicroBatchScheduler:
 
     def pending_of(self, kind: str) -> int:
         """Pending requests of one kind across its lanes."""
-        return sum(len(lane.pending) for lane in self._lanes[kind])
+        return self._pending[kind]
 
     # -- event loop ----------------------------------------------------------
     def submit(self, request: ScheduledRequest) -> bool:
@@ -313,9 +319,11 @@ class MicroBatchScheduler:
             # Make room by shedding the youngest request of the lowest lane.
             victim_kind, victim_lane = victim
             victim_request = self._lanes[victim_kind][victim_lane].pending.pop()
+            self._pending[victim_kind] -= 1
             self._depth -= 1
             self._shed(victim_request)
         self._lanes[request.kind][request.lane].pending.append(request)
+        self._pending[request.kind] += 1
         self._depth += 1
         self.report.admitted += 1
         self.report.admitted_by_lane[request.lane] += 1
@@ -375,14 +383,6 @@ class MicroBatchScheduler:
                 return best[2], lane
         return None
 
-    def _oldest_arrival(self, kind: str) -> float | None:
-        heads = [
-            lane.pending[0].arrival_seconds
-            for lane in self._lanes[kind]
-            if lane.pending
-        ]
-        return min(heads) if heads else None
-
     def _next_dispatch(self) -> tuple[float, str, str] | None:
         """Earliest (time, kind, trigger) any pending batch can dispatch.
 
@@ -391,13 +391,18 @@ class MicroBatchScheduler:
         resolve by older oldest-arrival, then by fixed kind order, so
         the loop is deterministic.
         """
+        if not self._depth:
+            return None
         now = self.clock.now()
         best: tuple[float, float, int, str, str] | None = None
         for order, kind in enumerate(REQUEST_KINDS):
-            oldest = self._oldest_arrival(kind)
-            if oldest is None:
+            if not self._pending[kind]:
                 continue
-            if self.pending_of(kind) >= self.config.max_batch_size:
+            oldest = math.inf  # arrival of the kind's oldest lane head
+            for lane in self._lanes[kind]:
+                if lane.pending and lane.pending[0].arrival_seconds < oldest:
+                    oldest = lane.pending[0].arrival_seconds
+            if self._pending[kind] >= self.config.max_batch_size:
                 at = max(now, self._busy_until)
                 trigger = "size"
             else:
@@ -406,8 +411,6 @@ class MicroBatchScheduler:
             key = (at, oldest, order, kind, trigger)
             if best is None or key < best:
                 best = key
-        if best is None:
-            return None
         at, _, _, kind, trigger = best
         return at, kind, trigger
 
@@ -425,6 +428,7 @@ class MicroBatchScheduler:
                 batch.append(lane.pending.popleft())
             if len(batch) == self.config.max_batch_size:
                 break
+        self._pending[kind] -= len(batch)
         self._depth -= len(batch)
         return batch
 
@@ -467,7 +471,6 @@ class MicroBatchScheduler:
             )
             for request, outcome in zip(batch, outcomes)
         ]
-        self.completed.extend(completions)
         self.report.completed += len(completions)
         self.report.batches += 1
         if trigger == "size":

@@ -93,6 +93,45 @@ class TestRequestParsing:
         assert parse(raw).json() == {"query": "q"}
 
 
+class TestBodyOnAnyMethod:
+    """A declared body is consumed whatever the method, so it can never be
+    read as the head of the connection's next request."""
+
+    @staticmethod
+    def parse_stream(raw: bytes, **kwargs):
+        async def go():
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            return [await read_request(reader, **kwargs) for _ in range(3)]
+
+        return asyncio.run(go())
+
+    def test_get_with_a_body_leaves_the_stream_at_the_next_request(self):
+        first, second, end = self.parse_stream(
+            b"GET /v1/health HTTP/1.1\r\nContent-Type: text/plain\r\n"
+            b"Content-Length: 5\r\n\r\nhello"
+            b"GET /v1/stats HTTP/1.1\r\n\r\n"
+        )
+        assert (first.method, first.path, first.body) == ("GET", "/v1/health", b"hello")
+        assert (second.method, second.path, second.body) == ("GET", "/v1/stats", b"")
+        assert end is None
+
+    def test_same_ceiling_and_framing_errors_as_post(self):
+        head = b"DELETE /v1/health HTTP/1.1\r\nContent-Length: "
+        assert parse_error(head + b"999\r\n\r\n", max_body_bytes=100).code == (
+            "body_too_large"
+        )
+        assert parse_error(head + b"abc\r\n\r\n").code == "bad_request"
+        assert parse_error(head + b"9\r\n\r\nshort").code == "bad_request"
+
+    def test_length_is_still_required_of_post_only(self):
+        assert parse(b"GET /v1/health HTTP/1.1\r\n\r\n").body == b""
+        assert parse_error(b"POST /v1/drain HTTP/1.1\r\n\r\n").code == (
+            "length_required"
+        )
+
+
 class TestFramingViolations:
     def test_truncated_head_is_bad_request(self):
         assert parse_error(b"GET /v1/health HTT").code == "bad_request"

@@ -15,25 +15,31 @@ invariants:
   evictions each surface as a 429 ``queue_full`` on exactly the shed
   request's connection, while every admitted request still completes;
 * **tenant isolation** — per-tenant caches never leak across tenants,
-  audited end to end through the HTTP responses and ``/v1/stats``.
+  audited end to end through the HTTP responses and ``/v1/stats``;
+* **nothing retained per request** — after thousands of items and a
+  drain, no completion, scheduled request or served rewrite is alive and
+  no future is left registered.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 
 from repro.core import RewriteCache, ServingConfig, ServingPipeline
 from repro.core.rewriter import RewriteResult
-from repro.gateway import Gateway, GatewayConfig, MiniClient
+from repro.core.serving import ServedRewrite
+from repro.gateway import Gateway, GatewayConfig, MiniClient, SchedulerBridge
 from repro.gateway.ratelimit import RateLimitConfig
 from repro.gateway.schemas import (
     DrainResponse,
     ErrorEnvelope,
     HealthResponse,
+    SchemaError,
     StatsResponse,
 )
-from repro.online.clock import WallClock
-from repro.online.scheduler import SchedulerConfig
+from repro.online.clock import VirtualClock, WallClock
+from repro.online.scheduler import CompletedRequest, ScheduledRequest, SchedulerConfig
 from repro.search.engine import SearchOutcome
 
 #: dispatch-immediately policy for the tests that are not about queues
@@ -241,6 +247,213 @@ class TestRateLimits:
                     await client.close()
 
         asyncio.run(run())
+
+
+class SteppedClock(VirtualClock):
+    """The gateway's clock protocol with time moved by the test alone."""
+
+    __slots__ = ()
+
+    def sync(self) -> float:
+        """Nothing to fold in: real time never flows into this clock."""
+        return self.now()
+
+
+class TestBatchAdmission:
+    """A ``/v1/batch`` call spends its tokens all or nothing.
+
+    Spending them one ``check`` at a time burned whatever the bucket held
+    and answered with the wait for *one* token: a client that honoured
+    ``Retry-After`` burned each refill again and never got in."""
+
+    @staticmethod
+    def _admit(gateway, tokens):
+        """Retry-After of one admission attempt (0.0 when admitted)."""
+        try:
+            gateway._admit("acme", tokens=tokens)
+        except SchemaError as error:
+            assert error.code == "rate_limited" and error.field == "tenant"
+            return error.retry_after
+        return 0.0
+
+    def test_an_obedient_client_is_admitted_on_its_first_retry(self):
+        clock = SteppedClock()
+        config = make_config(rate_limit=RateLimitConfig(rate_per_second=1.0, burst=4))
+        gateway = Gateway(make_pipelines(clock), config, clock=clock)
+        assert self._admit(gateway, 4) == 0.0  # the whole burst allowance
+        clock.advance(2.0)  # two tokens back: too few for a batch of four
+        retry_after = self._admit(gateway, 4)
+        assert retry_after == 2.0  # the wait for the whole call, not one token
+        assert gateway.limiter._buckets["acme"].tokens == 2.0  # nothing burned
+        assert gateway.limiter.limited == {"acme": 1}  # one tick per 429
+        clock.advance(retry_after)
+        assert self._admit(gateway, 4) == 0.0
+        assert gateway.limiter.limited == {"acme": 1}
+        # single requests still cost one token each
+        clock.advance(1.0)
+        assert self._admit(gateway, 1) == 0.0
+        assert self._admit(gateway, 1) == 1.0
+
+    def test_a_batch_larger_than_the_burst_never_fits(self):
+        clock = SteppedClock()
+        config = make_config(rate_limit=RateLimitConfig(rate_per_second=1.0, burst=4))
+        gateway = Gateway(make_pipelines(clock), config, clock=clock)
+        for _ in range(3):
+            retry_after = self._admit(gateway, 5)
+            assert retry_after > 0.0
+            clock.advance(retry_after)
+        assert gateway.limiter._buckets["acme"].tokens == 4.0
+        assert self._admit(gateway, 4) == 0.0  # and it cost nobody anything
+
+    def test_a_refused_batch_is_one_429_in_both_counters(self):
+        async def run():
+            clock = WallClock()
+            config = make_config(
+                rate_limit=RateLimitConfig(rate_per_second=0.5, burst=2)
+            )
+            async with Gateway(make_pipelines(clock), config, clock=clock) as gateway:
+                client = MiniClient(gateway.config.host, gateway.port)
+                try:
+                    items = [{"kind": "rewrite", "query": f"q{n}"} for n in range(3)]
+                    status, headers, body = await client.post(
+                        "/v1/batch", {"items": items, "tenant": "acme"}
+                    )
+                    assert status == 429
+                    envelope = ErrorEnvelope.parse(body)
+                    assert envelope.code == "rate_limited"
+                    # one token short at 0.5 tokens/s (less what trickled in)
+                    assert 1.9 < envelope.retry_after_seconds <= 2.0
+                    assert float(headers["retry-after"]) > 1.9
+                    # nothing was spent: the two-item batch still fits
+                    status, _, body = await client.post(
+                        "/v1/batch", {"items": items[:2], "tenant": "acme"}
+                    )
+                    assert status == 200 and len(body["results"]) == 2
+                    _, _, stats = await client.get("/v1/stats")
+                    assert stats["gateway"]["rate_limited_by_tenant"] == {"acme": 1}
+                    assert stats["gateway"]["errors_by_code"] == {"rate_limited": 1}
+                    assert stats["scheduler"]["acme"]["admitted"] == 2
+                finally:
+                    await client.close()
+
+        asyncio.run(run())
+
+
+class TestLaneRange:
+    """The wire format allows lanes 0..7; a deployment runs ``num_lanes``.
+    A lane the scheduler does not have is the caller's fault: a 400 before
+    anything is submitted, not a 500 after part of the batch went in."""
+
+    def test_bad_lane_mid_batch_is_a_400_and_admits_nothing(self):
+        async def run():
+            clock = WallClock()
+            async with Gateway(
+                make_pipelines(clock), make_config(), clock=clock
+            ) as gateway:
+                client = MiniClient(gateway.config.host, gateway.port)
+                try:
+                    items = [
+                        {"kind": "rewrite", "query": "first"},
+                        {"kind": "search", "query": "second", "lane": 5},
+                        {"kind": "rewrite", "query": "third"},
+                    ]
+                    status, _, body = await client.post(
+                        "/v1/batch", {"items": items, "tenant": "acme"}
+                    )
+                    assert status == 400
+                    envelope = ErrorEnvelope.parse(body)
+                    assert envelope.code == "invalid_value"
+                    assert envelope.field == "lane"
+                    assert "lane 5" in envelope.message
+
+                    for path in ("/v1/rewrite", "/v1/search"):
+                        status, _, body = await client.post(
+                            path, {"query": "red shoes", "tenant": "acme", "lane": 2}
+                        )
+                        assert status == 400
+                        assert ErrorEnvelope.parse(body).field == "lane"
+
+                    bridge = gateway.bridges["acme"]
+                    assert bridge.scheduler.report.admitted == 0
+                    assert bridge.scheduler.queue_depth == 0
+                    assert bridge.waiting == 0
+                    # the highest lane the scheduler does run is served
+                    status, _, _ = await client.post(
+                        "/v1/rewrite", {"query": "q", "tenant": "acme", "lane": 1}
+                    )
+                    assert status == 200
+                    _, _, stats = await client.get("/v1/stats")
+                    assert stats["gateway"]["responses_by_status"] == {
+                        "200": 1, "400": 3
+                    }
+                finally:
+                    await client.close()
+
+        asyncio.run(run())
+
+    def test_a_refused_submit_leaves_no_future_behind(self):
+        """Past the gateway's own check, the bridge still cleans up after a
+        submit the scheduler refuses."""
+
+        async def run():
+            clock = WallClock()
+            pipeline = make_pipelines(clock, tenants=("acme",))["acme"]
+            bridge = SchedulerBridge(pipeline, clock, IMMEDIATE)
+            for bad in ({"lane": 2}, {"kind": "mystery"}):
+                try:
+                    bridge.submit(bad.get("kind", "rewrite"), "q", lane=bad.get("lane", 0))
+                except ValueError:
+                    pass
+                else:
+                    raise AssertionError(f"{bad} was accepted")
+                assert bridge.waiting == 0
+            completion = await bridge.submit("rewrite", "q")
+            assert completion.outcome.rewrites == ["q acme"]
+            assert bridge.waiting == 0
+
+        asyncio.run(run())
+
+
+class TestRetention:
+    def test_nothing_per_request_outlives_its_response(self):
+        """5 000 items through the socket, then a drain: the scheduler and
+        the bridge hold on to none of them."""
+        retained = (CompletedRequest, ScheduledRequest, ServedRewrite)
+
+        def live() -> int:  # a delta, so another test's leftovers do not count
+            gc.collect()
+            return sum(isinstance(o, retained) for o in gc.get_objects())
+
+        async def run():
+            clock = WallClock()
+            config = make_config(
+                scheduler=SchedulerConfig(
+                    max_batch_size=16, max_wait_seconds=0.002, max_queue_depth=4096
+                )
+            )
+            async with Gateway(
+                make_pipelines(clock, tenants=("acme",)), config, clock=clock
+            ) as gateway:
+                client = MiniClient(gateway.config.host, gateway.port)
+                try:
+                    for call in range(100):
+                        items = [
+                            {"kind": "rewrite", "query": f"q{(call * 50 + n) % 97}"}
+                            for n in range(50)
+                        ]
+                        status, _, body = await client.post(
+                            "/v1/batch", {"items": items, "tenant": "acme"}
+                        )
+                        assert status == 200 and len(body["results"]) == 50
+                    _, _, receipt = await client.post("/v1/drain", {})
+                    assert receipt["completed"] == 5000 and receipt["shed"] == 0
+                finally:
+                    await client.close()
+                assert gateway.bridges["acme"].waiting == 0
+                return live()
+
+        before = live()
+        assert asyncio.run(run()) == before
 
 
 class TestShedding:
@@ -545,6 +758,38 @@ class TestTenantIsolation:
                     scheduler = stats["scheduler"]
                     assert scheduler["acme"]["admitted"] == 2
                     assert scheduler["globex"]["admitted"] == 2
+                finally:
+                    await client.close()
+
+        asyncio.run(run())
+
+
+class TestBodyFraming:
+    def test_get_with_a_body_does_not_desync_keep_alive(self):
+        """The body of one request must not become the head of the next:
+        both requests on the connection answer 200."""
+
+        async def run():
+            clock = WallClock()
+            async with Gateway(
+                make_pipelines(clock), make_config(), clock=clock
+            ) as gateway:
+                client = MiniClient(gateway.config.host, gateway.port)
+                try:
+                    status, headers, body = await client.raw(
+                        "GET", "/v1/health", b"hello", content_type="text/plain"
+                    )
+                    assert status == 200 and body["status"] == "ok"
+                    assert headers["connection"] == "keep-alive"
+                    status, _, body = await client.get("/v1/health")
+                    assert status == 200 and body["status"] == "ok"
+                    status, _, body = await client.post(
+                        "/v1/rewrite", {"query": "q", "tenant": "acme"}
+                    )
+                    assert status == 200
+                    _, _, stats = await client.get("/v1/stats")
+                    assert stats["gateway"]["connections"] == 1
+                    assert stats["gateway"]["errors_by_code"] == {}
                 finally:
                     await client.close()
 

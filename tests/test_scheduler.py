@@ -1,6 +1,9 @@
 """The deterministic micro-batch scheduler: batch formation, priority
 lanes, admission control, the virtual service model, and determinism."""
 
+import gc
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,9 @@ from repro.online import (
     SchedulerConfig,
     VirtualClock,
 )
+from repro.online.scheduler import REQUEST_KINDS, CompletedRequest
 from repro.search.engine import SearchOutcome
+from tests import golden_scheduler
 
 
 class EchoRewriter:
@@ -591,3 +596,71 @@ class TestWallClockDropIn:
         wall_fp, wall_counters = self._run(WallClock())
         assert wall_fp == virtual_fp
         assert wall_counters == virtual_counters
+
+
+class TestBookkeepingDifferential:
+    """The O(1) pending counts against a recount of the lanes, and every
+    decision against the digests recorded before the counts existed
+    (``tests/golden_scheduler.py`` -> ``golden_scheduler_traces.json``)."""
+
+    GOLDEN = json.loads(golden_scheduler.GOLDEN_PATH.read_text())
+
+    def test_fixture_reaches_every_branch(self):
+        assert set(self.GOLDEN) == set(golden_scheduler.TRACES)
+        runs = {name: list(by_seed.values()) for name, by_seed in self.GOLDEN.items()}
+        assert all(r["size_triggered"] > 20 for r in runs["size_triggered"])
+        assert all(
+            r["deadline_triggered"] > 100 and r["size_triggered"] == 0
+            for r in runs["deadline_triggered"]
+        )
+        for r in runs["overloaded"]:  # victims in two lanes, and arrival sheds
+            assert r["shed"] > 100 and all(r["shed_by_lane"])
+            assert r["size_triggered"] and r["deadline_triggered"]
+        for r in runs["failing_batches"]:
+            assert r["failed"] > 50 and r["shed"] >= r["failed"]
+        assert any(r["shed"] > r["failed"] for r in runs["failing_batches"])
+
+    @pytest.mark.parametrize("name", sorted(golden_scheduler.TRACES))
+    @pytest.mark.parametrize("seed", golden_scheduler.SEEDS)
+    def test_counts_match_a_recount_and_digests_match_golden(self, name, seed):
+        operations = 0
+
+        def recount(scheduler):
+            nonlocal operations
+            operations += 1
+            per_kind = {
+                kind: sum(len(lane.pending) for lane in scheduler._lanes[kind])
+                for kind in REQUEST_KINDS
+            }
+            for kind, count in per_kind.items():
+                assert scheduler.pending_of(kind) == count
+            assert scheduler.queue_depth == sum(per_kind.values())
+            assert scheduler.queue_depth <= scheduler.config.max_queue_depth
+
+        record = golden_scheduler.run_trace(name, seed, after_operation=recount)
+        assert operations == golden_scheduler.OPERATIONS + 1
+        assert record == self.GOLDEN[name][str(seed)]
+
+    def test_nothing_is_retained_once_a_batch_is_handed_over(self):
+        retained = (CompletedRequest, ScheduledRequest, ServedRewrite, ServedSearch)
+
+        def live() -> int:  # a delta, so another test's leftovers do not count
+            gc.collect()
+            return sum(isinstance(o, retained) for o in gc.get_objects())
+
+        before = live()
+        _, _, scheduler, batches = make_stack(
+            SchedulerConfig(max_batch_size=4, max_wait_seconds=0.5), with_engine=True
+        )
+        for i in range(200):
+            scheduler.submit(
+                ScheduledRequest(
+                    query=f"q{i}", arrival_seconds=0.01 * i,
+                    kind="search" if i % 3 == 0 else "rewrite",
+                )
+            )
+        assert scheduler.drain().completed == 200
+        assert not hasattr(scheduler, "completed")
+        assert live() >= before + 600
+        batches.clear()  # the observer's copy was the only one
+        assert live() == before
