@@ -7,9 +7,10 @@ run leaves them alone; refresh them on purpose with::
 
     PYTHONPATH=src python -m pytest benchmarks --update-results
 
-Two bars are ratios of wall-clock timings that a small shared machine
-cannot hold steady (the IVF-vs-brute-force speedup and the
-process-workers-vs-threads qps ratio).  They gate only under
+Three bars are ratios of wall-clock timings that a small shared machine
+cannot hold steady (the IVF-vs-brute-force speedup, the
+process-workers-vs-threads qps ratio and the cached-vs-reference decode
+speedup).  They gate only under
 ``--wall-clock`` — CI's ``benchmark-smoke`` job passes it, where the
 cores exist — and are rendered either way; every deterministic
 assertion (recall, match rates, postings, churn) always runs.

@@ -33,7 +33,8 @@ Exported symbols:
   nearest-rank) + cache gauges, and the per-request outcome record.
 * :class:`LMRewriter` / :class:`LMRewriterConfig` /
   :func:`build_lm_sequences` — the Section V decoder-only LM exploration
-  over the special language ``query <sep1> title <sep2> query2``.
+  over the special language ``query <sep1> title <sep2> query2``.  It has
+  no batch entry: ``serve_batch`` serves such a rewriter per query.
 """
 
 from repro.core.rewriter import CyclicRewriter, DirectRewriter, RewriteResult, RewriterConfig

@@ -154,64 +154,3 @@ class LMRewriter:
                 )
             )
         return results
-
-    def rewrite_batch(
-        self, queries: list[str | list[str]], k: int | None = None
-    ) -> list[list[RewriteResult]]:
-        """Rewrite many queries at once via batched LM generation.
-
-        Each sampling round makes two batched ``generate_batch`` calls
-        (titles, then rewritten queries) over every query still short of
-        ``k`` results, instead of two forward passes per query per
-        attempt.  Returns one result list per query, in input order.
-        """
-        cfg = self.config
-        k = k or cfg.k
-        token_lists = [
-            tokenize(q) if isinstance(q, str) else list(q) for q in queries
-        ]
-        results: list[list[RewriteResult]] = [[] for _ in queries]
-        seen: list[set[tuple[str, ...]]] = [
-            {tuple(tokens)} for tokens in token_lists
-        ]
-        prefixes = [
-            self.vocab.encode(tokens, add_eos=False) + [self.sep1] if tokens else []
-            for tokens in token_lists
-        ]
-        forbid = {self.vocab.sos_id, self.vocab.unk_id}
-        for _ in range(k * 2):  # oversample; duplicates are dropped
-            pending = [
-                i for i, tokens in enumerate(token_lists)
-                if tokens and len(results[i]) < k
-            ]
-            if not pending:
-                break
-            titles = self.model.generate_batch(
-                [prefixes[i] for i in pending], cfg.max_title_tokens,
-                stop_ids={self.sep2, self.vocab.eos_id},
-                rng=self._rng, top_n=cfg.top_n,
-                forbid_ids=forbid | {self.sep1},
-            )
-            with_title = [(i, t) for i, t in zip(pending, titles) if t]
-            if not with_title:
-                continue
-            rewrites = self.model.generate_batch(
-                [prefixes[i] + title_ids + [self.sep2] for i, title_ids in with_title],
-                cfg.max_query_tokens,
-                stop_ids={self.vocab.eos_id},
-                rng=self._rng, top_n=cfg.top_n,
-                forbid_ids=forbid | {self.sep1, self.sep2},
-            )
-            for (i, title_ids), query_ids in zip(with_title, rewrites):
-                rewrite_tokens = tuple(self.vocab.decode(query_ids))
-                if not rewrite_tokens or rewrite_tokens in seen[i]:
-                    continue
-                seen[i].add(rewrite_tokens)
-                results[i].append(
-                    RewriteResult(
-                        tokens=rewrite_tokens,
-                        log_prob=0.0,  # single-sample generation; no marginal score
-                        via_title=tuple(self.vocab.decode(title_ids)),
-                    )
-                )
-        return results

@@ -21,19 +21,23 @@ Exported symbols:
   ``ServingPipeline.serve_batch``.
 * :func:`diverse_beam_search` — diverse beam search (Vijayakumar et al.,
   2016), named as future work in Section V.
-* :func:`sample_top_n_pools` — the vectorized top-n pool sampler the
-  sampling decoders share (one uniform deviate per legal row, in row
-  order — the per-row ``rng.choice`` contract, batched).
+* :func:`sample_top_n_pools` — the one implementation of Figure 4's
+  pool-sampling rule (one uniform deviate per legal row, in row order —
+  the per-row ``rng.choice`` contract, batched): serving, Algorithm 1's
+  step 9, the Fig. 7 q2q metric and the causal LM's ``generate`` all
+  sample through it.
 * :func:`log_softmax_np` / :func:`logsumexp_np` — numerically stable
   log-space primitives every decoder and the rewrite scorer share.
 
 The ``*_batch`` variants accept either a padded (batch, seq) array or a
 list of variable-length id lists, and cost the same number of model calls
-as a single source.  All decoders drop finished rows from the decode
-batch as they go (active-row compaction); ``repro.decoding.reference``
-keeps frozen pre-optimization implementations as equivalence oracles and
-benchmark baselines.  ``docs/DECODING.md`` documents the cache layout,
-compaction semantics and determinism contract.
+as a single source; ``greedy_decode``, ``beam_search`` and
+``top_n_sampling`` are their batch-of-one call.  All decoders drop
+finished rows from the decode batch as they go (active-row compaction);
+``repro.decoding.reference`` keeps frozen pre-optimization
+implementations as equivalence oracles and benchmark baselines.
+``docs/DECODING.md`` documents the cache layout, compaction semantics,
+who runs the Figure-4 sampler and the determinism contract.
 """
 
 from repro.decoding.hypothesis import Hypothesis

@@ -29,7 +29,8 @@ def beam_search(
     Keeps the ``beam_size`` most likely prefixes each step.  The paper
     observes its outputs "lack diversity" — candidates often differ by a
     single token — which motivates the top-n sampling decoder; tests assert
-    that observation on our models too.
+    that observation on our models too.  Implemented as
+    :func:`beam_search_batch` on a batch of one.
 
     Parameters
     ----------
@@ -40,64 +41,9 @@ def beam_search(
     src = np.atleast_2d(np.asarray(src))
     if src.shape[0] != 1:
         raise ValueError("beam_search expects a single source sequence")
-    if beam_size <= 0:
-        raise ValueError("beam_size must be positive")
-
-    state = model.start(src)
-    beams: list[tuple[list[int], float]] = [([], 0.0)]
-    last = np.array([model.sos_id], dtype=np.int64)
-    finished: list[Hypothesis] = []
-
-    for _ in range(max_len):
-        logits, state = model.step(state, last)
-        log_probs = log_softmax_np(logits)  # (live beams, vocab)
-        vocab = log_probs.shape[1]
-        scores = np.array([s for _, s in beams])[:, None] + log_probs
-        flat = scores.reshape(-1)
-        top = np.argpartition(-flat, min(beam_size, flat.size) - 1)[:beam_size]
-        top = top[np.argsort(-flat[top])]
-
-        new_beams: list[tuple[list[int], float]] = []
-        reorder: list[int] = []
-        next_tokens: list[int] = []
-        for flat_idx in top:
-            beam_idx, token = divmod(int(flat_idx), vocab)
-            score = float(flat[flat_idx])
-            if not np.isfinite(score):
-                continue
-            prefix = beams[beam_idx][0]
-            if token == model.eos_id:
-                finished.append(
-                    Hypothesis(tokens=tuple(prefix), log_prob=score, finished=True)
-                )
-                continue
-            new_beams.append((prefix + [token], score))
-            reorder.append(beam_idx)
-            next_tokens.append(token)
-
-        if not new_beams:
-            break
-        beams = new_beams
-        state = state.reorder(np.array(reorder, dtype=np.int64), model)
-        last = np.array(next_tokens, dtype=np.int64)
-        if len(finished) >= beam_size:
-            break
-
-    # Unfinished beams still count as (lower-quality) candidates.
-    for prefix, score in beams:
-        if np.isfinite(score):
-            finished.append(Hypothesis(tokens=tuple(prefix), log_prob=score, finished=False))
-
-    def rank(h: Hypothesis) -> float:
-        return h.log_prob / (len(h.tokens) + 1) ** length_penalty
-
-    unique: dict[tuple[int, ...], Hypothesis] = {}
-    for hyp in finished:
-        kept = unique.get(hyp.tokens)
-        if kept is None or hyp.log_prob > kept.log_prob:
-            unique[hyp.tokens] = hyp
-    ranked = sorted(unique.values(), key=rank, reverse=True)
-    return ranked[:beam_size]
+    return beam_search_batch(
+        model, src, beam_size=beam_size, max_len=max_len, length_penalty=length_penalty
+    )[0]
 
 
 def beam_search_batch(

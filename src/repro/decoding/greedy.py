@@ -21,27 +21,13 @@ def greedy_decode(model: Seq2SeqModel, src: np.ndarray, max_len: int = 32) -> Hy
     (the globally best sequence may avoid the locally best token); the paper
     rejects it for rewriting because one output cannot feed the k-candidate
     pipeline — but it remains the fastest baseline and is used in latency
-    measurements.
+    measurements.  Implemented as :func:`greedy_decode_batch` on a batch
+    of one.
     """
     src = np.atleast_2d(np.asarray(src))
     if src.shape[0] != 1:
         raise ValueError("greedy_decode expects a single source sequence")
-    state = model.start(src)
-    last = np.array([model.sos_id], dtype=np.int64)
-    tokens: list[int] = []
-    total_log_prob = 0.0
-    finished = False
-    for _ in range(max_len):
-        logits, state = model.step(state, last)
-        log_probs = log_softmax_np(logits[0])
-        token = int(log_probs.argmax())
-        total_log_prob += float(log_probs[token])
-        if token == model.eos_id:
-            finished = True
-            break
-        tokens.append(token)
-        last = np.array([token], dtype=np.int64)
-    return Hypothesis(tokens=tuple(tokens), log_prob=total_log_prob, finished=finished)
+    return greedy_decode_batch(model, src, max_len=max_len)[0]
 
 
 def greedy_decode_batch(

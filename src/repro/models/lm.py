@@ -126,61 +126,3 @@ class DecoderOnlyLM(Module):
                 hidden, caches = self.blocks.step(x, caches, key_mask=key_mask)
                 logits = self.output_proj(hidden[:, 0, :]).data[0]
         return generated
-
-    def generate_batch(
-        self,
-        prefixes: list[list[int]],
-        max_new_tokens: int,
-        stop_ids: set[int],
-        rng: np.random.Generator | None = None,
-        top_n: int = 5,
-        forbid_ids: set[int] | None = None,
-    ) -> list[list[int]]:
-        """Top-n sample continuations for many prefixes at once.
-
-        Each step runs one batched forward pass over the still-active
-        rows (right-padded; the causal+padding mask keeps each row's
-        next-token logits a function of its own prefix only), then samples
-        per row.  Semantics per row match :meth:`generate`; returns one
-        id list per prefix, in input order.
-        """
-        rng = rng or np.random.default_rng()
-        forbid_ids = forbid_ids or set()
-        contexts = [list(p) for p in prefixes]
-        generated: list[list[int]] = [[] for _ in prefixes]
-        active = [bool(p) for p in prefixes]
-        for _ in range(max_new_tokens):
-            rows = [
-                i for i, ctx in enumerate(contexts)
-                if active[i] and len(ctx) < self.config.max_len
-            ]
-            if not rows:
-                break
-            width = max(len(contexts[i]) for i in rows)
-            batch = np.full((len(rows), width), self.pad_id, dtype=np.int64)
-            for j, i in enumerate(rows):
-                batch[j, : len(contexts[i])] = contexts[i]
-            with no_grad():
-                logits_all = self.forward(batch).data
-            for j, i in enumerate(rows):
-                logits = logits_all[j, len(contexts[i]) - 1].copy()
-                logits[self.pad_id] = -np.inf
-                for banned in forbid_ids:
-                    logits[banned] = -np.inf
-                pool = np.argsort(-logits)[:top_n]
-                pool_logits = logits[pool]
-                if not np.isfinite(pool_logits[0]):
-                    # Empty legal pool: every unblocked token is -inf.
-                    # Retire the row without consuming randomness instead
-                    # of renormalizing to NaN and crashing in rng.choice.
-                    active[i] = False
-                    continue
-                probs = np.exp(pool_logits - pool_logits.max())
-                probs /= probs.sum()
-                token = int(pool[rng.choice(len(pool), p=probs)])
-                if token in stop_ids:
-                    active[i] = False
-                else:
-                    generated[i].append(token)
-                    contexts[i].append(token)
-        return generated

@@ -23,7 +23,7 @@ from repro.models.base import Seq2SeqModel
 from repro.optim import Adam, NoamSchedule, clip_grad_norm
 from repro.text import Vocabulary
 from repro.training.history import History
-from repro.training.seq_score import batched_top_n_sampling, sequence_log_prob_tensor
+from repro.training.seq_score import sample_title_rows, sequence_log_prob_tensor
 
 
 @dataclass
@@ -144,32 +144,18 @@ class CyclicTrainer:
         itself is treated as fixing the subset ~Y, not differentiated).
         """
         cfg = self.config
-        pad = self.vocab.pad_id
-        batch = q_src.shape[0]
+        batch, k = q_src.shape[0], cfg.beam_width
 
         # Step 9 of Algorithm 1: sample k synthetic titles per query.
         self.forward_model.eval()
-        titles = batched_top_n_sampling(
-            self.forward_model, q_src, k=cfg.beam_width, n=cfg.top_n,
+        rep, y_src, y_tgt = sample_title_rows(
+            self.forward_model, q_src, k=k, n=cfg.top_n,
             max_len=cfg.max_title_len, rng=self._rng,
         )
         self.forward_model.train()
 
-        # Flatten to (batch * k) rows.
-        y_tgt_rows, y_src_rows = [], []
-        for per_query in titles:
-            for seq in per_query:
-                y_tgt_rows.append([self.vocab.sos_id] + seq + [self.vocab.eos_id])
-                y_src_rows.append(seq + [self.vocab.eos_id])
-        k = cfg.beam_width
-        rep = np.repeat(np.arange(batch), k)
-        rep_q_src = pad_batch([q_src[i][q_src[i] != pad].tolist() for i in rep], pad)
-        rep_q_tgt = pad_batch([q_tgt[i][q_tgt[i] != pad].tolist() for i in rep], pad)
-        y_tgt = pad_batch(y_tgt_rows, pad)
-        y_src = pad_batch(y_src_rows, pad)
-
-        lp_forward = sequence_log_prob_tensor(self.forward_model, rep_q_src, y_tgt)
-        lp_backward = sequence_log_prob_tensor(self.backward_model, y_src, rep_q_tgt)
+        lp_forward = sequence_log_prob_tensor(self.forward_model, q_src[rep], y_tgt)
+        lp_backward = sequence_log_prob_tensor(self.backward_model, y_src, q_tgt[rep])
         combined = (lp_forward + lp_backward).reshape(batch, k)
         translate_back = logsumexp(combined, axis=1)  # (batch,)
         return -translate_back.mean()

@@ -21,7 +21,7 @@ from repro.decoding.logspace import logsumexp_np
 from repro.models.base import Seq2SeqModel
 from repro.text import Vocabulary
 from repro.training.history import History
-from repro.training.seq_score import batched_top_n_sampling
+from repro.training.seq_score import sample_title_rows
 
 
 def teacher_forced_metrics(
@@ -90,25 +90,15 @@ def translate_back_metrics(
     forward_model.eval()
     backward_model.eval()
 
-    q_src = pad_batch([q for q in queries], pad)
-    titles = batched_top_n_sampling(
+    q_src = pad_batch(queries, pad)
+    rep, y_src, y_tgt = sample_title_rows(
         forward_model, q_src, k=k, n=top_n, max_len=max_title_len, rng=rng
     )
-
     batch = len(queries)
-    rep = np.repeat(np.arange(batch), k)
-    y_tgt_rows, y_src_rows = [], []
-    for per_query in titles:
-        for seq in per_query:
-            y_tgt_rows.append([vocab.sos_id] + seq + [vocab.eos_id])
-            y_src_rows.append(seq + [vocab.eos_id])
-    q_tgt_rows = [[vocab.sos_id] + queries[i] for i in rep]  # queries end in EOS
-    rep_q_src = pad_batch([queries[i] for i in rep], pad)
-    y_tgt = pad_batch(y_tgt_rows, pad)
-    y_src = pad_batch(y_src_rows, pad)
-    q_tgt = pad_batch(q_tgt_rows, pad)
+    # queries end in EOS
+    q_tgt = pad_batch([[vocab.sos_id] + queries[i] for i in rep], pad)
 
-    lp_forward = forward_model.sequence_log_prob(rep_q_src, y_tgt)  # (batch*k,)
+    lp_forward = forward_model.sequence_log_prob(q_src[rep], y_tgt)  # (batch*k,)
     lp_backward = backward_model.sequence_log_prob(y_src, q_tgt)
 
     # Token accuracy of the backward model reconstructing each query,

@@ -1,11 +1,10 @@
-"""Differentiable sequence scoring and batched sampling for Algorithm 1.
+"""Differentiable sequence scoring and title sampling for Algorithm 1.
 
 The cyclic-consistency gradient (paper Eq. 5) needs, for every query x and
 every sampled title y_i, the *differentiable* log probabilities
 ``log P(y_i | x; θ_f)`` and ``log P(x | y_i; θ_b)``.  The helpers here
-produce those as autograd tensors, plus a batched version of the top-n
-sampling decoder so synthetic-title generation inside the training loop is
-one decode pass instead of one per query.
+produce those as autograd tensors, and turn one batched call of the
+Figure-4 decoder into the teacher-forcing rows both factors are scored on.
 """
 
 from __future__ import annotations
@@ -13,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.decoding.logspace import log_softmax_np
+from repro.data.dataset import pad_batch
+from repro.decoding import top_n_sampling_batch
 from repro.models.base import Seq2SeqModel
 
 
@@ -38,72 +38,34 @@ def sequence_log_prob_tensor(
     return picked.masked_fill(mask, 0.0).sum(axis=1)
 
 
-def batched_top_n_sampling(
+def sample_title_rows(
     model: Seq2SeqModel,
-    src: np.ndarray,
+    q_src: np.ndarray,
     k: int,
     n: int,
     max_len: int,
     rng: np.random.Generator,
-) -> list[list[list[int]]]:
-    """Top-n sampling (Figure 4) for a whole batch of sources at once.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step 9 of Algorithm 1: the title set ~Y as teacher-forcing rows.
 
-    Returns, for each of the ``batch`` sources, a list of ``k`` token-id
-    sequences (without SOS/EOS).  Used in the cyclic training loop to build
-    the synthetic title set ~Y for every query of the batch in a single
-    decode pass of width ``batch * k``.
+    Samples ``k`` titles per source with the Figure-4 decoder
+    (:func:`repro.decoding.top_n_sampling_batch`) and returns
+    ``(rep, y_src, y_tgt)`` over the flattened ``batch * k`` titles,
+    source-major: ``rep[i]`` is the source row title ``i`` came from,
+    ``y_src`` the padded ``title EOS`` rows (the backward model's input)
+    and ``y_tgt`` the padded ``SOS title EOS`` rows (the forward model's
+    target).  A source with fewer than ``k`` legal first tokens cannot
+    fill ~Y and raises ``ValueError``.
     """
-    src = np.asarray(src)
-    batch = src.shape[0]
-    blocked = (model.pad_id, model.sos_id)
-
-    state = model.start(src)
-    last = np.full(batch, model.sos_id, dtype=np.int64)
-    logits, state = model.step(state, last)
-    log_probs = log_softmax_np(logits)  # (batch, vocab)
-
-    # First step: k most likely unique non-special tokens per source.
-    first_tokens = np.zeros((batch, k), dtype=np.int64)
-    for b in range(batch):
-        order = np.argsort(-log_probs[b])
-        chosen = [
-            int(t) for t in order if int(t) not in blocked and int(t) != model.eos_id
-        ][:k]
-        while len(chosen) < k:  # tiny vocabs: repeat the best token
-            chosen.append(chosen[0] if chosen else model.eos_id)
-        first_tokens[b] = chosen
-
-    # Expand to batch*k rows: row b*k+j decodes candidate j of source b.
-    expand = np.repeat(np.arange(batch), k)
-    state = state.reorder(expand, model)
-    sequences: list[list[int]] = [[int(t)] for t in first_tokens.reshape(-1)]
-    alive = np.ones(batch * k, dtype=bool)
-    last = first_tokens.reshape(-1)
-
-    for _ in range(max_len - 1):
-        if not alive.any():
-            break
-        logits, state = model.step(state, last)
-        step_log_probs = log_softmax_np(logits)
-        next_tokens = last.copy()
-        for i in range(batch * k):
-            if not alive[i]:
-                continue
-            row = step_log_probs[i].copy()
-            for blocked_id in blocked:
-                row[blocked_id] = -np.inf
-            pool = np.argsort(-row)[:n]
-            pool_logp = row[pool]
-            probs = np.exp(pool_logp - pool_logp.max())
-            probs /= probs.sum()
-            choice = int(pool[rng.choice(len(pool), p=probs)])
-            if choice == model.eos_id:
-                alive[i] = False
-            else:
-                sequences[i].append(choice)
-                next_tokens[i] = choice
-        last = next_tokens
-
-    return [
-        [sequences[b * k + j] for j in range(k)] for b in range(batch)
-    ]
+    titles = top_n_sampling_batch(model, q_src, k=k, n=n, max_len=max_len, rng=rng)
+    for group in titles:
+        if len(group) != k:
+            raise ValueError(
+                f"top-n sampling produced {len(group)} titles for a source, "
+                f"k={k} needed: the vocabulary has too few legal first tokens"
+            )
+    rows = [list(h.tokens) + [model.eos_id] for group in titles for h in group]
+    rep = np.repeat(np.arange(len(titles)), k)
+    y_src = pad_batch(rows, model.pad_id)
+    y_tgt = pad_batch([[model.sos_id] + row for row in rows], model.pad_id)
+    return rep, y_src, y_tgt

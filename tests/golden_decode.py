@@ -24,7 +24,13 @@ from repro.core.rewriter import DirectRewriter, RewriterConfig
 from repro.data import MarketplaceConfig, generate_marketplace
 from repro.data.catalog import CatalogConfig
 from repro.data.clicklog import ClickLogConfig
-from repro.decoding import beam_search_batch, greedy_decode_batch, top_n_sampling_batch
+from repro.decoding import (
+    beam_search,
+    beam_search_batch,
+    greedy_decode,
+    greedy_decode_batch,
+    top_n_sampling_batch,
+)
 from repro.models import HybridNMT, ModelConfig, RecurrentNMT, TransformerNMT
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_decode.json"
@@ -32,6 +38,9 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_decode.json"
 VOCAB = 48
 #: number of ``rewrite_batch`` calls folded into the stack digest
 REWRITE_CALLS = 20
+
+#: ``(beam_size, length_penalty)`` of the single-source beam rows
+SINGLE_BEAMS = ((3, 0.0), (4, 0.7))
 
 #: every pinned model is this config, or a ``scaled`` variant of it
 BASE = ModelConfig(
@@ -123,6 +132,22 @@ def model_record(name: str) -> dict:
                 for group in beam_search_batch(model, src, beam_size=3, max_len=12)
             ],
         ),
+        # The single-source entry points, one source at a time.
+        "singles": [
+            {
+                "greedy": _hyp(greedy_decode(model, row, max_len=12)),
+                "beam": [
+                    [
+                        _hyp(h)
+                        for h in beam_search(
+                            model, row, beam_size=size, max_len=12, length_penalty=penalty
+                        )
+                    ]
+                    for size, penalty in SINGLE_BEAMS
+                ],
+            }
+            for row in src
+        ],
     }
 
 

@@ -8,6 +8,8 @@ moves both sides and passes.  The fixture was written by
 equality here means the rework changed no output bit: first-step logit
 bytes, tokens, ``float.hex()`` log-probs, finished flags, the seeded RNG
 stream (any shift changes the sampled tokens) and the work counters.
+The ``singles`` rows were added the same way before ``greedy_decode`` and
+``beam_search`` became the batch-of-one call of their batch cores.
 """
 
 import json
@@ -33,7 +35,7 @@ def test_model_decodes_match_golden(golden, name):
     # Compared key by key so a failure names the decoder that drifted.
     assert actual["first_step_logits_dtype"] == expected["first_step_logits_dtype"]
     assert actual["first_step_logits_sha256"] == expected["first_step_logits_sha256"]
-    for decoder in ("top_n", "greedy", "beam"):
+    for decoder in ("top_n", "greedy", "beam", "singles"):
         assert actual[decoder] == expected[decoder], decoder
 
 

@@ -1,4 +1,8 @@
-"""Batched decoding: stacked-source variants match their per-source forms."""
+"""Batched decoding: stacked-source variants match their per-source forms.
+
+Every single-source decoder is the batch-of-one call of its ``*_batch``
+core, so these comparisons pin batch-composition independence: a source
+decodes the same alone as beside N - 1 others."""
 
 import numpy as np
 import pytest

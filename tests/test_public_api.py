@@ -69,6 +69,20 @@ def test_readme_quickstart_symbols_exist():
     from repro.training import CyclicConfig, CyclicTrainer  # noqa: F401
 
 
+def test_one_figure4_sampler_surface():
+    """The training-side and LM-side sampler copies are gone, not
+    deprecated: ``repro.decoding`` is the only place that samples."""
+    from repro import decoding, training
+    from repro.core import LMRewriter
+    from repro.models.lm import DecoderOnlyLM
+
+    assert "batched_top_n_sampling" not in training.__all__
+    assert not hasattr(training, "batched_top_n_sampling")
+    assert not hasattr(DecoderOnlyLM, "generate_batch")
+    assert not hasattr(LMRewriter, "rewrite_batch")
+    assert "sample_top_n_pools" in decoding.__all__
+
+
 def test_scenario_library_surface():
     """The scenario library is part of repro.online's public contract."""
     from repro import online

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.data.dataset import ParallelCorpus
+from repro.data.dataset import ParallelCorpus, pad_batch
+from repro.decoding import top_n_sampling_batch
 from repro.models import ModelConfig, TransformerNMT
+from repro.text import Vocabulary
 from repro.training import (
     CyclicConfig,
     CyclicTrainer,
     History,
     SeparateTrainer,
     TrainingConfig,
-    batched_top_n_sampling,
     sequence_log_prob_tensor,
     teacher_forced_metrics,
     translate_back_metrics,
@@ -22,6 +23,18 @@ TINY = ModelConfig(
     vocab_size=64, d_model=16, num_heads=2, d_ff=32,
     encoder_layers=1, decoder_layers=1, dropout=0.0, seed=0,
 )
+
+
+def _resample_titles(trainer, q_src, seed):
+    """~Y exactly as ``trainer._cyclic_loss`` samples it from ``seed``."""
+    cfg = trainer.config
+    trainer.forward_model.eval()
+    titles = top_n_sampling_batch(
+        trainer.forward_model, q_src, k=cfg.beam_width, n=cfg.top_n,
+        max_len=cfg.max_title_len, rng=np.random.default_rng(seed),
+    )
+    trainer.forward_model.train()
+    return titles
 
 
 class TestHistory:
@@ -77,35 +90,32 @@ class TestSequenceLogProbTensor:
 
 
 class TestBatchedTopNSampling:
-    def test_shapes_and_specials(self, trained_pair, tiny_market):
-        forward, _, _ = trained_pair
-        vocab = tiny_market.vocab
-        corpus = tiny_market.forward_corpus
-        from repro.data.dataset import pad_batch
+    """Step 9's ~Y on the *trained* pair: the Figure-4 decoder of
+    ``repro.decoding``, the one sampler Algorithm 1 runs on."""
 
-        src = pad_batch(corpus.sources[:4], vocab.pad_id)
-        titles = batched_top_n_sampling(
+    @pytest.fixture()
+    def titles(self, trained_pair, tiny_market):
+        forward, _, _ = trained_pair
+        src = pad_batch(tiny_market.forward_corpus.sources[:4], tiny_market.vocab.pad_id)
+        forward.eval()
+        return top_n_sampling_batch(
             forward, src, k=3, n=5, max_len=10, rng=np.random.default_rng(0)
         )
+
+    def test_shapes_and_specials(self, titles, tiny_market):
+        vocab = tiny_market.vocab
         assert len(titles) == 4
         for per_query in titles:
             assert len(per_query) == 3
-            for seq in per_query:
-                assert seq, "empty synthetic title"
-                assert vocab.pad_id not in seq
-                assert vocab.sos_id not in seq
-                assert vocab.eos_id not in seq
+            for hyp in per_query:
+                assert hyp.tokens, "empty synthetic title"
+                assert vocab.pad_id not in hyp.tokens
+                assert vocab.sos_id not in hyp.tokens
+                assert vocab.eos_id not in hyp.tokens
 
-    def test_first_tokens_unique_per_query(self, trained_pair, tiny_market):
-        forward, _, _ = trained_pair
-        from repro.data.dataset import pad_batch
-
-        src = pad_batch(tiny_market.forward_corpus.sources[:4], tiny_market.vocab.pad_id)
-        titles = batched_top_n_sampling(
-            forward, src, k=3, n=5, max_len=10, rng=np.random.default_rng(0)
-        )
+    def test_first_tokens_unique_per_query(self, titles):
         for per_query in titles:
-            firsts = [seq[0] for seq in per_query]
+            firsts = [hyp.tokens[0] for hyp in per_query]
             assert len(set(firsts)) == len(firsts)
 
 
@@ -163,29 +173,20 @@ class TestCyclicTrainer:
         -mean log Σ_i P(y_i|x) P(x|y_i) over the sampled titles."""
         forward, backward, trainer = trained_pair
         vocab = tiny_market.vocab
-        from repro.data.dataset import pad_batch
 
         idx = [0, 1]
         q_src = pad_batch([trainer._q_src[i] for i in idx], vocab.pad_id)
         q_tgt = pad_batch([trainer._q_tgt[i] for i in idx], vocab.pad_id)
 
-        # Reproduce the sampling with the same rng state.
-        state = np.random.default_rng(123)
         trainer._rng = np.random.default_rng(123)
         loss = trainer._cyclic_loss(q_src, q_tgt)
 
-        trainer2_rng = np.random.default_rng(123)
-        forward.eval()
-        titles = batched_top_n_sampling(
-            forward, q_src, k=trainer.config.beam_width, n=trainer.config.top_n,
-            max_len=trainer.config.max_title_len, rng=trainer2_rng,
-        )
-        forward.train()
-        k = trainer.config.beam_width
+        # Reproduce the sampling with the same rng state.
+        titles = _resample_titles(trainer, q_src, 123)
         total = 0.0
         for row, per_query in enumerate(titles):
             terms = []
-            for seq in per_query:
+            for seq in (list(hyp.tokens) for hyp in per_query):
                 y_src = np.array([seq + [vocab.eos_id]])
                 y_tgt = np.array([[vocab.sos_id] + seq + [vocab.eos_id]])
                 x_src = np.array([trainer._q_src[idx[row]]])
@@ -197,6 +198,42 @@ class TestCyclicTrainer:
             total += peak + np.log(np.sum(np.exp(np.array(terms) - peak)))
         expected = -total / len(idx)
         np.testing.assert_allclose(float(loss.item()), expected, atol=1e-6)
+
+    def test_finished_titles_are_not_stepped_to_max_title_len(self, trained_pair, tiny_market):
+        """Step 9 steps live title rows only: ``decode_rows`` is the sum of
+        live rows per step, not ``batch + (steps - 1) * batch * k``."""
+        forward, _, trainer = trained_pair
+        pad = tiny_market.vocab.pad_id
+        cfg = trainer.config
+        q_src = pad_batch(trainer._q_src[:8], pad)
+        q_tgt = pad_batch(trainer._q_tgt[:8], pad)
+
+        trainer._rng = np.random.default_rng(7)
+        forward.reset_decode_counters()
+        trainer._cyclic_loss(q_src, q_tgt)
+        steps, rows = forward.decode_steps, forward.decode_rows
+
+        titles = _resample_titles(trainer, q_src, 7)
+        hyps = [hyp for per_query in titles for hyp in per_query]
+        assert any(hyp.finished for hyp in hyps)
+        # One first step over the sources, then one row per title per step
+        # until its EOS (a title cut off at max_title_len never drew one).
+        recount = len(q_src) + sum(len(h.tokens) - (not h.finished) for h in hyps)
+        assert rows == recount
+        assert rows < len(q_src) + (steps - 1) * len(q_src) * cfg.beam_width
+
+    def test_too_few_legal_first_tokens_rejected(self):
+        """A vocabulary that cannot start ``beam_width`` distinct titles
+        must not pad ~Y by counting one title twice in Eq. 5."""
+        vocab = Vocabulary(["shoe"])  # 4 specials + 1: two legal first tokens
+        config = TINY.scaled(vocab_size=len(vocab))
+        trainer = CyclicTrainer(
+            TransformerNMT(config), TransformerNMT(config.scaled(seed=1)),
+            [(("shoe",), ("shoe",), 1)], vocab,
+            CyclicConfig(warmup_steps=0, beam_width=3, top_n=4, max_title_len=6),
+        )
+        with pytest.raises(ValueError, match=r"2 titles.*k=3"):
+            trainer.train_step()
 
     def test_both_models_update_after_warmup(self, tiny_market):
         forward = TransformerNMT(TINY.scaled(vocab_size=len(tiny_market.vocab)))
