@@ -7,13 +7,14 @@ run leaves them alone; refresh them on purpose with::
 
     PYTHONPATH=src python -m pytest benchmarks --update-results
 
-Three bars are ratios of wall-clock timings that a small shared machine
+Four bars are ratios of wall-clock timings that a small shared machine
 cannot hold steady (the IVF-vs-brute-force speedup, the
-process-workers-vs-threads qps ratio and the cached-vs-reference decode
-speedup).  They gate only under
-``--wall-clock`` — CI's ``benchmark-smoke`` job passes it, where the
-cores exist — and are rendered either way; every deterministic
-assertion (recall, match rates, postings, churn) always runs.
+process-workers-vs-threads qps ratio, the cached-vs-reference decode
+speedup and the serial-vs-micro-batch replay throughput).  They gate
+only under ``--wall-clock`` — CI's ``benchmark-smoke`` job passes it,
+where the cores exist — and are rendered either way; every
+deterministic assertion (recall, match rates, postings, model calls,
+churn) always runs.
 """
 
 from __future__ import annotations

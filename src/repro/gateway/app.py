@@ -337,7 +337,9 @@ class Gateway:
                 f"tenant {tenant!r} is not served by this gateway",
                 "tenant",
             )
-        self.clock.sync()  # buckets refill from the shared latch
+        # The call's one sync: buckets refill from the shared latch, and
+        # every item the call submits is stamped with this instant.
+        self.clock.sync()
         retry_after = self.limiter.check(tenant, tokens)
         if retry_after > 0.0:
             error = SchemaError(
@@ -391,9 +393,9 @@ class Gateway:
         mode = getattr(model, "mode", None)
         if kind == "search":
             self._check_mode(tenant, mode)
-        future = self.bridges[tenant].submit(
-            kind, model.query, lane=model.lane, mode=mode
-        )
+        bridge = self.bridges[tenant]
+        future = bridge.submit(kind, model.query, lane=model.lane, mode=mode)
+        bridge.advance()  # closes this call's instant: a cache hit is served now
         completion = await future
         return 200, self._completion_wire(kind, tenant, completion), None
 
@@ -415,6 +417,7 @@ class Gateway:
             bridge.submit(item.kind, item.query, lane=item.lane, mode=item.mode)
             for item in model.items
         ]
+        bridge.advance()
         settled = await asyncio.gather(*futures, return_exceptions=True)
         outcomes = []
         for item, result in zip(model.items, settled):

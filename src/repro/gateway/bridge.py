@@ -14,10 +14,13 @@ outcome.  :class:`SchedulerBridge` connects the two per tenant:
   :class:`~repro.online.scheduler.CompletedRequest` on dispatch, with
   :class:`RequestShed` when admission control drops it, or with the
   pipeline's own exception when its batch failed (the gateway's 500);
-* a background **pump** task periodically folds real time into the
-  shared :class:`~repro.online.clock.WallClock` (``clock.sync()``) and
-  advances the scheduler to it, so deadline-triggered batches dispatch
-  even when no new request arrives to push the clock.
+* :meth:`SchedulerBridge.advance` folds real time into the shared
+  :class:`~repro.online.clock.WallClock` (``clock.sync()``) and advances
+  the scheduler to it.  The gateway runs it at the end of every serving
+  call, which closes the call's arrival instant so its cache hits are
+  answered at once; a background **pump** task runs it periodically, so
+  deadline-triggered batches dispatch even when no new request arrives
+  to push the clock.
 
 Everything runs on the event-loop thread, so the scheduler's
 not-thread-safe contract holds by construction.
@@ -94,17 +97,19 @@ class SchedulerBridge:
         lane: int = 0,
         mode: str | None = None,
     ) -> asyncio.Future:
-        """Submit one request at the current synchronized wall time.
+        """Submit one request at the clock's latched time.
 
         Returns a future resolving to the request's
         :class:`CompletedRequest` (or raising :class:`RequestShed`).  The
-        sync-then-submit pair runs without an ``await`` in between, so
-        the arrival stamp can never be in the scheduler's past.
+        stamp is ``clock.now()``, not a fresh ``sync()``: the gateway
+        syncs once per HTTP call, so every item of one call shares one
+        arrival instant and real time passing between two items cannot
+        split the call across batches.  The latch is the scheduler's own
+        clock, so the stamp can never be in the scheduler's past.
         """
-        arrival = self.clock.sync()
         request = ScheduledRequest(
             query=query,
-            arrival_seconds=arrival,
+            arrival_seconds=self.clock.now(),
             lane=lane,
             kind=kind,
             mode=mode,
@@ -120,10 +125,19 @@ class SchedulerBridge:
             self._waiting.pop(id(request), None)
             raise
         # With a size trigger of 1 (or an expired deadline) the future is
-        # already resolved here; otherwise the pump will get to it.
+        # already resolved here; otherwise advance() or the pump will get
+        # to it.
         return future
 
     # -- pumping -------------------------------------------------------------
+    def advance(self) -> None:
+        """Fold real time in and dispatch whatever is due by then.
+
+        Moving the clock closes the latest arrival instant, so the cache
+        hits submitted in it dispatch here."""
+        if self.scheduler.queue_depth:
+            self.scheduler.advance_to(self.clock.sync())
+
     def start_pump(self, interval_seconds: float) -> None:
         """Start the background tick that fires deadline triggers."""
         if self._pump_task is None:
@@ -134,8 +148,7 @@ class SchedulerBridge:
     async def _pump(self, interval_seconds: float) -> None:
         while True:
             await asyncio.sleep(interval_seconds)
-            if self.scheduler.queue_depth:
-                self.scheduler.advance_to(self.clock.sync())
+            self.advance()
 
     async def stop_pump(self) -> None:
         """Cancel the background tick (idempotent)."""

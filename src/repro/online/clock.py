@@ -66,12 +66,13 @@ class WallClock:
 
     Reads are **latched**: ``now()`` returns the last synchronized (or
     advanced) value and does not move on its own.  Call :meth:`sync` at
-    each observation point — the gateway does so once per incoming
-    request and once per scheduler pump tick — to fold elapsed
-    ``time.monotonic()`` into the latch.  Latching is what makes the
-    scheduler's ``submit`` contract (arrival stamps are never in the
-    past) race-free under real time: the caller reads ``sync()`` and
-    submits with that exact stamp before time can move again.
+    each observation point — the gateway does so once per admitted HTTP
+    call, once more when that call has submitted its items, and once per
+    scheduler pump tick — to fold elapsed ``time.monotonic()`` into the
+    latch.  Latching is what makes the scheduler's ``submit`` contract
+    (arrival stamps are never in the past) race-free under real time:
+    the caller stamps every item of a call with the latched ``now()``
+    before time can move again, so they share one arrival instant.
 
     ``advance()`` keeps the :class:`VirtualClock` semantics — it may push
     the latch *ahead* of real time (e.g. a drain flushing deadline

@@ -19,6 +19,20 @@ whichever comes first, and never before the (virtual) worker is free.
 With an idle worker this bounds every admitted request's queueing delay
 by ``max_wait_seconds`` exactly.
 
+**Zero-wait hits** — waiting only pays when it grows a batch that is
+worth growing, and a rewrite the cache already answers has no decode to
+share.  All requests stamped with one arrival time form an *instant*;
+the instant closes when the clock first moves past it (a later
+``submit``, an ``advance_to`` beyond it, or ``drain``).  Then each of
+its rewrite requests still pending gets one read-only probe,
+``query in pipeline.cache``.  The hits move to an internal queue whose
+deadline is their arrival: they dispatch at that instant, or as soon as
+the worker frees up, in batches of hits only (the size trigger still
+caps them).  Misses keep both triggers, and search requests are never
+probed.  A request the size trigger dispatched at its own instant is
+never probed either, so full batches cost nothing extra.  Without a
+cache (``pipeline.cache is None``) nothing is probed.
+
 **Priority lanes** — requests carry a lane number (0 = highest
 priority).  A dispatching batch drains lane 0 first, then lane 1, and so
 on, FIFO within each lane, so high-priority requests are never stuck
@@ -60,6 +74,9 @@ from repro.online.clock import VirtualClock
 
 #: request kinds the scheduler batches independently of each other
 REQUEST_KINDS = ("rewrite", "search")
+#: the internal queue of rewrite requests the cache already answers
+_HIT = "hit"
+_QUEUES = REQUEST_KINDS + (_HIT,)
 
 
 @dataclass(frozen=True)
@@ -267,13 +284,15 @@ class MicroBatchScheduler:
         )
         self._lanes: dict[str, list[_Lane]] = {
             kind: [_Lane() for _ in range(self.config.num_lanes)]
-            for kind in REQUEST_KINDS
+            for kind in _QUEUES
         }
-        # Pending counts, per kind and in total, kept beside the lanes so
+        # Pending counts, per queue and in total, kept beside the lanes so
         # that no decision has to re-count them.
-        self._pending = dict.fromkeys(REQUEST_KINDS, 0)
+        self._pending = dict.fromkeys(_QUEUES, 0)
         self._depth = 0
         self._busy_until = 0.0
+        # Arrival time of the instant whose rewrites are not probed yet.
+        self._open_instant: float | None = None
 
     # -- introspection -------------------------------------------------------
     @property
@@ -282,7 +301,10 @@ class MicroBatchScheduler:
         return self._depth
 
     def pending_of(self, kind: str) -> int:
-        """Pending requests of one kind across its lanes."""
+        """Pending requests of one kind across its lanes; the rewrites
+        waiting as zero-wait hits count as rewrites."""
+        if kind == "rewrite":
+            return self._pending["rewrite"] + self._pending[_HIT]
         return self._pending[kind]
 
     # -- event loop ----------------------------------------------------------
@@ -291,10 +313,14 @@ class MicroBatchScheduler:
 
         Advances the clock to ``request.arrival_seconds`` first,
         dispatching every batch due before then — the worker loop runs
-        *between* arrivals, as it would in real time.  Returns True if
-        the request was admitted.
+        *between* arrivals, as it would in real time.  A later arrival
+        therefore closes the previous instant, sorting its pending
+        rewrites into hits and misses.  An admitted rewrite joins its
+        rewrite lane like any other, so the size trigger still fires
+        inline; it is probed only if it is still pending when its own
+        instant closes.  Returns True if the request was admitted.
         """
-        if request.kind not in self._lanes:
+        if request.kind not in REQUEST_KINDS:
             raise ValueError(
                 f"unknown request kind {request.kind!r}; "
                 f"expected one of {', '.join(REQUEST_KINDS)}"
@@ -329,21 +355,29 @@ class MicroBatchScheduler:
         self.report.admitted_by_lane[request.lane] += 1
         self.report.peak_queue_depth = max(self.report.peak_queue_depth, self._depth)
         self.pipeline.stats.admitted += 1
+        if request.kind == "rewrite" and self.pipeline.cache is not None:
+            self._open_instant = request.arrival_seconds
         # The arrival itself may complete a batch: dispatch immediately.
         self._run_due(self.clock.now())
         return True
 
     def advance_to(self, t: float) -> None:
         """Move virtual time forward to ``t``, dispatching batches due
-        on the way (each at its own trigger time, in order)."""
+        on the way (each at its own trigger time, in order).  Moving
+        past the open instant closes it first."""
+        if self._open_instant is not None and t > self._open_instant:
+            self._close_instant()
         self._run_due(t)
         now = self.clock.now()
         if t > now:
             self.clock.advance(t - now)
 
     def drain(self) -> SchedulerReport:
-        """Dispatch everything still pending (advancing the clock past
-        each remaining trigger) and return the final report."""
+        """Close the open instant, dispatch everything still pending
+        (advancing the clock past each remaining trigger) and return the
+        final report."""
+        if self._open_instant is not None:
+            self._close_instant()
         while self._depth:
             due = self._next_dispatch()
             assert due is not None  # _depth > 0 guarantees a trigger exists
@@ -351,6 +385,32 @@ class MicroBatchScheduler:
         return self.report
 
     # -- internals -----------------------------------------------------------
+    def _close_instant(self) -> None:
+        """Probe the open instant's pending rewrites; move the hits to
+        the zero-wait queue.
+
+        They are the youngest requests of their lanes, so they sit at the
+        tail of each lane; the misses go back in their order.  The probe
+        does no hit/miss accounting and no LRU touch, and collects an
+        expired entry as ``get`` would at dispatch.
+        """
+        instant, self._open_instant = self._open_instant, None
+        cache = self.pipeline.cache
+        moved = 0
+        for lane, hits in zip(self._lanes["rewrite"], self._lanes[_HIT]):
+            pending = lane.pending
+            arrived = []
+            while pending and pending[-1].arrival_seconds == instant:
+                arrived.append(pending.pop())
+            for request in reversed(arrived):
+                if request.query in cache:
+                    hits.pending.append(request)
+                    moved += 1
+                else:
+                    pending.append(request)
+        self._pending["rewrite"] -= moved
+        self._pending[_HIT] += moved
+
     def _shed(self, request: ScheduledRequest, error: Exception | None = None) -> None:
         self.report.shed += 1
         self.report.shed_by_lane[request.lane] += 1
@@ -369,11 +429,11 @@ class MicroBatchScheduler:
         too: the lowest-priority non-empty lane of *any* kind, provided
         it is strictly lower priority than the arrival; within that lane
         the youngest request across kinds (latest arrival, ties broken
-        by fixed kind order).  None if nothing strictly less important
-        is pending."""
+        by fixed kind order, zero-wait hits last).  None if nothing
+        strictly less important is pending."""
         for lane in range(self.config.num_lanes - 1, arriving_lane, -1):
             best: tuple[float, int, str] | None = None
-            for order, kind in enumerate(REQUEST_KINDS):
+            for order, kind in enumerate(_QUEUES):
                 pending = self._lanes[kind][lane].pending
                 if pending:
                     key = (pending[-1].arrival_seconds, order, kind)
@@ -387,15 +447,16 @@ class MicroBatchScheduler:
         """Earliest (time, kind, trigger) any pending batch can dispatch.
 
         Size-triggered kinds can go as soon as the worker frees up;
-        otherwise the oldest request's deadline fires the batch.  Ties
-        resolve by older oldest-arrival, then by fixed kind order, so
-        the loop is deterministic.
+        otherwise the oldest request's deadline fires the batch — for
+        zero-wait hits, the arrival itself.  Ties resolve by older
+        oldest-arrival, then by fixed kind order, so the loop is
+        deterministic.
         """
         if not self._depth:
             return None
         now = self.clock.now()
         best: tuple[float, float, int, str, str] | None = None
-        for order, kind in enumerate(REQUEST_KINDS):
+        for order, kind in enumerate(_QUEUES):
             if not self._pending[kind]:
                 continue
             oldest = math.inf  # arrival of the kind's oldest lane head
@@ -406,7 +467,8 @@ class MicroBatchScheduler:
                 at = max(now, self._busy_until)
                 trigger = "size"
             else:
-                at = max(oldest + self.config.max_wait_seconds, self._busy_until)
+                wait = 0.0 if kind == _HIT else self.config.max_wait_seconds
+                at = max(oldest + wait, self._busy_until)
                 trigger = "deadline"
             key = (at, oldest, order, kind, trigger)
             if best is None or key < best:

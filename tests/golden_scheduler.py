@@ -13,6 +13,17 @@ that each trace does exercise what it is named for.  It was written
 *before* the scheduler's pending counts and dispatch search were
 reworked; ``tests/test_scheduler.py`` replays the traces, re-counts the
 lanes after every operation, and asserts the digests did not move.
+
+Those four run without a cache.  Two more families run the same kind of
+trace over a :class:`RewriteCache` on the scheduler's clock:
+
+* ``cache_all_miss`` — the cache holds entries no request asks for, and
+  entries for a seeded share of the queries that have expired by the
+  time their request arrives: every rewrite is a miss, so this family
+  pins that looking a miss up early changes nothing;
+* ``cache_hits`` — a seeded share of the queries is cached and live: the
+  family that shows what the zero-wait path does to batch formation.
+
 Regenerate (only when a scheduling change is intended) with::
 
     PYTHONPATH=src python -m tests.golden_scheduler
@@ -25,7 +36,7 @@ import json
 import pathlib
 import random
 
-from repro.core import ServingConfig, ServingPipeline
+from repro.core import RewriteCache, ServingConfig, ServingPipeline
 from repro.core.rewriter import RewriteResult
 from repro.online import (
     MicroBatchScheduler,
@@ -41,7 +52,19 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_scheduler_traces.
 OPERATIONS = 400
 SEEDS = (11, 12, 13)
 
-#: name -> (policy, mean arrival gap, every n-th pipeline call raises or 0)
+#: the cache-backed families' shared policy: both triggers, two lanes, a
+#: busy worker and a queue short enough to shed
+CACHE_POLICY = SchedulerConfig(
+    max_batch_size=4, max_wait_seconds=0.1, max_queue_depth=8, num_lanes=2,
+    batch_cost_seconds=0.03, request_cost_seconds=0.005,
+)
+#: TTL of the ``cache_all_miss`` entries, all written at t=0
+CACHE_TTL_SECONDS = 1.0
+#: share of the eligible queries each cache-backed family caches
+CACHED_SHARE = 0.5
+
+#: name -> (policy, mean arrival gap, every n-th pipeline call raises or 0,
+#: cache contents: None, "all_miss" or "hits")
 TRACES = {
     "size_triggered": (
         SchedulerConfig(
@@ -49,6 +72,7 @@ TRACES = {
         ),
         0.02,
         0,
+        None,
     ),
     "deadline_triggered": (
         SchedulerConfig(
@@ -56,6 +80,7 @@ TRACES = {
         ),
         0.02,
         0,
+        None,
     ),
     "overloaded": (
         SchedulerConfig(
@@ -64,6 +89,7 @@ TRACES = {
         ),
         0.03,
         0,
+        None,
     ),
     "failing_batches": (
         SchedulerConfig(
@@ -72,7 +98,10 @@ TRACES = {
         ),
         0.03,
         4,
+        None,
     ),
+    "cache_all_miss": (CACHE_POLICY, 0.02, 0, "all_miss"),
+    "cache_hits": (CACHE_POLICY, 0.02, 0, "hits"),
 }
 
 
@@ -105,22 +134,71 @@ def _failing(call, every: int, calls: list):
     return wrapper
 
 
+def trace_operations(name: str, seed: int) -> list:
+    """The seeded operations of one trace: ``ScheduledRequest`` submits
+    and float ``advance_to`` ticks, in order."""
+    config, mean_gap, _, _ = TRACES[name]
+    rng = random.Random(seed)
+    operations: list = []
+    t = 0.0
+    for step in range(OPERATIONS):
+        t += rng.expovariate(1.0 / mean_gap)
+        if rng.random() < 0.1:
+            operations.append(t)
+        else:
+            operations.append(
+                ScheduledRequest(
+                    query=f"q{step}",
+                    arrival_seconds=t,
+                    lane=rng.randrange(config.num_lanes),
+                    kind="search" if rng.random() < 0.3 else "rewrite",
+                )
+            )
+    return operations
+
+
+def build_cache(contents: str | None, seed: int, operations: list, clock):
+    """The trace's cache on ``clock`` (None for the cache-less families).
+
+    The cached share is drawn from its own seeded stream, so the trace's
+    operations are the same with and without a cache."""
+    if contents is None:
+        return None
+    rng = random.Random(f"{contents}:{seed}")
+    requests = [op for op in operations if isinstance(op, ScheduledRequest)]
+    if contents == "all_miss":
+        cache = RewriteCache(ttl_seconds=CACHE_TTL_SECONDS, clock=clock.now)
+        for i in range(32):
+            cache.put(f"unrequested {i}", ["never read"])
+        eligible = [r for r in requests if r.arrival_seconds > CACHE_TTL_SECONDS]
+    else:
+        cache = RewriteCache(clock=clock.now)
+        eligible = requests
+    for request in eligible:
+        if rng.random() < CACHED_SHARE:
+            cache.put(request.query, [f"{request.query} cached"])
+    return cache
+
+
 def run_trace(name: str, seed: int, after_operation=None) -> dict:
     """Replay one seeded trace; returns the record the fixture pins.
 
     ``after_operation(scheduler)`` runs after every submit, tick and the
     drain — the differential test re-counts the lanes there.
     """
-    config, mean_gap, fail_every = TRACES[name]
-    rng = random.Random(seed)
+    config, _, fail_every, contents = TRACES[name]
+    operations = trace_operations(name, seed)
+    clock = VirtualClock()
     pipeline = ServingPipeline(
-        None, _EchoRewriter(), ServingConfig(max_rewrites=3), search_engine=_FakeEngine()
+        build_cache(contents, seed, operations, clock),
+        _EchoRewriter(),
+        ServingConfig(max_rewrites=3),
+        search_engine=_FakeEngine(),
     )
     calls: list = []
     pipeline.serve_batch = _failing(pipeline.serve_batch, fail_every, calls)
     pipeline.search_batch = _failing(pipeline.search_batch, fail_every, calls)
     events: list = []
-    clock = VirtualClock()
     scheduler = MicroBatchScheduler(
         pipeline,
         clock,
@@ -133,20 +211,11 @@ def run_trace(name: str, seed: int, after_operation=None) -> dict:
             ("failed", request.query, str(error))
         ),
     )
-    t = 0.0
-    for step in range(OPERATIONS):
-        t += rng.expovariate(1.0 / mean_gap)
-        if rng.random() < 0.1:
-            scheduler.advance_to(t)
+    for operation in operations:
+        if isinstance(operation, ScheduledRequest):
+            scheduler.submit(operation)
         else:
-            scheduler.submit(
-                ScheduledRequest(
-                    query=f"q{step}",
-                    arrival_seconds=t,
-                    lane=rng.randrange(config.num_lanes),
-                    kind="search" if rng.random() < 0.3 else "rewrite",
-                )
-            )
+            scheduler.advance_to(operation)
         if after_operation is not None:
             after_operation(scheduler)
     report = scheduler.drain()

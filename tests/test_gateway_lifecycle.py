@@ -834,3 +834,128 @@ class TestRoutingErrors:
                     await client.close()
 
         asyncio.run(run())
+
+
+#: far deadline, roomy queue: a miss waits a minute, a hit must not
+HELD = SchedulerConfig(
+    max_batch_size=64, max_wait_seconds=60.0, max_queue_depth=4096, num_lanes=2
+)
+
+
+class JumpingClock(SteppedClock):
+    """Every ``sync()`` finds 10 ms of real time gone — a preempted or
+    GC-paused gateway on a busy box, every time."""
+
+    __slots__ = ()
+
+    def sync(self) -> float:
+        """Fold in another 10 ms."""
+        return self.advance(0.010)
+
+
+class TestArrivalInstants:
+    """One HTTP call is one arrival instant, closed at the end of the
+    call: its items batch together, and its cache hits are answered
+    without waiting for any deadline."""
+
+    def test_a_call_is_not_split_when_time_moves_mid_call(self):
+        async def run():
+            clock = JumpingClock()
+            config = make_config(
+                scheduler=SchedulerConfig(
+                    max_batch_size=4, max_wait_seconds=0.002, max_queue_depth=64
+                )
+            )
+            async with Gateway(
+                make_pipelines(clock, tenants=("acme",)), config, clock=clock
+            ) as gateway:
+                client = MiniClient(gateway.config.host, gateway.port)
+                try:
+                    items = [{"kind": "rewrite", "query": f"q{n}"} for n in range(4)]
+                    status, _, body = await client.post(
+                        "/v1/batch", {"items": items, "tenant": "acme"}
+                    )
+                finally:
+                    await client.close()
+                assert status == 200
+                assert [r["source"] for r in body["results"]] == ["model"] * 4
+                report = gateway.bridges["acme"].scheduler.report
+                assert (report.batches, report.size_triggered) == (1, 1)
+
+        asyncio.run(run())
+
+    def test_a_cached_rewrite_is_answered_without_waiting(self):
+        async def run():
+            clock = WallClock()
+            pipelines = make_pipelines(clock, tenants=("acme",))
+            pipelines["acme"].cache.put("head", ["head cached"])
+            async with Gateway(
+                pipelines, make_config(scheduler=HELD), clock=clock
+            ) as gateway:
+                client = MiniClient(gateway.config.host, gateway.port)
+                try:
+                    status, _, body = await asyncio.wait_for(
+                        client.post("/v1/rewrite", {"query": "head", "tenant": "acme"}),
+                        timeout=1.0,
+                    )
+                finally:
+                    await client.close()
+                assert status == 200
+                assert (body["source"], body["rewrites"]) == ("cache", ["head cached"])
+                [delay] = gateway.bridges["acme"].scheduler.report.queue_delays_seconds
+                assert delay == 0.0
+
+        asyncio.run(run())
+
+    def test_a_batch_of_cached_queries_is_one_dispatch(self):
+        async def run():
+            clock = WallClock()
+            pipelines = make_pipelines(clock, tenants=("acme",))
+            heads = ["head a", "head b", "head c"]
+            for head in heads:
+                pipelines["acme"].cache.put(head, [f"{head} cached"])
+            async with Gateway(
+                pipelines, make_config(scheduler=HELD), clock=clock
+            ) as gateway:
+                client = MiniClient(gateway.config.host, gateway.port)
+                try:
+                    items = [{"kind": "rewrite", "query": head} for head in heads]
+                    status, _, body = await asyncio.wait_for(
+                        client.post("/v1/batch", {"items": items, "tenant": "acme"}),
+                        timeout=1.0,
+                    )
+                finally:
+                    await client.close()
+                assert status == 200
+                assert [r["source"] for r in body["results"]] == ["cache"] * 3
+                report = gateway.bridges["acme"].scheduler.report
+                assert report.batch_sizes == [3]
+
+        asyncio.run(run())
+
+    def test_a_miss_still_waits_and_is_answered_by_drain(self):
+        async def run():
+            clock = WallClock()
+            async with Gateway(
+                make_pipelines(clock, tenants=("acme",)),
+                make_config(scheduler=HELD),
+                clock=clock,
+            ) as gateway:
+                hanger = MiniClient(gateway.config.host, gateway.port)
+                probe = MiniClient(gateway.config.host, gateway.port)
+                try:
+                    task = asyncio.create_task(
+                        hanger.post("/v1/rewrite", {"query": "tail", "tenant": "acme"})
+                    )
+                    await wait_for_queue_depth(probe, 1)
+                    assert not task.done()
+                    _, _, receipt = await probe.post("/v1/drain", {})
+                    status, _, body = await task
+                finally:
+                    await hanger.close()
+                    await probe.close()
+                assert status == 200 and body["source"] == "model"
+                assert receipt["admitted"] == 1
+                assert receipt["completed"] + receipt["shed"] == receipt["admitted"]
+
+        asyncio.run(run())

@@ -446,20 +446,23 @@ class TestClockConformance:
 class TestFingerprintRegression:
     """Hard-pinned digests: the refactor-proof byte-identity gates.
 
-    These digests were recorded when the ``WallClock`` front door landed;
-    any change to scheduler batching, admission, serving tiers, replay
-    trace generation or scenario accounting that shifts a single counter
-    will break them.  If a change is *intentional*, re-pin the digests in
-    the same commit that changes the behaviour."""
+    These digests were recorded when the ``WallClock`` front door landed
+    and re-pinned once when cache hits stopped waiting on a batching
+    deadline (hit delays went to 0, more and smaller batches; the tier
+    counts did not move); any change to scheduler batching, admission,
+    serving tiers, replay trace generation or scenario accounting that
+    shifts a single counter will break them.  If a change is
+    *intentional*, re-pin the digests in the same commit that changes
+    the behaviour."""
 
     SCHEDULER_DIGEST = (
-        "a894a35b63dea7fabf4f117475b930a4d5f5f8d48e2bcdd1a6d5b70899d0c694"
+        "0a9bf3725b278298bfe190474ec5b2d3c0f632f119afd1e63f6bd7fabb4d9dfc"
     )
     COUNTERS_DIGEST = (
-        "70bdc0b3bf3573971010a208ff618d54fa76482610b2d9cc1198bd7d1c6dfd0b"
+        "0e391b1685d0dc505c3f3d8f7aa8f73c809fadcb86130ac3f381e8e8be2cd91d"
     )
     SCENARIO_DIGEST = (
-        "ba12bc8e55dc4ed90fb5a4006b0743f5a9cd17bcee48adcec72949ad8e90cbbc"
+        "3b471a8a84f29b572e78aa2af72eda1261cffe7297d83282b77bfcd6afe80854"
     )
 
     @staticmethod

@@ -322,7 +322,12 @@ class TestKindsAndRouting:
         scheduler.submit(ScheduledRequest(query="cached query", arrival_seconds=0.0))
         scheduler.submit(ScheduledRequest(query="tail query", arrival_seconds=0.1))
         scheduler.drain()
-        by_query = {c.request.query: c.outcome for c in batches[0]}
+        # The hit leaves alone at its arrival; the tail waits out its deadline.
+        assert [
+            [(c.request.query, c.dispatched_at, c.queue_delay_seconds) for c in batch]
+            for batch in batches
+        ] == [[("cached query", 0.0, 0.0)], [("tail query", 1.1, 1.0)]]
+        by_query = {c.request.query: c.outcome for batch in batches for c in batch}
         assert by_query["cached query"].source == "cache"
         assert by_query["cached query"].rewrites == ["precomputed"]
         assert by_query["tail query"].source == "model"
@@ -378,10 +383,13 @@ class TestValidation:
 
     def test_rejects_bad_requests(self):
         _, _, scheduler, _ = make_stack(SchedulerConfig(num_lanes=2))
-        with pytest.raises(ValueError):
-            scheduler.submit(
-                ScheduledRequest(query="q", arrival_seconds=0.0, kind="mystery")
-            )
+        # the zero-wait queue of cache hits is internal, not a kind
+        assert REQUEST_KINDS == ("rewrite", "search")
+        for kind in ("mystery", "hit"):
+            with pytest.raises(ValueError):
+                scheduler.submit(
+                    ScheduledRequest(query="q", arrival_seconds=0.0, kind=kind)
+                )
         with pytest.raises(ValueError):
             scheduler.submit(
                 ScheduledRequest(query="q", arrival_seconds=0.0, lane=2)
@@ -619,6 +627,17 @@ class TestBookkeepingDifferential:
         for r in runs["failing_batches"]:
             assert r["failed"] > 50 and r["shed"] >= r["failed"]
         assert any(r["shed"] > r["failed"] for r in runs["failing_batches"])
+        for miss, hit in zip(runs["cache_all_miss"], runs["cache_hits"]):
+            assert miss["size_triggered"] and miss["deadline_triggered"] and miss["shed"]
+            # hits leave in batches of their own, at their arrival
+            assert hit["deadline_triggered"] > miss["deadline_triggered"]
+
+    def test_the_all_miss_family_finds_expired_entries_and_no_hit(self):
+        for seed in golden_scheduler.SEEDS:
+            last: list = []
+            golden_scheduler.run_trace("cache_all_miss", seed, after_operation=last.append)
+            stats = last[-1].pipeline.cache.stats
+            assert stats.hits == 0 and stats.expirations > 50
 
     @pytest.mark.parametrize("name", sorted(golden_scheduler.TRACES))
     @pytest.mark.parametrize("seed", golden_scheduler.SEEDS)
@@ -628,13 +647,16 @@ class TestBookkeepingDifferential:
         def recount(scheduler):
             nonlocal operations
             operations += 1
-            per_kind = {
-                kind: sum(len(lane.pending) for lane in scheduler._lanes[kind])
-                for kind in REQUEST_KINDS
+            per_queue = {
+                queue: sum(len(lane.pending) for lane in lanes)
+                for queue, lanes in scheduler._lanes.items()
             }
-            for kind, count in per_kind.items():
-                assert scheduler.pending_of(kind) == count
-            assert scheduler.queue_depth == sum(per_kind.values())
+            # the zero-wait hits are rewrites still waiting to be served
+            assert scheduler.pending_of("rewrite") == (
+                per_queue["rewrite"] + per_queue["hit"]
+            )
+            assert scheduler.pending_of("search") == per_queue["search"]
+            assert scheduler.queue_depth == sum(per_queue.values())
             assert scheduler.queue_depth <= scheduler.config.max_queue_depth
 
         record = golden_scheduler.run_trace(name, seed, after_operation=recount)
@@ -664,3 +686,205 @@ class TestBookkeepingDifferential:
         assert live() >= before + 600
         batches.clear()  # the observer's copy was the only one
         assert live() == before
+
+
+def cached(*queries, **cache_options):
+    """A cache holding one precomputed rewrite for each of ``queries``."""
+    cache = RewriteCache(**cache_options)
+    for query in queries:
+        cache.put(query, [f"{query} cached"])
+    return cache
+
+
+class TestZeroWaitHits:
+    """A rewrite the cache already answers never waits on a batching
+    deadline: when the clock moves past its arrival instant it is probed
+    once and dispatched with the other hits of that instant."""
+
+    def test_a_lone_hit_is_served_at_its_arrival(self):
+        clock, _, scheduler, batches = make_stack(
+            SchedulerConfig(max_batch_size=8, max_wait_seconds=1.0),
+            cache=cached("head"),
+        )
+        scheduler.submit(ScheduledRequest(query="head", arrival_seconds=0.5))
+        scheduler.advance_to(0.5)
+        assert batches == []  # the instant is still open: more may arrive
+        scheduler.advance_to(0.501)
+        [[done]] = batches
+        assert (done.dispatched_at, done.queue_delay_seconds, done.batch_size) == (
+            0.5, 0.0, 1,
+        )
+        assert done.outcome.source == "cache"
+        assert done.outcome.rewrites == ["head cached"]
+        report = scheduler.drain()
+        assert (report.deadline_triggered, report.size_triggered) == (1, 0)
+        assert clock.now() == 0.501
+
+    def test_the_hits_of_one_instant_ride_one_batch_capped_by_size(self):
+        heads = [f"head {i}" for i in range(9)]
+        _, _, scheduler, batches = make_stack(
+            SchedulerConfig(
+                max_batch_size=5, max_wait_seconds=10.0, batch_cost_seconds=1.0
+            ),
+            cache=cached(*heads),
+        )
+        submit_at(scheduler, [0.0])  # a miss: it waits for its deadline
+        for query in heads[:3]:
+            scheduler.submit(ScheduledRequest(query=query, arrival_seconds=0.1))
+        scheduler.advance_to(0.2)
+        # the instant's three hits, one batch, at their arrival; no miss joins
+        assert [[c.request.query for c in batch] for batch in batches] == [heads[:3]]
+        assert {c.queue_delay_seconds for c in batches[0]} == {0.0}
+        # that batch holds the worker until 1.1, so the six hits of the next
+        # instant queue up past the size cap
+        for query in heads[3:]:
+            scheduler.submit(ScheduledRequest(query=query, arrival_seconds=0.3))
+        report = scheduler.drain()
+        assert [[c.request.query for c in batch] for batch in batches[1:]] == [
+            heads[3:8], heads[8:], ["query 0"]
+        ]
+        assert [batch[0].dispatched_at for batch in batches] == [0.1, 1.1, 2.1, 10.0]
+        assert report.size_triggered == 1
+
+    @pytest.mark.parametrize("name", ["size_triggered", "deadline_triggered"])
+    @pytest.mark.parametrize("seed", [11, 12, 13, 21, 22])
+    def test_hits_never_wait_and_the_rest_keep_the_deadline_bound(self, name, seed):
+        config = golden_scheduler.TRACES[name][0]
+        operations = golden_scheduler.trace_operations(name, seed)
+        clock = VirtualClock()
+        cache = golden_scheduler.build_cache("hits", seed, operations, clock)
+        pipeline = ServingPipeline(
+            cache, EchoRewriter(), ServingConfig(max_rewrites=3),
+            search_engine=FakeEngine(),
+        )
+        done = []
+        scheduler = MicroBatchScheduler(
+            pipeline, clock, config, on_batch=done.extend
+        )
+        for operation in operations:
+            if isinstance(operation, ScheduledRequest):
+                scheduler.submit(operation)
+            else:
+                scheduler.advance_to(operation)
+        report = scheduler.drain()
+        assert report.shed == 0 and report.completed == len(done)
+        hits = [
+            c for c in done
+            if c.request.kind == "rewrite" and c.outcome.source == "cache"
+        ]
+        assert len(hits) > 50
+        assert {c.queue_delay_seconds for c in hits} == {0.0}
+        assert all(
+            c.queue_delay_seconds <= config.max_wait_seconds + 1e-12 for c in done
+        )
+
+    def test_an_expired_entry_waits_as_a_miss(self):
+        clock, pipeline, scheduler, batches = make_stack(
+            SchedulerConfig(max_batch_size=8, max_wait_seconds=1.0)
+        )
+        pipeline.cache = cached("head", ttl_seconds=1.0, clock=clock.now)
+        scheduler.submit(ScheduledRequest(query="head", arrival_seconds=2.0))
+        scheduler.advance_to(2.5)
+        assert batches == []
+        # the probe collected the dead entry and counted neither hit nor miss
+        stats = pipeline.cache.stats
+        assert (stats.hits, stats.misses, stats.expirations) == (0, 0, 1)
+        scheduler.drain()
+        [[done]] = batches
+        assert (done.dispatched_at, done.queue_delay_seconds) == (3.0, 1.0)
+        assert done.outcome.source == "model"
+        assert (stats.hits, stats.misses, stats.expirations) == (0, 1, 1)
+
+    def test_a_pending_hit_can_be_the_shed_victim(self):
+        clock = VirtualClock()
+        pipeline = ServingPipeline(
+            cached("warm", "head"), EchoRewriter(), ServingConfig(max_rewrites=3)
+        )
+        batches, sheds = [], []
+        scheduler = MicroBatchScheduler(
+            pipeline,
+            clock,
+            SchedulerConfig(
+                max_batch_size=8, max_wait_seconds=10.0, max_queue_depth=2,
+                num_lanes=2, batch_cost_seconds=5.0,
+            ),
+            on_batch=batches.append,
+            on_shed=sheds.append,
+        )
+        arrivals = [("warm", 0.0, 0), ("tail", 0.2, 1), ("head", 0.3, 1)]
+        for query, t, lane in arrivals:
+            scheduler.submit(ScheduledRequest(query=query, arrival_seconds=t, lane=lane))
+        # "warm" went at 0.0 and holds the worker until 5.0; the urgent
+        # arrival closes the 0.3 instant and finds the queue full
+        urgent = ScheduledRequest(query="urgent", arrival_seconds=0.4)
+        assert scheduler.submit(urgent)
+        assert [request.query for request in sheds] == ["head"]
+        report = scheduler.drain()
+        assert report.admitted == report.completed + report.shed == 4
+        served = [c.request.query for batch in batches for c in batch]
+        assert served == ["warm", "urgent", "tail"]
+
+
+class TestProbeWork:
+    """The probe is paid only where it can save a wait: never for a
+    request the size trigger already dispatched, at most once per
+    admitted rewrite, and never for a search."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        probed: list[str] = []
+        contains = RewriteCache.__contains__
+
+        def counting(cache, query):
+            probed.append(query)
+            return contains(cache, query)
+
+        monkeypatch.setattr(RewriteCache, "__contains__", counting)
+        return probed
+
+    def test_full_instants_make_no_probes(self, probes):
+        heads = [f"head {i}" for i in range(40)]
+        _, _, scheduler, _ = make_stack(
+            SchedulerConfig(max_batch_size=16, max_wait_seconds=0.002),
+            cache=cached(*heads),
+        )
+        for instant in range(200):
+            for i in range(16):
+                scheduler.submit(
+                    ScheduledRequest(
+                        query=heads[(instant + i) % 40], arrival_seconds=instant * 0.01
+                    )
+                )
+        report = scheduler.drain()
+        assert probes == []
+        assert (report.batches, report.size_triggered) == (200, 200)
+        assert report.batch_sizes == [16] * 200
+
+    def test_single_request_instants_make_one_probe_each(self, probes):
+        _, _, scheduler, _ = make_stack(
+            SchedulerConfig(max_batch_size=16, max_wait_seconds=0.002),
+            cache=cached("head"),
+        )
+        queries = ["head" if i % 2 else f"tail {i}" for i in range(200)]
+        for i, query in enumerate(queries):
+            scheduler.submit(ScheduledRequest(query=query, arrival_seconds=i * 0.001))
+        scheduler.drain()
+        assert probes == queries
+
+    @pytest.mark.parametrize("seed", golden_scheduler.SEEDS)
+    def test_at_most_one_probe_per_admitted_rewrite(self, probes, seed):
+        operations = iter(golden_scheduler.trace_operations("cache_hits", seed))
+        admitted_rewrites: set[str] = set()
+        admitted = 0
+
+        def track(scheduler):  # runs after every operation, in order
+            nonlocal admitted
+            operation = next(operations, None)
+            if scheduler.report.admitted > admitted:
+                admitted = scheduler.report.admitted
+                if operation.kind == "rewrite":
+                    admitted_rewrites.add(operation.query)
+
+        golden_scheduler.run_trace("cache_hits", seed, after_operation=track)
+        assert len(probes) == len(set(probes)) > 100  # queries are unique
+        assert set(probes) <= admitted_rewrites
