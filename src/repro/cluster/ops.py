@@ -13,9 +13,9 @@ results — equivalence by construction, not by careful reimplementation.
 Handlers take ``(index, *args)`` where ``index`` is the shard's
 :class:`~repro.search.inverted_index.InvertedIndex` (``"lexical"`` tier)
 or :class:`~repro.search.vector.VectorIndex` (``"vector"`` tier).
-Arguments and results must be picklable; all of ours are (frozen
-dataclass trees and rankers, token tuples, numpy arrays, floats — and
-pickled floats round-trip bit-exactly).
+Arguments and results must be picklable; all of ours are (packed
+syntax trees, which are tuples, frozen-dataclass rankers, token tuples,
+numpy arrays, floats — and pickled floats round-trip bit-exactly).
 
 :data:`MUTATING_OPS` names the ops that change shard state; the replica
 router broadcasts those to every healthy replica and routes everything
@@ -114,12 +114,14 @@ def lexical_search(index, requests, ranker, k: int) -> list:
     """One shard's share of a micro-batch of fan-out searches.
 
     ``requests`` is ``[(trees, query_tokens), ...]`` — a lone search is a
-    batch of one.  Each request evaluates its syntax trees against the
-    local postings, unions the branch candidates, and ranks the local
-    top-``k`` with the pinned ranker (global statistics travel inside
-    it, once for the batch).  Returns one ``(top, cost,
-    num_candidates)`` per request, in order, exactly as the thread
-    fan-out always has per query.
+    batch of one.  The trees are :class:`~repro.search.syntax_tree.
+    PackedTree` node tables, evaluated straight from the table (any
+    object with ``evaluate_postings`` works).  Each request evaluates
+    its trees against the local postings, unions the branch candidates,
+    and ranks the local top-``k`` with the pinned ranker (global
+    statistics travel inside it, once for the batch).  Returns one
+    ``(top, cost, num_candidates)`` per request, in order, exactly as
+    the thread fan-out always has per query.
     """
     # Imported here, like the digest codecs: repro.search itself imports
     # this package, so a module-level import would be circular.

@@ -20,16 +20,23 @@ Layout and semantics:
   N-way :class:`~repro.cluster.ReplicaRouter` over either.  Both
   backends execute the same :mod:`repro.cluster.ops` handlers, so the
   deployment choice never changes a result.
-* **Fan-out / merge** — a query (plus rewrites) compiles to ONE merged
-  syntax tree (Section III-H applies unchanged per shard), every shard
-  evaluates and ranks its local top-k, and the per-shard ``(score,
-  doc_id)`` heaps merge into the global top-k.  Every shard ranks
-  against *global* corpus statistics, pinned into the ranker and pruned
-  to the query's own tokens (the only frequencies the ranker protocol
-  consults) so they ship over a pipe in O(query) bytes — the merged
-  result is identical to ranking an unsharded index, bit for bit.  A
-  micro-batch of searches (``search_many``) shares one pin and ONE
-  request and reply per shard; a lone ``search`` is the batch of one.
+* **Compile once** — a query (plus rewrites) compiles to ONE merged
+  syntax tree (Section III-H applies unchanged per shard), packed into a
+  flat node table (:func:`~repro.search.syntax_tree.pack`).  The
+  compiled form is a pure function of the request's strings, so
+  :class:`ShardedSearchEngine` memoizes it in a bounded LRU: a repeated
+  head search skips tokenizing and tree building, and every repeat of
+  it in a micro-batch is the same object, pickled once.  Catalog churn
+  changes postings, never trees, so the memo is never invalidated.
+* **Fan-out / merge** — every shard evaluates the packed trees and ranks
+  its local top-k, and the per-shard ``(score, doc_id)`` heaps merge
+  into the global top-k.  Every shard ranks against *global* corpus
+  statistics, pinned into the ranker and pruned to the ranked queries'
+  tokens (the only frequencies the ranker protocol consults) so they
+  ship over a pipe in O(query) bytes — the merged result is identical
+  to ranking an unsharded index, bit for bit.  A micro-batch of
+  searches (``search_many``) shares one pin and ONE request and reply
+  per shard; a lone ``search`` is the batch of one.
 * **Cost accounting** — ``postings_accessed`` sums over shards.  A term's
   postings are split across shards, so the total equals the unsharded
   cost modulo per-shard early exits, and the merged-tree-vs-separate-trees
@@ -38,17 +45,72 @@ Layout and semantics:
 
 from __future__ import annotations
 
+import functools
 import heapq
+import sys
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cluster import InprocBackend, ProcessBackend, ShardBackend
 from repro.data.catalog import Catalog
 from repro.search.engine import SearchConfig, SearchOutcome
 from repro.search.inverted_index import IndexStats
 from repro.search.ranking import Ranker, make_ranker
-from repro.search.syntax_tree import build_tree, merge_queries, tree_size
+from repro.search.syntax_tree import PackedTree, build_tree, merge_queries, pack
 from repro.text import tokenize
+
+#: compiled searches an engine keeps (LRU).  A bench-shaped entry (a
+#: head query and its three cached rewrites) measures 2.0 kB under
+#: ``tracemalloc``, LRU bookkeeping included, so a full memo is ~2 MB
+COMPILE_MEMO_SIZE = 1024
+
+
+class CompiledSearch(NamedTuple):
+    """One request, ready to ship: what :func:`compile_search` returns.
+
+    ``trees`` (one merged tree, or one per non-empty query) and
+    ``ranked`` (the tokens the ranker scores: the first non-empty query)
+    are exactly what crosses the wire.
+    """
+
+    trees: tuple[PackedTree, ...]
+    ranked: tuple[str, ...]
+    tree_nodes: int
+    num_trees: int
+
+
+def compile_search(queries, merge_trees: bool) -> CompiledSearch:
+    """Compile tokenized ``queries`` (original first) into packed trees.
+
+    Empty queries drop out; none left raises ``ValueError``.  Merging
+    goes through the module's ``merge_queries`` attribute at call time.
+    """
+    queries = tuple(tuple(query) for query in queries if query)
+    if not queries:
+        raise ValueError("search received an empty query")
+    if merge_trees:
+        trees = (pack(merge_queries(queries)),)
+    else:
+        trees = tuple(pack(build_tree(query)) for query in queries)
+    return CompiledSearch(
+        trees=trees,
+        ranked=queries[0],
+        tree_nodes=sum(len(tree.kinds) for tree in trees),
+        num_trees=len(trees),
+    )
+
+
+def _compile_request(query: str, rewrites: tuple, merge_trees: bool) -> CompiledSearch:
+    """:func:`compile_search` over raw strings (the engine's memo entry).
+
+    Tokens are interned, so a token shared by several memo entries is
+    one object: stored once, and pickled once per fan-out request.
+    """
+    return compile_search(
+        [tuple(map(sys.intern, tokenize(text))) for text in (query, *rewrites)],
+        merge_trees,
+    )
 
 
 def merge_topk(
@@ -260,18 +322,15 @@ class ShardedIndex:
                 document_frequencies=self._dfs,
             )
 
-    def _query_stats(self, queries: list[list[str]]) -> IndexStats:
-        """Global statistics pruned to the query's own tokens.
+    def _query_stats(self, tokens: set[str]) -> IndexStats:
+        """Global statistics pruned to the ranked tokens.
 
         The ranker protocol only consults ``document_frequency`` for the
         tokens it ranks, so this view scores identically to the full
-        table while costing O(query tokens) to build and to pickle —
+        table while costing O(ranked tokens) to build and to pickle —
         what makes shipping the pinned ranker to a worker process cheap
         AND bit-identical.
         """
-        tokens: set[str] = set()
-        for query in queries:
-            tokens.update(query)
         with self._stats_lock:
             return IndexStats(
                 num_docs=self._num_docs,
@@ -349,37 +408,38 @@ class ShardedIndex:
     ) -> list[ShardedOutcome]:
         """A micro-batch of searches in ONE request and reply per shard.
 
-        Each entry of ``batch`` is one search's ``queries``.  The ranker
-        is pinned once, to the statistics of the batch's token union (a
-        ranker reads only the frequencies of the query it ranks, so every
-        score is what a lone search computes); one fan-out carries every
-        request's trees, and the per-shard top-k heaps are merged per
-        request.  An empty batch sends nothing.
+        Each entry of ``batch`` is one search's ``queries``; every entry
+        is compiled (:func:`compile_search`, no memo) before anything is
+        sent, then the batch takes :meth:`_fan_out`.  An empty batch
+        sends nothing.
         """
-        batch = [[q for q in queries if q] for queries in batch]
-        if not all(batch):
-            raise ValueError("sharded search received no non-empty query")
-        if not batch:
+        compiled = [compile_search(queries, merge_trees) for queries in batch]
+        return self._fan_out(compiled, k, ranker)
+
+    def _fan_out(
+        self, compiled: list[CompiledSearch], k: int, ranker: Ranker | None
+    ) -> list[ShardedOutcome]:
+        """Search compiled requests: ONE request and reply per shard.
+
+        The ranker is pinned once, to the statistics of the union of the
+        batch's ranked tokens (a ranker reads only the frequencies of the
+        query it ranks, so every score is what a lone search computes);
+        one fan-out carries every request's packed trees, and the
+        per-shard top-k heaps are merged per request.
+        """
+        if not compiled:
             return []
-        ranker = (ranker or make_ranker("bm25")).with_stats(
-            self._query_stats([q for queries in batch for q in queries])
+        ranked: set[str] = set()
+        for search in compiled:
+            ranked.update(search.ranked)
+        ranker = (ranker or make_ranker("bm25")).with_stats(self._query_stats(ranked))
+        shard_results = self._backend.fanout(
+            "search", [(search.trees, search.ranked) for search in compiled], ranker, k
         )
-
-        requests = []
-        nodes = []
-        for queries in batch:
-            if merge_trees:
-                trees = [merge_queries(queries)]
-            else:
-                trees = [build_tree(q) for q in queries]
-            nodes.append(sum(tree_size(t) for t in trees))
-            requests.append((trees, list(queries[0])))
-
-        shard_results = self._backend.fanout("search", requests, ranker, k)
 
         # Global top-k per request: k-way merge of the per-shard bounded heaps.
         outcomes = []
-        for tree_nodes, results in zip(nodes, zip(*shard_results)):
+        for search, results in zip(compiled, zip(*shard_results)):
             merged = merge_topk([top for top, _, _ in results], k)
             outcomes.append(
                 ShardedOutcome(
@@ -388,7 +448,7 @@ class ShardedIndex:
                     postings_accessed=sum(cost for _, cost, _ in results),
                     per_shard_postings=[cost for _, cost, _ in results],
                     per_shard_candidates=[n for _, _, n in results],
-                    tree_nodes=tree_nodes,
+                    tree_nodes=search.tree_nodes,
                 )
             )
         return outcomes
@@ -434,6 +494,10 @@ class ShardedSearchEngine:
         self.catalog = catalog
         self.config = config or SearchConfig(ranker="bm25")
         self.ranker = ranker or make_ranker(self.config.ranker)
+        #: (query, rewrites, merge_trees) -> CompiledSearch, bounded LRU
+        self._compiled = functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)(
+            _compile_request
+        )
         if index is not None:
             self.index = index
         else:
@@ -514,24 +578,20 @@ class ShardedSearchEngine:
     def search_many(self, batch: list[tuple]) -> list[SearchOutcome]:
         """Retrieve a micro-batch of ``(query, rewrites)`` requests.
 
-        Per request: one merged syntax tree (Section III-H), per-shard
-        evaluation and ranking against global statistics, exact global
-        top-k merge — and for the whole batch one round trip per shard
-        (see :meth:`ShardedIndex.search_many`).
+        Per request: its compiled form — tokens and one merged, packed
+        syntax tree (Section III-H) — from the engine's memo, built on a
+        miss; then per-shard evaluation and ranking against global
+        statistics and an exact global top-k merge, with one round trip
+        per shard for the whole batch (see :meth:`ShardedIndex.search_many`).
         """
         batch = [(query, list(rewrites or [])) for query, rewrites in batch]
-        tokenized = []
-        for query, rewrites in batch:
-            queries = [tokenize(query)] + [tokenize(r) for r in rewrites]
-            queries = [q for q in queries if q]
-            if not queries:
-                raise ValueError("search received an empty query")
-            tokenized.append(queries)
-        outcomes = self.index.search_many(
-            tokenized,
-            k=self.config.max_candidates,
-            ranker=self.ranker,
-            merge_trees=self.config.merge_trees,
+        merge_trees = self.config.merge_trees
+        compiled = [
+            self._compiled(query, tuple(rewrites), merge_trees)
+            for query, rewrites in batch
+        ]
+        outcomes = self.index._fan_out(
+            compiled, self.config.max_candidates, self.ranker
         )
         return [
             SearchOutcome(
@@ -540,10 +600,10 @@ class ShardedSearchEngine:
                 doc_ids=outcome.doc_ids,
                 postings_accessed=outcome.postings_accessed,
                 tree_nodes=outcome.tree_nodes,
-                num_trees=1 if self.config.merge_trees else len(queries),
+                num_trees=search.num_trees,
                 scores=outcome.scores,
             )
-            for (query, rewrites), queries, outcome in zip(batch, tokenized, outcomes)
+            for (query, rewrites), search, outcome in zip(batch, compiled, outcomes)
         ]
 
     def cluster_stats(self) -> dict:

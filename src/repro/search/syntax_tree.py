@@ -18,11 +18,26 @@ Figure 5's example::
 
 The merged tree is only slightly larger than the original query's tree
 because rewritten queries share most tokens with the original.
+
+Two forms of one tree:
+
+* **Objects** — :class:`TermNode` / :class:`AndNode` / :class:`OrNode`,
+  what :func:`build_tree` and :func:`merge_queries` construct.  The
+  unsharded :class:`~repro.search.engine.SearchEngine` evaluates them,
+  which makes them the reference the other form is tested against.
+* **Packed** — :func:`pack` flattens a tree into a :class:`PackedTree`,
+  a post-order node table with ``start``/``count`` ranges into one flat
+  children tuple.  It is what the sharded fan-out compiles once per
+  request and ships to the shards: a handful of tuples to pickle instead
+  of one object per node, evaluated straight from the table with the
+  same child order, cost estimates and early exits — so the same doc ids
+  at the same postings cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -265,3 +280,103 @@ def _or_of(nodes: list[SyntaxNode]) -> SyntaxNode:
 def tree_size(node: SyntaxNode) -> int:
     """Node count — the paper's system-cost proxy for tree construction."""
     return node.size()
+
+
+#: :attr:`PackedTree.kinds` codes
+TERM, AND, OR = 0, 1, 2
+
+
+class PackedTree(NamedTuple):
+    """A syntax tree as a flat post-order node table; the root is last.
+
+    Node ``i`` is ``kinds[i]``: a :data:`TERM` reads ``tokens[args[i]]``;
+    an :data:`AND` / :data:`OR` has the ``counts[i]`` children
+    ``children[args[i] : args[i] + counts[i]]`` (node indices, in the
+    object tree's order).  ``tokens`` holds each distinct token once.
+    """
+
+    tokens: tuple[str, ...]
+    kinds: bytes
+    args: tuple[int, ...]
+    counts: tuple[int, ...]
+    children: tuple[int, ...]
+
+    def evaluate_postings(self, index: InvertedIndex) -> tuple[np.ndarray, int]:
+        """Sorted doc-id vector plus postings cost, as the object tree has.
+
+        An AND orders its children by the same optimistic estimates
+        (stable sort, computed on demand) and stops at an empty
+        intersection; an OR evaluates every child and unions.  A node
+        whose estimate is 0 evaluates to nothing at no cost (a term with
+        no postings; an AND with such a child; an OR of such children),
+        and the stable sort would run it first — so an AND returns empty
+        as soon as one child estimates 0, without estimating the rest.
+        """
+        tokens, kinds, args, counts, children = self
+
+        def estimate(node: int) -> int:
+            kind = kinds[node]
+            if kind == TERM:
+                return index.postings_length(tokens[args[node]])
+            start = args[node]
+            costs = [estimate(child) for child in children[start : start + counts[node]]]
+            return min(costs, default=0) if kind == AND else sum(costs)
+
+        def evaluate(node: int) -> tuple[np.ndarray, int]:
+            kind = kinds[node]
+            if kind == TERM:
+                postings = index.postings_array(tokens[args[node]])
+                return postings, postings.size
+            start = args[node]
+            below = children[start : start + counts[node]]
+            cost = 0
+            if kind == OR:
+                branches = []
+                for child in below:
+                    child_docs, child_cost = evaluate(child)
+                    cost += child_cost
+                    branches.append(child_docs)
+                return union_sorted(branches), cost
+            estimates = []
+            for child in below:
+                expected = estimate(child)
+                if expected == 0:
+                    return EMPTY_POSTINGS, 0
+                estimates.append(expected)
+            docs: np.ndarray | None = None
+            for at in sorted(range(len(below)), key=estimates.__getitem__):
+                child_docs, child_cost = evaluate(below[at])
+                cost += child_cost
+                docs = child_docs if docs is None else intersect_sorted(docs, child_docs)
+                if docs.size == 0:
+                    break
+            return (docs if docs is not None else EMPTY_POSTINGS), cost
+
+        return evaluate(len(kinds) - 1)
+
+
+def pack(root: SyntaxNode) -> PackedTree:
+    """Flatten an object tree into a :class:`PackedTree` (post-order)."""
+    tokens: dict[str, int] = {}
+    kinds = bytearray()
+    args: list[int] = []
+    counts: list[int] = []
+    children: list[int] = []
+
+    def visit(node: SyntaxNode) -> int:
+        if isinstance(node, TermNode):
+            kinds.append(TERM)
+            args.append(tokens.setdefault(node.token, len(tokens)))
+            counts.append(0)
+        else:
+            below = [visit(child) for child in node.children]
+            kinds.append(AND if isinstance(node, AndNode) else OR)
+            args.append(len(children))
+            counts.append(len(below))
+            children.extend(below)
+        return len(kinds) - 1
+
+    visit(root)
+    return PackedTree(
+        tuple(tokens), bytes(kinds), tuple(args), tuple(counts), tuple(children)
+    )

@@ -2,16 +2,19 @@
 
 Seeded fuzzing (no fixed examples to overfit): the galloping-skip
 intersection and k-way union are checked against naive set-based
-oracles, and the vectorized bounded top-k selection against a full
-``(-score, doc_id)`` sort, across hundreds of generated cases spanning
+oracles, the vectorized bounded top-k selection against a full
+``(-score, doc_id)`` sort, and packed syntax trees against the object
+trees they were packed from, across hundreds of generated cases spanning
 empty inputs, disjoint/dense overlap, duplicate scores at the threshold,
-and every interesting ``k`` regime.
+every interesting ``k`` regime, and duplicate, subsumed and unindexed
+queries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.search.inverted_index import InvertedIndex
 from repro.search.postings import (
     EMPTY_POSTINGS,
     as_postings_array,
@@ -19,6 +22,7 @@ from repro.search.postings import (
     union_sorted,
 )
 from repro.search.ranking import top_k_by_score
+from repro.search.syntax_tree import build_tree, merge_queries, pack, tree_size
 
 #: generated cases per property (the satellite bar is 200+ overall)
 NUM_CASES = 250
@@ -146,3 +150,70 @@ class TestTopKProperties:
             smaller = top_k_by_score(doc_ids, scores, k)
             larger = top_k_by_score(doc_ids, scores, k + 1)
             assert larger[:k] == smaller
+
+
+def random_shard(rng: np.random.Generator) -> InvertedIndex:
+    """A shard over tokens ``t0..t7`` — empty one time in ten, and never
+    holding ``absent`` (a token other shards may have)."""
+    index = InvertedIndex()
+    if rng.random() < 0.1:
+        return index
+    vocabulary = [f"t{i}" for i in range(int(rng.integers(1, 9)))]
+    for doc_id in rng.choice(500, size=int(rng.integers(1, 60)), replace=False):
+        size = int(rng.integers(1, 5))
+        index.add_document(int(doc_id), tuple(rng.choice(vocabulary, size=size).tolist()))
+    return index
+
+
+def random_queries(rng: np.random.Generator) -> list[list[str]]:
+    """1-4 queries over ``t0..t7`` plus ``absent``, with duplicates and
+    queries subsumed by (or subsuming) another thrown in."""
+    tokens = [f"t{i}" for i in range(8)] + ["absent"]
+    queries = [
+        rng.choice(tokens, size=int(rng.integers(1, 5)), replace=False).tolist()
+        for _ in range(int(rng.integers(1, 5)))
+    ]
+    if rng.random() < 0.3:
+        queries.append(list(queries[int(rng.integers(len(queries)))]))
+    if rng.random() < 0.3:
+        base = queries[int(rng.integers(len(queries)))]
+        queries.append(base[: int(rng.integers(1, len(base) + 1))])
+    if rng.random() < 0.2:
+        queries.append(queries[0] + ["t0", "t1"])
+    return queries
+
+
+class TestPackedTreeProperties:
+    def test_packed_evaluation_matches_the_object_tree(self):
+        rng = np.random.default_rng(1729)
+        early_exits = 0
+        for case in range(NUM_CASES):
+            index = random_shard(rng)
+            queries = random_queries(rng)
+            trees = [merge_queries(queries)] + [build_tree(q) for q in queries]
+            for tree in trees:
+                packed = pack(tree)
+                assert len(packed.kinds) == tree_size(tree), f"case {case}: {tree!r}"
+                assert set(packed.tokens) == tree.terms()
+                assert len(packed.tokens) == len(set(packed.tokens))
+                docs, cost = packed.evaluate_postings(index)
+                expected_docs, expected_cost = tree.evaluate_postings(index)
+                assert docs.tolist() == expected_docs.tolist(), f"case {case}: {tree!r}"
+                assert cost == expected_cost, f"case {case}: {tree!r}"
+                assert docs.dtype == np.int64
+                full = sum(index.postings_length(t) for t in tree.terms())
+                early_exits += cost < full
+        # AND's cheapest-first early exit actually fired, so the cases
+        # check which postings are charged, not only the doc ids.
+        assert early_exits > NUM_CASES // 4
+
+    def test_packed_table_is_post_order_with_the_root_last(self):
+        rng = np.random.default_rng(4)
+        for _ in range(NUM_CASES // 5):
+            packed = pack(merge_queries(random_queries(rng)))
+            for node, (start, count) in enumerate(zip(packed.args, packed.counts)):
+                if packed.kinds[node]:
+                    below = packed.children[start : start + count]
+                    assert below and all(child < node for child in below)
+            referenced = sorted(packed.children)
+            assert referenced == list(range(len(packed.kinds) - 1))

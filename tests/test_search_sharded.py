@@ -1,5 +1,7 @@
 """Sharded retrieval: partitioning, fan-out/merge parity, incremental churn."""
 
+import pickle
+import pickletools
 import threading
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from repro.cluster import InprocBackend, ProcessBackend, ReplicaRouter
 from repro.core import ServingPipeline
-from repro.data.catalog import CatalogConfig, CatalogGenerator
+from repro.data.catalog import Catalog, CatalogConfig, CatalogGenerator
 from repro.online import (
     MicroBatchScheduler,
     ScheduledRequest,
@@ -23,6 +25,9 @@ from repro.search import (
     ShardedSearchEngine,
     TermOverlapRanker,
 )
+from repro.search import sharded as sharded_module
+from repro.text import tokenize
+from tests import golden_search
 
 DOCS = {
     0: ("red", "men", "sock"),
@@ -491,3 +496,161 @@ class TestServingFanOutWork:
             return pipeline.stats.counters(), report.fingerprint()
 
         assert replay(process_engine) == replay(SearchOnly(process_engine))
+
+
+# -- compile once, ship packed ----------------------------------------------------
+#: bytes ``ProcessBackend._send`` wrote per shard for ``golden_batch()`` when
+#: every search was tokenized, merged and pickled as node objects per request
+OBJECT_TREE_PAYLOAD_BYTES = 2814
+
+
+class CountingMerges:
+    """Counts ``merge_queries`` calls made through the module attribute the
+    sharded engine resolves at call time (the one a tracer wraps)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        merge = sharded_module.merge_queries
+
+        def counted(queries):
+            self.calls += 1
+            return merge(queries)
+
+        monkeypatch.setattr(sharded_module, "merge_queries", counted)
+
+
+class RecordingSends:
+    """Keeps every payload a :class:`ProcessBackend` sends."""
+
+    def __init__(self, monkeypatch):
+        self.payloads: list[bytes] = []
+        send = ProcessBackend._send
+
+        def recorded(backend, shard_id, payload):
+            self.payloads.append(payload)
+            return send(backend, shard_id, payload)
+
+        monkeypatch.setattr(ProcessBackend, "_send", recorded)
+
+
+def golden_engine(backend=None, config=None) -> ShardedSearchEngine:
+    """An engine over the golden-search catalog (in-process by default)."""
+    items = golden_search.products()
+    if backend is None:
+        backend = InprocBackend(
+            "lexical", indexes=golden_search.shard_indexes(items), parallel=False
+        )
+    return ShardedSearchEngine(
+        Catalog(products=list(items)),
+        config or SearchConfig(max_candidates=10),
+        index=ShardedIndex(backend=backend),
+    )
+
+
+def golden_batch() -> list[tuple]:
+    """A fixed 16-request micro-batch, repeats included."""
+    return golden_search.requests(golden_search.products())[2]
+
+
+def distinct_requests(count: int) -> list[tuple]:
+    """``count`` requests with pairwise distinct ``(query, rewrites)``."""
+    titles = [product.title for product in golden_search.products()]
+    return [(titles[i % len(titles)], [f"variant {i}"]) for i in range(count)]
+
+
+def pickled_globals(payload: bytes) -> set[tuple[str, str]]:
+    """``(module, name)`` of every class or function a pickle references."""
+    found, strings = set(), []
+    for op, arg, _ in pickletools.genops(payload):
+        if op.name in ("SHORT_BINUNICODE", "BINUNICODE", "UNICODE"):
+            strings.append(arg)
+        elif op.name == "STACK_GLOBAL":
+            found.add((strings[-2], strings[-1]))
+        elif op.name == "GLOBAL":
+            found.add(tuple(arg.split(" ", 1)))
+    return found
+
+
+class TestCompileOnce:
+    """A request's tokens and packed tree are built once per engine, not
+    once per search; what crosses the pipe is the packed node table."""
+
+    def test_repeated_requests_build_each_tree_once(self, monkeypatch):
+        engine = golden_engine()
+        distinct = distinct_requests(20)
+        rng = np.random.default_rng(3)
+        stream = [distinct[int(i)] for i in rng.integers(len(distinct), size=400)]
+        expected = {
+            (query, tuple(rewrites)): signature(fresh)
+            for (query, rewrites), fresh in zip(
+                distinct, golden_engine().search_many(distinct)
+            )
+        }
+        merges = CountingMerges(monkeypatch)
+        for start in range(0, len(stream), 16):
+            batch = stream[start : start + 16]
+            for (query, rewrites), outcome in zip(batch, engine.search_many(batch)):
+                assert signature(outcome) == expected[(query, tuple(rewrites))]
+        assert merges.calls == len(distinct)  # one per search without the memo
+
+    def test_distinct_requests_build_one_tree_each(self, monkeypatch):
+        engine = golden_engine()
+        merges = CountingMerges(monkeypatch)
+        requests = distinct_requests(64)
+        for start in range(0, len(requests), 16):
+            engine.search_many(requests[start : start + 16])
+        assert merges.calls == len(requests)
+
+    def test_memo_is_bounded_and_evictions_recompile_identically(self):
+        bound = sharded_module.COMPILE_MEMO_SIZE
+        engine = golden_engine()
+        requests = distinct_requests(bound + 100)
+        for start in range(0, len(requests), 64):
+            engine.search_many(requests[start : start + 64])
+        assert engine._compiled.cache_info().currsize == bound
+        evicted = requests[:32]
+        assert [signature(o) for o in engine.search_many(evicted)] == [
+            signature(o) for o in golden_engine().search_many(evicted)
+        ]
+
+    def test_the_wire_carries_packed_tables_only(self, monkeypatch):
+        items = golden_search.products()
+        engine = golden_engine(
+            ProcessBackend("lexical", indexes=golden_search.shard_indexes(items))
+        )
+        try:
+            sends = RecordingSends(monkeypatch)
+            engine.search_many(golden_batch())
+        finally:
+            engine.close()
+        assert len(sends.payloads) == NUM_SHARDS
+        for payload in sends.payloads:
+            assert len(payload) <= 0.6 * OBJECT_TREE_PAYLOAD_BYTES
+            referenced = {name for module, name in pickled_globals(payload)}
+            assert "PackedTree" in referenced
+            assert not referenced & {"TermNode", "AndNode", "OrNode"}
+            op, (requests, _, _) = pickle.loads(payload)
+            assert op == "search" and len(requests) == len(golden_batch())
+
+    def test_pinned_statistics_cover_the_ranked_tokens_only(self, monkeypatch):
+        engine = golden_engine(config=SearchConfig(max_candidates=10, ranker="bm25"))
+        pinned = []
+        fanout = engine.index.backend.fanout
+
+        def recorded(op, *args):
+            if op == "search":
+                pinned.append(args[1])
+            return fanout(op, *args)
+
+        monkeypatch.setattr(engine.index.backend, "fanout", recorded)
+        batch = golden_batch()
+        engine.search_many(batch)
+        vocabulary = set(engine.index.stats().document_frequencies)
+        ranked, everything = set(), set()
+        for query, rewrites in batch:
+            queries = [tokenize(text) for text in (query, *rewrites)]
+            ranked.update(next(q for q in queries if q))
+            for q in queries:
+                everything.update(q)
+        assert set(pinned[0].stats.document_frequencies) == ranked & vocabulary
+        assert (everything - ranked) & vocabulary  # rewrites alone: not pinned
