@@ -88,6 +88,16 @@ class ServedSearch:
         return self.served.rewrites
 
 
+def _nearest_rank(ordered, q: float) -> float:
+    """The ``ceil(q·n)``-th smallest of the ascending ``ordered`` (0.0 if
+    empty) — the one nearest-rank percentile every stats type reads."""
+    if not (0.0 < q <= 1.0):
+        raise ValueError("q must be in (0, 1]")
+    if not ordered:
+        return 0.0
+    return ordered[math.ceil(q * len(ordered)) - 1]
+
+
 @dataclass
 class ServingStats:
     cache_served: int = 0
@@ -164,12 +174,7 @@ class ServingStats:
 
     def percentile_latency_ms(self, q: float) -> float:
         """Nearest-rank percentile: the ``ceil(q·n)``-th smallest latency."""
-        if not (0.0 < q <= 1.0):
-            raise ValueError("q must be in (0, 1]")
-        if not self.latencies_ms:
-            return 0.0
-        ordered = sorted(self.latencies_ms)
-        return ordered[math.ceil(q * len(ordered)) - 1]
+        return _nearest_rank(sorted(self.latencies_ms), q)
 
     def p50_latency_ms(self) -> float:
         return self.percentile_latency_ms(0.50)

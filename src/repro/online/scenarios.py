@@ -18,35 +18,11 @@ one shared :class:`~repro.online.clock.VirtualClock`, and a per-tenant
 fresh — so scenario semantics (churn lockstep, staleness definition)
 can never diverge from the single-arm harnesses.
 
-Registered scenarios (:data:`SCENARIOS`):
-
-* ``multi_tenant`` — N marketplaces with disjoint catalogs and
-  namespaced cache views interleave traffic through per-tenant
-  schedulers; isolation invariants pin zero cross-tenant serves and
-  per-tenant counters summing to the global totals.
-* ``hot_key_storm`` — a mid-trace window collapses onto the single
-  hottest head query; bars pin cache absorption (no shedding, high
-  storm-window hit rate, bounded queue delay).
-* ``churn_storm`` — churn cadence and payload multiplied; bars pin
-  zero dead-document serves, index-size lockstep, and a stale-serve
-  ceiling the freshness controller must hold.
-* ``cold_restart`` — the cache node restarts mid-trace (a fresh, empty
-  cache swaps in); bars pin the hit-rate crater *and* the recovery.
-* ``cold_restart_persistent`` — the same incident, but the node also
-  loses its index and restores it from on-disk :mod:`repro.store`
-  segments instead of rebuilding from the catalog; bars additionally
-  pin that the restored index matches the live one exactly and that
-  restore beats rebuild.
-* ``vocab_drift`` — a new brand floods the query stream while its
-  products list mid-trace; bars pin that the semantic-capable hybrid
-  tier adopts the new vocabulary end to end.
-* ``shard_failover`` — the tenant serves through a two-replica
-  :class:`~repro.cluster.ReplicaRouter`; one replica is killed
-  mid-trace and later respawned from a shipped snapshot.  Bars pin
-  that failover is transparent: every retrieval result is
-  byte-identical to a healthy twin run, the scheduler sheds nothing,
-  and the respawned replica restores the same generation (equal
-  per-shard digests).
+An arm is a declaration the one :class:`ScenarioRunner` reads — how
+many tenants, which incidents land at which fraction of the trace, which
+window of requests it rewrites, and the bars it adds; the registered
+arms (:data:`SCENARIOS`) and their bars are tabled in
+``docs/SCENARIOS.md``.
 
 Isolation is modelled physically: tenants share one physical
 :class:`~repro.core.cache.RewriteCache` through
@@ -97,14 +73,44 @@ from repro.store import SegmentStore
 from repro.text import normalize
 
 
+#: top fraction of click-ranked queries treated as the head set
+_HEAD_FRACTION = 0.4
+#: physical cache capacity shared by ALL tenants (views share the store)
+_CACHE_CAPACITY = 512
+#: cache TTL in virtual seconds
+_CACHE_TTL_SECONDS = 6.0
+#: shards of the physical cache
+_CACHE_SHARDS = 4
+#: scheduler deadline trigger (virtual seconds)
+_MAX_WAIT_SECONDS = 0.25
+#: scheduler admission bound (per tenant)
+_MAX_QUEUE_DEPTH = 256
+#: mean Poisson inter-arrival gap (virtual seconds)
+_SECONDS_PER_REQUEST = 0.02
+#: every ``_SEARCH_EVERY``-th request per tenant goes end to end through
+#: retrieval (deterministic, batch-size independent)
+_SEARCH_EVERY = 8
+#: sliding window of the streaming gauges
+_WINDOW = 512
+#: refresh-ahead margin of the per-tenant freshness controller
+_REFRESH_MARGIN_SECONDS = 1.0
+#: minimum virtual time between controller maintenance scans
+_TICK_INTERVAL_SECONDS = 0.5
+#: document-id stride separating tenant catalogs; tenant ``i`` owns ids
+#: in ``[i * stride, (i+1) * stride)``
+_TENANT_ID_STRIDE = 1_000_000
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Shared knobs of every scenario (arms override via :meth:`Scenario.adjust`).
 
-    One config drives tenant construction (marketplace size, id spaces),
-    the replayed stream (length, churn cadence, probe cadence), the cache
-    tier (capacity, TTL, namespacing) and the scheduler policy, so a
-    scenario is reproducible from ``(scenario name, config)`` alone.
+    One config drives tenant construction (marketplace size), the
+    replayed stream (length, churn cadence), cache namespacing and the
+    scheduler's size trigger, so a scenario is reproducible from
+    ``(scenario name, config)`` alone.  The policy every arm shares
+    (cache size and TTL, deadlines, probe cadence, id striping) is the
+    module's ``_``-prefixed constants.
     """
 
     #: marketplaces replayed concurrently (arms may pin this to 1)
@@ -117,39 +123,13 @@ class ScenarioConfig:
     num_sessions: int = 300
     #: zipf-weighted query-universe size per tenant
     intent_pool_size: int = 60
-    #: top fraction of click-ranked queries treated as the head set
-    head_fraction: float = 0.4
-    #: physical cache capacity shared by ALL tenants (views share the store)
-    cache_capacity: int = 512
-    #: cache TTL in virtual seconds (0 disables expiry)
-    cache_ttl_seconds: float = 6.0
-    #: shards of the physical cache
-    cache_shards: int = 4
     #: scheduler size trigger
     max_batch_size: int = 16
-    #: scheduler deadline trigger (virtual seconds)
-    max_wait_seconds: float = 0.25
-    #: scheduler admission bound (per tenant)
-    max_queue_depth: int = 256
-    #: mean Poisson inter-arrival gap (virtual seconds)
-    seconds_per_request: float = 0.02
     #: a churn event lands after every this-many requests (per tenant)
     churn_every: int = 120
     #: products listed / delisted per churn event
     churn_adds: int = 3
     churn_removes: int = 3
-    #: every ``search_every``-th request per tenant goes end to end
-    #: through retrieval (deterministic, batch-size independent)
-    search_every: int = 8
-    #: sliding window of the streaming gauges
-    window: int = 512
-    #: refresh-ahead margin of the per-tenant freshness controller
-    refresh_margin_seconds: float = 1.0
-    #: minimum virtual time between controller maintenance scans
-    tick_interval_seconds: float = 0.5
-    #: document-id stride separating tenant catalogs; tenant ``i`` owns
-    #: ids in ``[i * stride, (i+1) * stride)``
-    tenant_id_stride: int = 1_000_000
     #: True: per-tenant namespaced views over the shared physical cache.
     #: False: every tenant uses the raw shared store — the deliberately
     #: broken deployment whose isolation invariant must fail.
@@ -164,13 +144,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"requests_per_tenant must be >= 1, got {self.requests_per_tenant}"
             )
-        if self.tenant_id_stride < 10_000:
-            raise ValueError(
-                "tenant_id_stride must leave room for catalogs + churn "
-                f"(>= 10000), got {self.tenant_id_stride}"
-            )
-        if self.search_every < 1:
-            raise ValueError(f"search_every must be >= 1, got {self.search_every}")
 
     def scaled(self, factor: float) -> "ScenarioConfig":
         """This config with its workload shrunk/grown by ``factor``.
@@ -264,24 +237,20 @@ class ScenarioOutcome:
         identical across ``max_batch_size`` settings for non-adversarial
         traffic, which is what the determinism gate sweeps.
         """
-        keys = (
-            "requests",
-            "submitted",
-            "churn_events",
-            "dead_doc_hits",
-            "cross_tenant_cache_hits",
-            "cross_tenant_doc_serves",
-        )
+        tenants = self.per_tenant.values()
         totals = {
-            key: sum(tenant[key] for tenant in self.per_tenant.values())
-            for key in keys
+            key: sum(tenant[key] for tenant in tenants)
+            for key in (
+                "requests",
+                "submitted",
+                "churn_events",
+                "dead_doc_hits",
+                "cross_tenant_cache_hits",
+                "cross_tenant_doc_serves",
+            )
         }
-        totals["admitted"] = sum(
-            tenant["counters"]["admitted"] for tenant in self.per_tenant.values()
-        )
-        totals["shed"] = sum(
-            tenant["counters"]["shed"] for tenant in self.per_tenant.values()
-        )
+        for key in ("admitted", "shed"):
+            totals[key] = sum(tenant["counters"][key] for tenant in tenants)
         return totals
 
 
@@ -327,6 +296,8 @@ class TenantState:
     #: (query, retrieved doc-id tuple) per search completion, dispatch
     #: order — the byte-identity surface for failover arms
     search_log: list = field(default_factory=list)
+    #: ``len(serve_log)`` as each churn event landed, in trace order
+    serve_log_at_churn: list = field(default_factory=list)
     #: arrival time -> request sequence number (for window analyses)
     seq_of: dict = field(default_factory=dict)
     initial_products: int = 0
@@ -339,22 +310,36 @@ class TenantState:
 class Scenario:
     """One named, deterministic serving scenario with pinned invariants.
 
-    A scenario is **stateless**: all run state lives on the
-    :class:`ScenarioRunner` and its :class:`TenantState` objects, so one
-    registered instance can be run any number of times (and concurrently)
-    from any config.  Subclasses override the four hooks below.
+    An arm is a declaration the :class:`ScenarioRunner` reads: class
+    attributes say how many tenants it runs and which incidents it
+    injects, and a few methods choose the engine, rewrite one window of
+    requests and judge the arm's own bars.  A scenario is **stateless**:
+    all run state lives on the runner and its :class:`TenantState`
+    objects, so one registered instance can be run any number of times
+    from any config.
     """
 
     #: registry key (stable; regression gates and the CLI key on it)
     name = "base"
     #: one-line summary shown by the experiments CLI
     description = "abstract scenario"
+    #: True pins ``num_tenants`` to 1 (a per-node or per-tenant incident)
+    single_tenant = False
+    #: ``(request fraction, action)`` pairs: ``action(runner, tenant)``
+    #: runs as an ``"incident"`` event just before request
+    #: ``int(fraction * requests_per_tenant)`` of every tenant's trace
+    incidents: tuple = ()
+    #: True moves each incident to just after the first churn once its
+    #: request has arrived (see :func:`_walk_trace`)
+    incidents_after_churn = False
 
     def adjust(self, config: ScenarioConfig) -> ScenarioConfig:
         """Pin scenario-specific knobs onto the caller's config."""
+        if self.single_tenant:
+            return dataclasses.replace(config, num_tenants=1)
         return config
 
-    def build_engine(self, market, config: ScenarioConfig):
+    def build_engine(self, market, runner: "ScenarioRunner"):
         """The per-tenant retrieval engine (default: sharded BM25)."""
         return ShardedSearchEngine(
             market.catalog,
@@ -363,58 +348,60 @@ class Scenario:
             parallel=False,
         )
 
-    def transform_trace(self, tenant: TenantState, events: list, config: ScenarioConfig) -> list:
-        """Rewrite one tenant's arrival trace (inject storms, restarts, ...).
+    def request_window(self, tenant: TenantState, config: ScenarioConfig):
+        """The one window of requests this arm rewrites, or None.
 
-        ``events`` is the tenant's :meth:`TrafficReplay.arrival_trace`
-        output — ``(kind, time, payload)`` tuples; the hook may replace
-        request payloads or insert ``"churn"``/``"restart"`` events, but
-        must keep times non-decreasing.
+        ``(lo, hi, payload_of)``: request ``seq`` with ``lo <= seq < hi``
+        carries ``payload_of(seq)`` instead of its replayed request.
         """
-        return events
-
-    def on_restart(self, runner: "ScenarioRunner", tenant: TenantState) -> None:
-        """Handle a ``"restart"`` trace event for ``tenant``.
-
-        The default incident is a cache-node restart:
-        :meth:`ScenarioRunner.swap_cache` replaces the tenant's cache
-        with a fresh, empty one.  Arms that model a fuller node loss
-        (e.g. ``cold_restart_persistent``, which also restores the
-        retrieval index from :mod:`repro.store` segments) override this
-        and layer their recovery on top of the cache swap.
-        """
-        runner.swap_cache(tenant)
-
-    def on_failover(
-        self, runner: "ScenarioRunner", tenant: TenantState, payload
-    ) -> None:
-        """Handle a ``"failover"`` trace event for ``tenant``.
-
-        The payload names the injected incident (``"kill"`` /
-        ``"respawn"``); the default scenario has no replica tier, so the
-        event is a no-op.  ``shard_failover`` overrides this to kill and
-        respawn one :class:`~repro.cluster.ReplicaRouter` replica.
-        """
+        return None
 
     def invariants(self, runner: "ScenarioRunner") -> list[InvariantResult]:
         """Arm-specific pinned bars, appended to the common invariants."""
         return []
 
-    def drive(self, runner: "ScenarioRunner") -> "ScenarioOutcome | None":
-        """Take over the whole run, bypassing the merged-trace replay.
+    def run(self, config: ScenarioConfig | None = None) -> "ScenarioOutcome":
+        """Run this arm once from ``config`` and judge it.
 
-        Most arms return None and let :meth:`ScenarioRunner.run` drive
-        the standard interleaved replay.  Arms whose harness is not a
-        virtual-clock trace — the ``gateway_soak`` arm runs live HTTP
-        traffic against a wall-clocked :class:`~repro.gateway.app.Gateway`
-        — return a complete :class:`ScenarioOutcome` instead.  The
-        outcome's ``per_tenant`` entries must still carry the standard
-        telemetry keys (``counters``, ``requests``, ``submitted``,
-        ``churn_events``, ``dead_doc_hits``, ``cross_tenant_cache_hits``,
-        ``cross_tenant_doc_serves``) so :meth:`ScenarioOutcome.totals`
-        and the registry-wide gates keep working unchanged.
+        Trace arms replay through a :class:`ScenarioRunner`.  An arm
+        whose harness is not a virtual-clock trace (``gateway_soak``)
+        overrides this; its outcome's ``per_tenant`` entries must still
+        carry the keys :meth:`ScenarioOutcome.totals` reads.
         """
-        return None
+        return ScenarioRunner(self, config).run()
+
+
+def _walk_trace(events, inserts=None, window=None, *, after_churn=False) -> list:
+    """One tenant's trace with events inserted and one window replaced.
+
+    The one walk that counts a trace's requests by sequence number.
+    ``inserts`` maps a request seq to ``(kind, payload)`` events that
+    land immediately before that request, at its arrival time.  With
+    ``after_churn`` they land instead immediately after the first churn
+    once that many requests have arrived, at the churn's time — the
+    widest churn-free window behind them at every scale; if any insert
+    finds no such churn, every insert takes the default placement.
+    ``window`` is ``(lo, hi, payload_of)``: request ``seq`` with
+    ``lo <= seq < hi`` carries ``payload_of(seq)``.  Requests keep their
+    order, count and times, so times never decrease.
+    """
+    pending = dict(inserts or {})
+    out = []
+    seq = 0
+    for kind, at, payload in events:
+        if kind == "request":
+            if not after_churn:
+                out.extend((extra, at, data) for extra, data in pending.pop(seq, ()))
+            if window is not None and window[0] <= seq < window[1]:
+                payload = window[2](seq)
+            seq += 1
+        out.append((kind, at, payload))
+        if after_churn and kind == "churn":
+            for key in sorted(key for key in pending if key <= seq):
+                out.extend((extra, at, data) for extra, data in pending.pop(key))
+    if after_churn and pending:
+        return _walk_trace(events, inserts, window)
+    return out
 
 
 def _engine_doc_ids(engine) -> list[int]:
@@ -424,23 +411,48 @@ def _engine_doc_ids(engine) -> list[int]:
     return engine.lexical.document_ids()
 
 
-def _weighted_stale_rate(tenants: list[TenantState]) -> float:
-    """Lifetime stale-serve fraction pooled over all tenants' requests."""
+def _zero_bar(name: str, count, detail: str) -> InvariantResult:
+    """The pinned ``== 0`` bar over ``count``."""
+    return InvariantResult(
+        name=name, passed=count == 0, observed=float(count), bar="== 0", detail=detail
+    )
+
+
+def _stale_bar(
+    name: str, tenants: list[TenantState], ceiling: float, slack: float, detail: str
+) -> InvariantResult:
+    """Pooled lifetime stale-serve fraction vs ``ceiling``, plus a
+    finite-sample allowance of ``slack`` requests."""
     total = sum(tenant.stats.total_requests for tenant in tenants)
-    if not total:
-        return 0.0
-    return sum(tenant.stats.total_stale for tenant in tenants) / total
+    stale = sum(t.stats.total_stale for t in tenants) / total if total else 0.0
+    bar = ceiling + slack / (total or 1)
+    return InvariantResult(
+        name=name,
+        passed=stale <= bar,
+        observed=stale,
+        bar=f"<= {bar:.4f}",
+        detail=detail,
+    )
+
+
+def _window_rate(tenant: TenantState, lo: int, hi: int) -> float:
+    """Cache-hit rate over the serves of requests ``lo <= seq < hi``."""
+    window = [
+        hit for seq, hit, _ in tenant.serve_log if seq is not None and lo <= seq < hi
+    ]
+    return sum(window) / len(window) if window else 0.0
 
 
 class ScenarioRunner:
-    """Drives one scenario: builds tenants, replays the merged trace,
+    """Drives one trace arm: builds tenants, replays the merged trace,
     judges the invariants, and returns a :class:`ScenarioOutcome`.
 
     Per-tenant schedulers share ONE virtual clock; the runner advances
     every scheduler to each merged-event time (fixed tenant order) so
     batches dispatch at their exact trigger times regardless of which
     tenant's traffic is driving the clock — the property that makes the
-    interleaved replay deterministic.
+    interleaved replay deterministic.  Trace events are ``"request"``,
+    ``"churn"`` and ``"incident"`` (an arm's declared action).
     """
 
     #: tail queries ride the lowest-priority lane of a 2-lane scheduler
@@ -454,12 +466,23 @@ class ScenarioRunner:
         self.clock = VirtualClock()
         self.tenants: list[TenantState] = []
         self.outcome: ScenarioOutcome | None = None
+        #: the run's scratch directory (segment stores), removed when
+        #: :meth:`run` returns or raises
+        self._scratch: Path | None = None
 
     # -- construction --------------------------------------------------------
+    def _new_cache(self) -> RewriteCache:
+        return RewriteCache(
+            capacity=_CACHE_CAPACITY,
+            ttl_seconds=_CACHE_TTL_SECONDS,
+            shards=_CACHE_SHARDS,
+            clock=self.clock.now,
+        )
+
     def _build_tenant(self, index: int, physical: RewriteCache) -> TenantState:
         cfg = self.config
         name = f"tenant{index}"
-        id_base = index * cfg.tenant_id_stride
+        id_base = index * _TENANT_ID_STRIDE
         market = generate_marketplace(
             MarketplaceConfig(
                 catalog=CatalogConfig(
@@ -473,7 +496,7 @@ class ScenarioRunner:
                 seed=cfg.seed + index * 1000,
             )
         )
-        engine = self.scenario.build_engine(market, cfg)
+        engine = self.scenario.build_engine(market, self)
         cache = physical.tenant_view(name) if cfg.namespace_cache else physical
         rewriter = RuleBasedRewriter(build_rule_dictionary())
         pipeline = ServingPipeline(
@@ -492,10 +515,10 @@ class ScenarioRunner:
                 churn_every=cfg.churn_every,
                 churn_adds=cfg.churn_adds,
                 churn_removes=cfg.churn_removes,
-                head_fraction=cfg.head_fraction,
-                seconds_per_request=cfg.seconds_per_request,
-                search_every=cfg.search_every,
-                window=cfg.window,
+                head_fraction=_HEAD_FRACTION,
+                seconds_per_request=_SECONDS_PER_REQUEST,
+                search_every=_SEARCH_EVERY,
+                window=_WINDOW,
                 seed=cfg.seed + 7 + index,
             ),
         )
@@ -508,8 +531,8 @@ class ScenarioRunner:
             cache,
             rewriter,
             head,
-            refresh_margin_seconds=cfg.refresh_margin_seconds,
-            tick_interval_seconds=cfg.tick_interval_seconds,
+            refresh_margin_seconds=_REFRESH_MARGIN_SECONDS,
+            tick_interval_seconds=_TICK_INTERVAL_SECONDS,
         )
         tenant = TenantState(
             index=index,
@@ -522,7 +545,7 @@ class ScenarioRunner:
             controller=controller,
             replay=replay,
             scheduler=None,  # set below (needs the tenant for its hook)
-            stats=WindowedStats(cfg.window),
+            stats=WindowedStats(_WINDOW),
             head=head,
             wrote=wrote,
             initial_products=len(market.catalog.products),
@@ -532,8 +555,8 @@ class ScenarioRunner:
             self.clock,
             SchedulerConfig(
                 max_batch_size=cfg.max_batch_size,
-                max_wait_seconds=cfg.max_wait_seconds,
-                max_queue_depth=cfg.max_queue_depth,
+                max_wait_seconds=_MAX_WAIT_SECONDS,
+                max_queue_depth=_MAX_QUEUE_DEPTH,
                 num_lanes=self.NUM_LANES,
             ),
             on_batch=lambda completions, tenant=tenant: self._on_batch(
@@ -542,9 +565,21 @@ class ScenarioRunner:
         )
         return tenant
 
+    def _trace(self, tenant: TenantState) -> list:
+        """The tenant's arrival trace with the arm's window and incidents."""
+        n = self.config.requests_per_tenant
+        inserts: dict[int, list] = {}
+        for fraction, action in self.scenario.incidents:
+            inserts.setdefault(int(n * fraction), []).append(("incident", action))
+        return _walk_trace(
+            tenant.replay.arrival_trace(),
+            inserts,
+            self.scenario.request_window(tenant, self.config),
+            after_churn=self.scenario.incidents_after_churn,
+        )
+
     # -- per-batch accounting ------------------------------------------------
     def _on_batch(self, tenant: TenantState, completions) -> None:
-        cfg = self.config
         tenant.controller.tick()
         for completion in completions:
             outcome = completion.outcome
@@ -552,7 +587,7 @@ class ScenarioRunner:
                 served = outcome.served
                 tenant.searches += 1
                 tenant.search_log.append((outcome.query, tuple(outcome.doc_ids)))
-                upper = tenant.id_base + cfg.tenant_id_stride
+                upper = tenant.id_base + _TENANT_ID_STRIDE
                 for doc_id in outcome.doc_ids:
                     if doc_id in tenant.removed_ids:
                         tenant.dead_doc_hits += 1
@@ -583,23 +618,29 @@ class ScenarioRunner:
                 (seq, 1 if served.source == "cache" else 0, query)
             )
 
-    # -- restart (cold_restart arms) -----------------------------------------
+    # -- events --------------------------------------------------------------
+    def _apply_churn(self, tenant: TenantState, event: ChurnEvent) -> None:
+        tenant.serve_log_at_churn.append(len(tenant.serve_log))
+        tenant.replay.apply_churn(
+            tenant.engine,
+            event,
+            self.clock,
+            tenant.last_churn,
+            tenant.removed_ids,
+            tenant.controller,
+        )
+        tenant.churn_events += 1
+        tenant.adds_applied += len(event.added)
+        tenant.removes_applied += len(event.removed)
+
     def swap_cache(self, tenant: TenantState) -> None:
         """Swap the tenant onto a fresh, empty cache (a node restart).
 
-        The building block every restart arm shares;
-        :meth:`Scenario.on_restart` decides what else the incident
-        destroys (the persistent arm also swaps the retrieval engine
-        for one restored from disk segments).
+        The incident every restart arm shares; the persistent arm also
+        swaps the retrieval engine for one restored from disk segments.
         """
-        cfg = self.config
-        root = RewriteCache(
-            capacity=cfg.cache_capacity,
-            ttl_seconds=cfg.cache_ttl_seconds or None,
-            shards=cfg.cache_shards,
-            clock=self.clock.now,
-        )
-        fresh = root.tenant_view(tenant.name) if cfg.namespace_cache else root
+        root = self._new_cache()
+        fresh = root.tenant_view(tenant.name) if self.config.namespace_cache else root
         tenant.cache = fresh
         tenant.pipeline.cache = fresh
         tenant.controller.cache = fresh
@@ -609,30 +650,26 @@ class ScenarioRunner:
         # queued at restart are served (and written back) against the
         # fresh cache, so seq-based windows would miss them.
         tenant.notes["serve_log_at_restart"] = len(tenant.serve_log)
+        tenant.notes["churns_at_restart"] = tenant.churn_events
 
     # -- replay --------------------------------------------------------------
     def run(self) -> ScenarioOutcome:
         """Build the tenants, replay the merged trace, judge the bars."""
-        driven = self.scenario.drive(self)
-        if driven is not None:
-            self.outcome = driven
-            return driven
+        self._scratch = Path(tempfile.mkdtemp(prefix="repro-scenario-"))
+        try:
+            return self._replay()
+        finally:
+            shutil.rmtree(self._scratch, ignore_errors=True)
+
+    def _replay(self) -> ScenarioOutcome:
         cfg = self.config
-        physical = RewriteCache(
-            capacity=cfg.cache_capacity,
-            ttl_seconds=cfg.cache_ttl_seconds or None,
-            shards=cfg.cache_shards,
-            clock=self.clock.now,
-        )
+        physical = self._new_cache()
         self.tenants = [
             self._build_tenant(index, physical) for index in range(cfg.num_tenants)
         ]
         merged: list[tuple[float, int, int, str, object]] = []
         for tenant in self.tenants:
-            events = self.scenario.transform_trace(
-                tenant, tenant.replay.arrival_trace(), cfg
-            )
-            for position, (kind, at, payload) in enumerate(events):
+            for position, (kind, at, payload) in enumerate(self._trace(tenant)):
                 merged.append((at, tenant.index, position, kind, payload))
         merged.sort(key=lambda event: (event[0], event[1], event[2]))
 
@@ -643,30 +680,9 @@ class ScenarioRunner:
                 tenant.scheduler.advance_to(at)
             tenant = self.tenants[index]
             if kind == "churn":
-                # The first churn after a restart ends the deterministic
-                # coldness window: on_churn repopulates head entries.
-                if (
-                    tenant.restarted_at is not None
-                    and "serve_log_at_first_churn_after_restart" not in tenant.notes
-                ):
-                    tenant.notes["serve_log_at_first_churn_after_restart"] = len(
-                        tenant.serve_log
-                    )
-                tenant.replay.apply_churn(
-                    tenant.engine,
-                    payload,
-                    self.clock,
-                    tenant.last_churn,
-                    tenant.removed_ids,
-                    tenant.controller,
-                )
-                tenant.churn_events += 1
-                tenant.adds_applied += len(payload.added)
-                tenant.removes_applied += len(payload.removed)
-            elif kind == "restart":
-                self.scenario.on_restart(self, tenant)
-            elif kind == "failover":
-                self.scenario.on_failover(self, tenant, payload)
+                self._apply_churn(tenant, payload)
+            elif kind == "incident":
+                payload(self, tenant)
             else:
                 seq = tenant.submitted
                 tenant.submitted += 1
@@ -679,7 +695,7 @@ class ScenarioRunner:
                         # Deterministic, batch-size-independent probe pick
                         # (the rng probe of run_scheduled would perturb
                         # cross-batch-size comparisons).
-                        kind="search" if seq % cfg.search_every == 0 else "rewrite",
+                        kind="search" if seq % _SEARCH_EVERY == 0 else "rewrite",
                     )
                 )
         for tenant in self.tenants:
@@ -721,69 +737,26 @@ class ScenarioRunner:
         """Entries of tenant A's head visible through tenant B's cache
         that B never wrote — the post-run leak audit.  Zero under
         namespaced views; positive when namespacing is stripped."""
-        violations = 0
-        for owner in self.tenants:
-            for query in owner.head:
-                for other in self.tenants:
-                    if other is owner:
-                        continue
-                    if (
-                        other.cache.stored_at(query) is not None
-                        and normalize(query) not in other.wrote
-                        and query not in other.head
-                    ):
-                        violations += 1
-        return violations
+        return sum(
+            1
+            for owner in self.tenants
+            for query in owner.head
+            for other in self.tenants
+            if other is not owner
+            and other.cache.stored_at(query) is not None
+            and normalize(query) not in other.wrote
+            and query not in other.head
+        )
 
     def _common_invariants(self) -> list[InvariantResult]:
-        cfg = self.config
-        invariants: list[InvariantResult] = []
-
         live_leaks = sum(t.cross_tenant_cache_hits for t in self.tenants)
         audit_leaks = self._audit_foreign_cache_entries()
-        leaks = live_leaks + audit_leaks
-        invariants.append(
-            InvariantResult(
-                name="zero_cross_tenant_cache_serves",
-                passed=leaks == 0,
-                observed=float(leaks),
-                bar="== 0",
-                detail=(
-                    f"{live_leaks} live cache serves of foreign entries + "
-                    f"{audit_leaks} foreign entries visible in the post-run audit"
-                ),
-            )
+        foreign_index = sum(
+            1
+            for tenant in self.tenants
+            for doc_id in _engine_doc_ids(tenant.engine)
+            if not tenant.id_base <= doc_id < tenant.id_base + _TENANT_ID_STRIDE
         )
-
-        cross_docs = sum(t.cross_tenant_doc_serves for t in self.tenants)
-        invariants.append(
-            InvariantResult(
-                name="zero_cross_tenant_doc_serves",
-                passed=cross_docs == 0,
-                observed=float(cross_docs),
-                bar="== 0",
-                detail="retrieved document ids outside the serving tenant's id range",
-            )
-        )
-
-        foreign_index = 0
-        for tenant in self.tenants:
-            upper = tenant.id_base + cfg.tenant_id_stride
-            foreign_index += sum(
-                1
-                for doc_id in _engine_doc_ids(tenant.engine)
-                if not tenant.id_base <= doc_id < upper
-            )
-        invariants.append(
-            InvariantResult(
-                name="index_id_ranges_disjoint",
-                passed=foreign_index == 0,
-                observed=float(foreign_index),
-                bar="== 0",
-                detail="indexed documents outside the owning tenant's id range",
-            )
-        )
-
         totals = sum_counters([t.pipeline.stats for t in self.tenants])
         served = totals["cache_served"] + totals["model_served"] + totals["unserved"]
         submitted = sum(t.submitted for t in self.tenants)
@@ -792,7 +765,23 @@ class ScenarioRunner:
             served == totals["admitted"] == completed
             and totals["admitted"] + totals["shed"] == submitted
         )
-        invariants.append(
+        return [
+            _zero_bar(
+                "zero_cross_tenant_cache_serves",
+                live_leaks + audit_leaks,
+                f"{live_leaks} live cache serves of foreign entries + "
+                f"{audit_leaks} foreign entries visible in the post-run audit",
+            ),
+            _zero_bar(
+                "zero_cross_tenant_doc_serves",
+                sum(t.cross_tenant_doc_serves for t in self.tenants),
+                "retrieved document ids outside the serving tenant's id range",
+            ),
+            _zero_bar(
+                "index_id_ranges_disjoint",
+                foreign_index,
+                "indexed documents outside the owning tenant's id range",
+            ),
             InvariantResult(
                 name="tenant_counters_sum_to_global",
                 passed=consistent,
@@ -802,20 +791,13 @@ class ScenarioRunner:
                     f"served={served} admitted={totals['admitted']} "
                     f"completed={completed} shed={totals['shed']} submitted={submitted}"
                 ),
-            )
-        )
-
-        dead = sum(t.dead_doc_hits for t in self.tenants)
-        invariants.append(
-            InvariantResult(
-                name="zero_dead_document_serves",
-                passed=dead == 0,
-                observed=float(dead),
-                bar="== 0",
-                detail="end-to-end probes surfacing delisted products",
-            )
-        )
-        return invariants
+            ),
+            _zero_bar(
+                "zero_dead_document_serves",
+                sum(t.dead_doc_hits for t in self.tenants),
+                "end-to-end probes surfacing delisted products",
+            ),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -842,24 +824,18 @@ class MultiTenantScenario(Scenario):
 
     def invariants(self, runner: ScenarioRunner) -> list[InvariantResult]:
         """Stale-rate ceiling + zero shedding at baseline load."""
-        stale = _weighted_stale_rate(runner.tenants)
-        total = sum(t.stats.total_requests for t in runner.tenants) or 1
-        bar = self.STALE_BAR + self.STALE_SLACK_REQUESTS / total
-        shed = sum(t.scheduler.report.shed for t in runner.tenants)
         return [
-            InvariantResult(
-                name="stale_serve_rate_bounded",
-                passed=stale <= bar,
-                observed=stale,
-                bar=f"<= {bar:.4f}",
-                detail="pooled lifetime stale-serve fraction under the controller",
+            _stale_bar(
+                "stale_serve_rate_bounded",
+                runner.tenants,
+                self.STALE_BAR,
+                self.STALE_SLACK_REQUESTS,
+                "pooled lifetime stale-serve fraction under the controller",
             ),
-            InvariantResult(
-                name="no_shedding_at_baseline_load",
-                passed=shed == 0,
-                observed=float(shed),
-                bar="== 0",
-                detail="admission control must not shed at baseline arrival rates",
+            _zero_bar(
+                "no_shedding_at_baseline_load",
+                sum(t.scheduler.report.shed for t in runner.tenants),
+                "admission control must not shed at baseline arrival rates",
             ),
         ]
 
@@ -875,51 +851,33 @@ class HotKeyStormScenario(Scenario):
 
     name = "hot_key_storm"
     description = "mid-trace traffic collapses onto one hot head query"
+    single_tenant = True
     STORM_START = 0.4
     STORM_END = 0.6
     #: storm-window cache-hit floor
     HIT_BAR = 0.90
 
-    def adjust(self, config: ScenarioConfig) -> ScenarioConfig:
-        """Single tenant — the storm is a per-tenant phenomenon."""
-        return dataclasses.replace(config, num_tenants=1)
-
     def _storm_window(self, config: ScenarioConfig) -> tuple[int, int]:
         n = config.requests_per_tenant
         return int(n * self.STORM_START), int(n * self.STORM_END)
 
-    def transform_trace(self, tenant: TenantState, events: list, config: ScenarioConfig) -> list:
-        """Replace the storm window's requests with the hot key."""
+    def request_window(self, tenant: TenantState, config: ScenarioConfig):
+        """The storm window's requests all ask for the hot key."""
         hot = next(
             (q for q in tenant.head if normalize(q) in tenant.wrote),
             next(iter(tenant.head)),
         )
         tenant.notes["hot_query"] = hot
         storm = Request(query=hot, category=tenant.head[hot])
-        start, end = self._storm_window(config)
-        out = []
-        seq = 0
-        for kind, at, payload in events:
-            if kind == "request":
-                if start <= seq < end:
-                    payload = storm
-                seq += 1
-            out.append((kind, at, payload))
-        return out
+        return (*self._storm_window(config), lambda seq: storm)
 
     def invariants(self, runner: ScenarioRunner) -> list[InvariantResult]:
         """Cache absorption bars: hit floor, zero shed, delay bound."""
         tenant = runner.tenants[0]
         start, end = self._storm_window(runner.config)
-        window = [
-            hit
-            for seq, hit, _ in tenant.serve_log
-            if seq is not None and start <= seq < end
-        ]
-        rate = sum(window) / len(window) if window else 0.0
-        shed = tenant.scheduler.report.shed
+        rate = _window_rate(tenant, start, end)
         p95 = tenant.scheduler.report.p95_queue_delay_seconds()
-        bound = runner.config.max_wait_seconds + 1e-9
+        bound = _MAX_WAIT_SECONDS + 1e-9
         return [
             InvariantResult(
                 name="storm_window_absorbed_by_cache",
@@ -928,12 +886,10 @@ class HotKeyStormScenario(Scenario):
                 bar=f">= {self.HIT_BAR}",
                 detail=f"cache-hit rate over storm requests [{start}, {end})",
             ),
-            InvariantResult(
-                name="no_shedding_under_storm",
-                passed=shed == 0,
-                observed=float(shed),
-                bar="== 0",
-                detail="a cache-absorbed storm must not trip admission control",
+            _zero_bar(
+                "no_shedding_under_storm",
+                tenant.scheduler.report.shed,
+                "a cache-absorbed storm must not trip admission control",
             ),
             InvariantResult(
                 name="queue_delay_bound_holds",
@@ -956,6 +912,7 @@ class ChurnStormScenario(Scenario):
 
     name = "churn_storm"
     description = "aggressive listing/delisting; lockstep + staleness bars"
+    single_tenant = True
     #: stale ceiling under storm churn (looser than baseline, still pinned)
     STALE_BAR = 0.06
     #: finite-sample allowance, in requests: smoke-scale streams see the
@@ -966,10 +923,9 @@ class ChurnStormScenario(Scenario):
     REMOVES = 8
 
     def adjust(self, config: ScenarioConfig) -> ScenarioConfig:
-        """Single tenant, churn every ~eighth of the trace length."""
+        """Churn every ~eighth of the trace length, amplified payloads."""
         return dataclasses.replace(
-            config,
-            num_tenants=1,
+            super().adjust(config),
             churn_every=max(20, config.requests_per_tenant // 8),
             churn_adds=self.ADDS,
             churn_removes=self.REMOVES,
@@ -982,9 +938,6 @@ class ChurnStormScenario(Scenario):
             tenant.initial_products + tenant.adds_applied - tenant.removes_applied
         )
         observed = len(_engine_doc_ids(tenant.engine))
-        stale = _weighted_stale_rate(runner.tenants)
-        total = sum(t.stats.total_requests for t in runner.tenants) or 1
-        storm_bar = self.STALE_BAR + self.STALE_SLACK_REQUESTS / total
         return [
             InvariantResult(
                 name="index_size_lockstep",
@@ -1000,12 +953,12 @@ class ChurnStormScenario(Scenario):
                 bar=">= 2",
                 detail="the storm must actually churn (guards trace construction)",
             ),
-            InvariantResult(
-                name="stale_serve_rate_bounded_under_storm",
-                passed=stale <= storm_bar,
-                observed=stale,
-                bar=f"<= {storm_bar:.4f}",
-                detail="lifetime stale-serve fraction under storm churn",
+            _stale_bar(
+                "stale_serve_rate_bounded_under_storm",
+                runner.tenants,
+                self.STALE_BAR,
+                self.STALE_SLACK_REQUESTS,
+                "lifetime stale-serve fraction under storm churn",
             ),
         ]
 
@@ -1013,8 +966,11 @@ class ChurnStormScenario(Scenario):
 class ColdRestartScenario(Scenario):
     """Cache-cold restart mid-trace: crater then recover.
 
-    At the halfway request the tenant's cache node is replaced by a
-    fresh, empty one.  The bars pin both sides of the incident: the
+    Right after the first churn past the halfway request (or, with no
+    churn after it, just before that request) the tenant's cache node is
+    replaced by a fresh, empty one.  Anchoring the restart to a churn
+    boundary gives the coldness bar a full churn period of quiet at
+    every scale.  The bars pin both sides of the incident: the
     post-restart window must actually crater (proving the swap is real)
     and the final window must recover as write-back and the freshness
     controller refill the head set.
@@ -1022,44 +978,11 @@ class ColdRestartScenario(Scenario):
 
     name = "cold_restart"
     description = "fresh empty cache swaps in mid-trace; coldness + recovery bars"
+    single_tenant = True
+    incidents = ((0.5, ScenarioRunner.swap_cache),)
+    incidents_after_churn = True
     #: final-window hit-rate floor after recovery
     RECOVERY_BAR = 0.40
-
-    def adjust(self, config: ScenarioConfig) -> ScenarioConfig:
-        """Single tenant — the restart is a per-node incident."""
-        return dataclasses.replace(config, num_tenants=1)
-
-    def transform_trace(self, tenant: TenantState, events: list, config: ScenarioConfig) -> list:
-        """Insert the restart right after the first churn past halfway.
-
-        Anchoring the restart to a churn boundary gives the coldness bar
-        the widest possible churn-free window (a full churn period) at
-        every scale; a restart dropped mid-batch just before a churn
-        would leave the window empty.  Traces with no churn after the
-        halfway request fall back to restarting just before it.
-        """
-        halfway = config.requests_per_tenant // 2
-        out = []
-        seq = 0
-        inserted = False
-        for kind, at, payload in events:
-            out.append((kind, at, payload))
-            if kind == "request":
-                seq += 1
-            elif kind == "churn" and not inserted and seq >= halfway:
-                out.append(("restart", at, None))
-                inserted = True
-        if inserted:
-            return out
-        out = []
-        seq = 0
-        for kind, at, payload in events:
-            if kind == "request":
-                if seq == halfway:
-                    out.append(("restart", at, None))
-                seq += 1
-            out.append((kind, at, payload))
-        return out
 
     def invariants(self, runner: ScenarioRunner) -> list[InvariantResult]:
         """Coldness + recovery bars around the restart point.
@@ -1076,29 +999,16 @@ class ColdRestartScenario(Scenario):
         restart = tenant.restarted_at if tenant.restarted_at is not None else n // 2
         width = max(20, n // 8)
         cold_start = tenant.notes.get("serve_log_at_restart", len(tenant.serve_log))
-        cold_end = tenant.notes.get(
-            "serve_log_at_first_churn_after_restart", len(tenant.serve_log)
-        )
-        first_hits = 0
-        first_total = 0
-        seen: set[str] = set()
+        later_churns = tenant.serve_log_at_churn[
+            tenant.notes.get("churns_at_restart", len(tenant.serve_log_at_churn)) :
+        ]
+        cold_end = later_churns[0] if later_churns else len(tenant.serve_log)
+        first_hit: dict[str, int] = {}  # query -> hit flag of its first serve
         for _, hit, query in tenant.serve_log[cold_start:cold_end]:
-            if query in seen:
-                continue
-            seen.add(query)
-            first_total += 1
-            first_hits += hit
-
-        def window_rate(lo: int, hi: int) -> float:
-            window = [
-                hit
-                for seq, hit, _ in tenant.serve_log
-                if seq is not None and lo <= seq < hi
-            ]
-            return sum(window) / len(window) if window else 0.0
-
-        post_rate = window_rate(restart, restart + width)
-        final_rate = window_rate(n - width, n)
+            first_hit.setdefault(query, hit)
+        first_total, first_hits = len(first_hit), sum(first_hit.values())
+        post_rate = _window_rate(tenant, restart, restart + width)
+        final_rate = _window_rate(tenant, n - width, n)
         return [
             InvariantResult(
                 name="restart_applied",
@@ -1107,15 +1017,11 @@ class ColdRestartScenario(Scenario):
                 bar="restart executed, >= 5 distinct cold-window queries",
                 detail="the trace must actually swap the cache mid-run",
             ),
-            InvariantResult(
-                name="cold_cache_serves_nothing_unseen",
-                passed=first_hits == 0,
-                observed=float(first_hits),
-                bar="== 0",
-                detail=(
-                    f"first serves of {first_total} distinct queries dispatched "
-                    "between the restart and the next churn must all miss"
-                ),
+            _zero_bar(
+                "cold_cache_serves_nothing_unseen",
+                first_hits,
+                f"first serves of {first_total} distinct queries dispatched "
+                "between the restart and the next churn must all miss",
             ),
             InvariantResult(
                 name="hit_rate_recovers",
@@ -1159,12 +1065,13 @@ class ColdRestartPersistentScenario(ColdRestartScenario):
     #: timing repetitions (best-of, to shed scheduler noise)
     TIMING_ROUNDS = 3
 
-    def on_restart(self, runner: ScenarioRunner, tenant: TenantState) -> None:
+    @staticmethod
+    def _restart_from_segments(runner: ScenarioRunner, tenant: TenantState) -> None:
         """Swap the cache, then save + restore the retrieval index.
 
-        The live engine (with all churn applied) is saved to a scratch
-        :class:`~repro.store.SegmentStore`, a fresh engine is restored
-        from those segments, and the tenant is swapped onto the
+        The live engine (with all churn applied) is saved to the run's
+        scratch :class:`~repro.store.SegmentStore`, a fresh engine is
+        restored from those segments, and the tenant is swapped onto the
         restored engine for the rest of the trace — so every
         post-restart search bar in the suite exercises the *restored*
         index, not the one that "survived" the crash.  Rebuild-from-
@@ -1172,104 +1079,92 @@ class ColdRestartPersistentScenario(ColdRestartScenario):
         timings land in ``tenant.notes`` (never in the per-tenant
         telemetry, which must stay run-to-run fingerprint-identical).
         """
+        arm = runner.scenario
         runner.swap_cache(tenant)
         live = tenant.engine
         live_docs = _engine_doc_ids(live)
-        probes = sorted(tenant.head)[: self.PROBE_QUERIES]
+        probes = sorted(tenant.head)[: arm.PROBE_QUERIES]
         expected = {query: live.search(query) for query in probes}
 
-        root = Path(tempfile.mkdtemp(prefix="repro-store-"))
-        try:
+        root = runner._scratch / "store"
+        start = time.perf_counter()
+        live.save(root)
+        save_seconds = time.perf_counter() - start
+
+        restored = None
+        restore_seconds = float("inf")
+        for _ in range(arm.TIMING_ROUNDS):
             start = time.perf_counter()
-            live.save(root)
-            save_seconds = time.perf_counter() - start
-
-            restored = None
-            restore_seconds = float("inf")
-            for _ in range(self.TIMING_ROUNDS):
-                start = time.perf_counter()
-                restored = ShardedSearchEngine.load(
-                    tenant.market.catalog,
-                    root,
-                    SearchConfig(ranker="bm25"),
-                    parallel=False,
-                )
-                restore_seconds = min(restore_seconds, time.perf_counter() - start)
-
-            rebuild_seconds = float("inf")
-            for _ in range(self.TIMING_ROUNDS):
-                start = time.perf_counter()
-                self.build_engine(tenant.market, runner.config)
-                rebuild_seconds = min(rebuild_seconds, time.perf_counter() - start)
-
-            mismatches = 0
-            if _engine_doc_ids(restored) != live_docs:
-                mismatches += 1
-            for query, want in expected.items():
-                got = restored.search(query)
-                if got.doc_ids != want.doc_ids or got.scores != want.scores:
-                    mismatches += 1
-
-            segment_files = sorted(root.glob("*.seg"))
-            tenant.notes["persist_save_seconds"] = save_seconds
-            tenant.notes["persist_restore_seconds"] = restore_seconds
-            tenant.notes["persist_rebuild_seconds"] = rebuild_seconds
-            tenant.notes["persist_mismatches"] = mismatches
-            tenant.notes["persist_segment_files"] = len(segment_files)
-            tenant.notes["persist_segment_bytes"] = sum(
-                path.stat().st_size for path in segment_files
+            restored = ShardedSearchEngine.load(
+                tenant.market.catalog,
+                root,
+                SearchConfig(ranker="bm25"),
+                parallel=False,
             )
-            tenant.notes["persist_num_shards"] = restored.index.num_shards
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
+            restore_seconds = min(restore_seconds, time.perf_counter() - start)
 
+        rebuild_seconds = float("inf")
+        for _ in range(arm.TIMING_ROUNDS):
+            start = time.perf_counter()
+            arm.build_engine(tenant.market, runner)
+            rebuild_seconds = min(rebuild_seconds, time.perf_counter() - start)
+
+        mismatches = 0
+        if _engine_doc_ids(restored) != live_docs:
+            mismatches += 1
+        for query, want in expected.items():
+            got = restored.search(query)
+            if got.doc_ids != want.doc_ids or got.scores != want.scores:
+                mismatches += 1
+
+        segment_files = sorted(root.glob("*.seg"))
+        tenant.notes["persist_save_seconds"] = save_seconds
+        tenant.notes["persist_restore_seconds"] = restore_seconds
+        tenant.notes["persist_rebuild_seconds"] = rebuild_seconds
+        tenant.notes["persist_mismatches"] = mismatches
+        tenant.notes["persist_segment_files"] = len(segment_files)
+        tenant.notes["persist_segment_bytes"] = sum(
+            path.stat().st_size for path in segment_files
+        )
+        tenant.notes["persist_num_shards"] = restored.index.num_shards
         tenant.engine = restored
         tenant.pipeline.search_engine = restored
 
+    incidents = ((0.5, _restart_from_segments),)
+
     def invariants(self, runner: ScenarioRunner) -> list[InvariantResult]:
         """Inherited crater/recovery bars plus the recovery-path bars."""
-        tenant = runner.tenants[0]
-        notes = tenant.notes
-        mismatches = notes.get("persist_mismatches", -1)
+        notes = runner.tenants[0].notes
         restore = notes.get("persist_restore_seconds", float("inf"))
         rebuild = notes.get("persist_rebuild_seconds", 0.0)
         files = notes.get("persist_segment_files", 0)
         shards = notes.get("persist_num_shards", 1)
-        results = super().invariants(runner)
-        results.extend(
-            [
-                InvariantResult(
-                    name="restore_matches_live_index",
-                    passed=mismatches == 0,
-                    observed=float(mismatches),
-                    bar="== 0",
-                    detail=(
-                        "restored engine must hold the exact live document "
-                        f"set and rank {self.PROBE_QUERIES} probe queries "
-                        "with identical scores (churn included)"
-                    ),
+        return super().invariants(runner) + [
+            _zero_bar(
+                "restore_matches_live_index",
+                notes.get("persist_mismatches", -1),
+                "restored engine must hold the exact live document set and "
+                f"rank {self.PROBE_QUERIES} probe queries with identical "
+                "scores (churn included)",
+            ),
+            InvariantResult(
+                name="restore_faster_than_rebuild",
+                passed=restore <= rebuild + self.SLACK_SECONDS,
+                observed=restore,
+                bar=f"<= rebuild ({rebuild:.4f}s) + {self.SLACK_SECONDS}s",
+                detail=(
+                    "loading segments must not lose to re-adding every "
+                    f"catalog document (best of {self.TIMING_ROUNDS} rounds each)"
                 ),
-                InvariantResult(
-                    name="restore_faster_than_rebuild",
-                    passed=restore <= rebuild + self.SLACK_SECONDS,
-                    observed=restore,
-                    bar=f"<= rebuild ({rebuild:.4f}s) + {self.SLACK_SECONDS}s",
-                    detail=(
-                        "loading segments must not lose to re-adding every "
-                        "catalog document (best of "
-                        f"{self.TIMING_ROUNDS} rounds each)"
-                    ),
-                ),
-                InvariantResult(
-                    name="segments_persisted",
-                    passed=files >= shards,
-                    observed=float(files),
-                    bar=f">= {shards} (one full segment per shard)",
-                    detail="the save must write at least one segment per shard",
-                ),
-            ]
-        )
-        return results
+            ),
+            InvariantResult(
+                name="segments_persisted",
+                passed=files >= shards,
+                observed=float(files),
+                bar=f">= {shards} (one full segment per shard)",
+                detail="the save must write at least one segment per shard",
+            ),
+        ]
 
 
 class VocabDriftScenario(Scenario):
@@ -1277,14 +1172,15 @@ class VocabDriftScenario(Scenario):
 
     A brand unseen at build time ("zephyrion") floods a late window of
     the query stream; its products list mid-trace through an ADD-only
-    churn event.  The tenant runs the hybrid lexical+vector engine, and
-    the bars pin end-to-end adoption: post-listing, drift queries must
+    churn.  The tenant runs the hybrid lexical+vector engine, and the
+    bars pin end-to-end adoption: post-listing, drift queries must
     surface the new products, and both retrieval tiers must track the
     catalog in lockstep.
     """
 
     name = "vocab_drift"
     description = "unseen brand floods queries while its products list mid-trace"
+    single_tenant = True
     BRAND = "zephyrion"
     #: listing lands before this fraction of the trace
     ADOPT_AT = 0.6
@@ -1296,11 +1192,7 @@ class VocabDriftScenario(Scenario):
     #: post-listing fraction of drift queries that must surface the brand
     ADOPTION_BAR = 1.0
 
-    def adjust(self, config: ScenarioConfig) -> ScenarioConfig:
-        """Single tenant on the hybrid engine."""
-        return dataclasses.replace(config, num_tenants=1)
-
-    def build_engine(self, market, config: ScenarioConfig):
+    def build_engine(self, market, runner: ScenarioRunner):
         """Hybrid BM25 + IVF-vector engine over an (untrained) dual encoder."""
         from repro.embedding import DualEncoder
         from repro.search.hybrid import HybridSearchEngine
@@ -1312,13 +1204,13 @@ class VocabDriftScenario(Scenario):
             num_shards=2,
             num_clusters=4,
             parallel=False,
-            seed=config.seed,
+            seed=runner.config.seed,
         )
 
-    def _drift_catalog(self, tenant: TenantState, config: ScenarioConfig):
+    def _drift_catalog(self, tenant: TenantState):
         """The new brand's products + the queries that look for them."""
         categories = sorted(CATEGORY_SPECS)[: self.NUM_CATEGORIES]
-        base = tenant.id_base + config.tenant_id_stride - 1000
+        base = tenant.id_base + _TENANT_ID_STRIDE - 1000
         products = []
         queries = []
         pid = base
@@ -1340,27 +1232,25 @@ class VocabDriftScenario(Scenario):
                 pid += 1
         return products, queries
 
-    def transform_trace(self, tenant: TenantState, events: list, config: ScenarioConfig) -> list:
-        """Inject the ADD-only listing + the drift-query flood window."""
+    @staticmethod
+    def _list_brand(runner: ScenarioRunner, tenant: TenantState) -> None:
+        """The ADD-only churn that lists the new brand's products."""
+        products, _ = runner.scenario._drift_catalog(tenant)
+        runner._apply_churn(tenant, ChurnEvent(added=tuple(products), removed=()))
+
+    incidents = ((ADOPT_AT, _list_brand),)
+
+    def request_window(self, tenant: TenantState, config: ScenarioConfig):
+        """The drift window's requests look for the new brand."""
         n = config.requests_per_tenant
-        adopt_seq = int(n * self.ADOPT_AT)
-        drift_lo, drift_hi = int(n * self.DRIFT_START), int(n * self.DRIFT_END)
-        products, queries = self._drift_catalog(tenant, config)
+        products, queries = self._drift_catalog(tenant)
         tenant.notes["drift_queries"] = [q for q, _ in queries]
         tenant.notes["drift_ids"] = {p.product_id for p in products}
-        listing = ChurnEvent(added=tuple(products), removed=())
-        out = []
-        seq = 0
-        for kind, at, payload in events:
-            if kind == "request":
-                if seq == adopt_seq:
-                    out.append(("churn", at, listing))
-                if drift_lo <= seq < drift_hi:
-                    text, category = queries[seq % len(queries)]
-                    payload = Request(query=text, category=category)
-                seq += 1
-            out.append((kind, at, payload))
-        return out
+        return (
+            int(n * self.DRIFT_START),
+            int(n * self.DRIFT_END),
+            lambda seq: Request(*queries[seq % len(queries)]),
+        )
 
     def invariants(self, runner: ScenarioRunner) -> list[InvariantResult]:
         """Adoption + two-tier lockstep bars."""
@@ -1409,9 +1299,10 @@ class ShardFailoverScenario(Scenario):
     snapshot quiesced off the surviving replica and shipped with
     :meth:`~repro.store.SegmentStore.ship_snapshot`.  The bars pin what
     "transparent" means: every retrieval result in the whole trace is
-    byte-identical to a healthy twin run (same config, no injection),
-    the scheduler sheds nothing, and the respawned replica carries the
-    shipped generation with per-shard digests equal to the survivor's.
+    byte-identical to a healthy twin run (the same arm with its
+    incidents dropped), the scheduler sheds nothing, and the respawned
+    replica carries the shipped generation with per-shard digests equal
+    to the survivor's.
     """
 
     name = "shard_failover"
@@ -1419,97 +1310,60 @@ class ShardFailoverScenario(Scenario):
         "a replica dies mid-trace and respawns from a shipped snapshot; "
         "byte-identity + zero-shed bars"
     )
+    single_tenant = True
     #: request-sequence fractions where the injected incidents land
     KILL_AT = 0.45
     RESPAWN_AT = 0.75
     NUM_REPLICAS = 2
 
-    def __init__(self, inject: bool = True):
-        """``inject=False`` builds the identical replica deployment but
-        skips the kill/respawn — the healthy twin the byte-identity bar
-        replays against."""
-        self.inject = inject
-
-    def adjust(self, config: ScenarioConfig) -> ScenarioConfig:
-        """Single tenant — the incident is a per-deployment event."""
-        return dataclasses.replace(config, num_tenants=1)
-
-    def build_engine(self, market, config: ScenarioConfig):
+    def build_engine(self, market, runner: ScenarioRunner):
         """Two state-identical inproc replicas behind a router.
 
-        The catalog is indexed once, saved to a scratch segment store,
-        and both replicas are restored from that one generation — the
-        same-state precondition failover correctness rests on.  The
-        scratch root rides on the engine (``cluster_root``) for the
-        respawn event; :meth:`invariants` removes it.
+        The catalog is indexed once, saved to the run's scratch segment
+        store, and both replicas are restored from that one generation —
+        the same-state precondition failover correctness rests on.
         """
         seed = ShardedSearchEngine(
             market.catalog, SearchConfig(ranker="bm25"), num_shards=2, parallel=False
         )
-        root = Path(tempfile.mkdtemp(prefix="repro-failover-"))
-        seed.save(root / "gen")
+        generation = runner._scratch / "gen"
+        seed.save(generation)
         seed.close()
         replicas = [
-            resolve_backend("lexical", "inproc", root / "gen", parallel=False)
+            resolve_backend("lexical", "inproc", generation, parallel=False)
             for _ in range(self.NUM_REPLICAS)
         ]
-        engine = ShardedSearchEngine(
+        return ShardedSearchEngine(
             market.catalog,
             SearchConfig(ranker="bm25"),
             index=ShardedIndex(backend=ReplicaRouter(replicas)),
         )
-        engine.cluster_root = root
-        return engine
 
-    def transform_trace(self, tenant: TenantState, events: list, config: ScenarioConfig) -> list:
-        """Insert the kill and the respawn at fixed request fractions.
+    @staticmethod
+    def _kill(runner: ScenarioRunner, tenant: TenantState) -> None:
+        """Kill replica 0 without telling the router: the next request
+        that touches it must discover the death and fail over."""
+        tenant.engine.index.backend.kill_replica(0)
 
-        The twin (``inject=False``) gets the same events — its
-        :meth:`on_failover` ignores them — so both runs replay exactly
-        the same trace structure.
+    @staticmethod
+    def _respawn(runner: ScenarioRunner, tenant: TenantState) -> None:
+        """Respawn replica 0 from a shipped snapshot of the survivor.
+
+        The full production path: quiesce a healthy replica (itself
+        failover-protected), save its shards, ship the snapshot with
+        per-segment checksum re-verification, restore a fresh backend
+        from the shipped copy, and attach it.  Digest/generation
+        evidence lands in ``tenant.notes`` (never in telemetry, which
+        must stay fingerprint-identical run to run).
         """
-        n = config.requests_per_tenant
-        kill_seq = int(n * self.KILL_AT)
-        respawn_seq = int(n * self.RESPAWN_AT)
-        out = []
-        seq = 0
-        for kind, at, payload in events:
-            if kind == "request":
-                if seq == kill_seq:
-                    out.append(("failover", at, "kill"))
-                if seq == respawn_seq:
-                    out.append(("failover", at, "respawn"))
-                seq += 1
-            out.append((kind, at, payload))
-        return out
-
-    def on_failover(self, runner: ScenarioRunner, tenant: TenantState, payload) -> None:
-        """Kill replica 0, or respawn it from a shipped snapshot.
-
-        The kill deliberately does NOT tell the router — the next
-        request that touches the dead replica must discover it and fail
-        over organically.  The respawn is the full production path:
-        quiesce a healthy replica (itself failover-protected), save its
-        shards, ship the snapshot with per-segment checksum
-        re-verification, restore a fresh backend from the shipped copy,
-        and attach it.  Digest/generation evidence lands in
-        ``tenant.notes`` (never in telemetry, which must stay
-        fingerprint-identical run to run).
-        """
-        if not self.inject:
-            return
         router = tenant.engine.index.backend
-        if payload == "kill":
-            router.kill_replica(0)
-            return
-        root = tenant.engine.cluster_root
-        save_dir = root / "respawn-save"
+        save_dir = runner._scratch / "respawn-save"
         saved = tenant.engine.save(save_dir)
         shipped = SegmentStore(save_dir, "lexical").ship_snapshot(
-            root / "respawn-dest"
+            runner._scratch / "respawn-dest"
         )
         replacement = resolve_backend(
-            "lexical", "inproc", root / "respawn-dest", parallel=False
+            "lexical", "inproc", runner._scratch / "respawn-dest", parallel=False
         )
         survivor_digests = router.fanout("digest")
         respawn_digests = replacement.fanout("digest")
@@ -1519,34 +1373,31 @@ class ShardFailoverScenario(Scenario):
         )
         tenant.notes["failover_digest_match"] = survivor_digests == respawn_digests
 
+    incidents = ((KILL_AT, _kill), (RESPAWN_AT, _respawn))
+
     def invariants(self, runner: ScenarioRunner) -> list[InvariantResult]:
         """Transparency bars: discovery, zero sheds, restore, byte-identity.
 
-        The byte-identity bar replays the healthy twin
-        (``inject=False``, same config) and compares the full per-search
+        The byte-identity bar replays the healthy twin (this arm with no
+        incidents, same config) and compares the full per-search
         ``(query, doc_ids)`` logs — rerouted retrievals must be
-        indistinguishable from never having failed at all.
+        indistinguishable from never having failed at all.  The twin
+        judges nothing arm-specific.
         """
-        tenant = runner.tenants[0]
-        root = getattr(tenant.engine, "cluster_root", None)
-        if not self.inject:
-            # The twin judges nothing arm-specific; just drop its scratch.
-            if root is not None:
-                shutil.rmtree(root, ignore_errors=True)
+        if not self.incidents:
             return []
-        router = tenant.engine.index.backend
-        stats = router.stats()
-        try:
-            twin_runner = ScenarioRunner(type(self)(inject=False), runner.config)
-            twin_runner.run()
-            twin_log = twin_runner.tenants[0].search_log
-        finally:
-            if root is not None:
-                shutil.rmtree(root, ignore_errors=True)
+        tenant = runner.tenants[0]
+        stats = tenant.engine.index.backend.stats()
+        twin = ShardFailoverScenario()
+        twin.incidents = ()
+        twin_runner = ScenarioRunner(twin, runner.config)
+        twin_runner.run()
+        twin_log = twin_runner.tenants[0].search_log
         mismatches = sum(
             1 for mine, theirs in zip(tenant.search_log, twin_log) if mine != theirs
         ) + abs(len(tenant.search_log) - len(twin_log))
         totals = sum_counters([t.pipeline.stats for t in runner.tenants])
+        notes = tenant.notes
         return [
             InvariantResult(
                 name="failover_discovered_organically",
@@ -1561,23 +1412,20 @@ class ShardFailoverScenario(Scenario):
                     f"rerouted={stats['rerouted_requests']}"
                 ),
             ),
-            InvariantResult(
-                name="failover_sheds_nothing",
-                passed=totals["shed"] == 0,
-                observed=float(totals["shed"]),
-                bar="== 0",
-                detail="a replica death must not push the scheduler into shedding",
+            _zero_bar(
+                "failover_sheds_nothing",
+                totals["shed"],
+                "a replica death must not push the scheduler into shedding",
             ),
             InvariantResult(
                 name="respawn_restores_generation",
-                passed=tenant.notes.get("failover_generation_match", False)
-                and tenant.notes.get("failover_digest_match", False),
-                observed=float(tenant.notes.get("failover_digest_match", False)),
+                passed=notes.get("failover_generation_match", False)
+                and notes.get("failover_digest_match", False),
+                observed=float(notes.get("failover_digest_match", False)),
                 bar="shipped generation + per-shard digests match the survivor",
                 detail=(
-                    f"generation_match="
-                    f"{tenant.notes.get('failover_generation_match')} "
-                    f"digest_match={tenant.notes.get('failover_digest_match')}"
+                    f"generation_match={notes.get('failover_generation_match')} "
+                    f"digest_match={notes.get('failover_digest_match')}"
                 ),
             ),
             InvariantResult(
@@ -1603,28 +1451,28 @@ class GatewaySoakScenario(Scenario):
     the *same* trace in process on a :class:`VirtualClock` and demands
     the two arms' deterministic serving counters be **byte-identical** —
     plus zero HTTP 500s, schema-valid responses throughout, and a
-    drain receipt conserving every admitted request.  Implemented via
-    :meth:`Scenario.drive`; the shared harness lives in
+    drain receipt conserving every admitted request.  Overrides
+    :meth:`Scenario.run`; the shared harness lives in
     :mod:`repro.gateway.soak`.
     """
 
     name = "gateway_soak"
     description = "live HTTP soak; socket-path counters byte-match the virtual twin"
 
-    def drive(self, runner: ScenarioRunner) -> ScenarioOutcome:
+    def run(self, config: ScenarioConfig | None = None) -> ScenarioOutcome:
         """Run both soak arms and judge the conformance bars."""
         # Imported lazily: repro.gateway imports this package at module
         # load, so a top-level import here would be circular.
         from repro.gateway.soak import SoakConfig, run_soak
 
-        cfg = runner.config
+        cfg = self.adjust(config or ScenarioConfig())
         tenants = tuple(f"tenant{i}" for i in range(cfg.num_tenants))
         outcome = run_soak(
             SoakConfig(
                 seed=cfg.seed,
                 num_requests=cfg.requests_per_tenant * cfg.num_tenants,
                 tenants=tenants,
-                search_every=cfg.search_every,
+                search_every=_SEARCH_EVERY,
                 products_per_category=cfg.products_per_category,
                 sessions_per_tenant=cfg.num_sessions,
             )
@@ -1656,19 +1504,15 @@ class GatewaySoakScenario(Scenario):
                     "must byte-match the same-seed in-process replay"
                 ),
             ),
-            InvariantResult(
-                name="zero_http_500s",
-                passed=outcome.http_500s == 0,
-                observed=float(outcome.http_500s),
-                bar="== 0",
-                detail="no request may surface an internal error",
+            _zero_bar(
+                "zero_http_500s",
+                outcome.http_500s,
+                "no request may surface an internal error",
             ),
-            InvariantResult(
-                name="all_responses_schema_valid",
-                passed=outcome.schema_failures == 0,
-                observed=float(outcome.schema_failures),
-                bar="== 0",
-                detail="every 200 body re-validates against its typed response model",
+            _zero_bar(
+                "all_responses_schema_valid",
+                outcome.schema_failures,
+                "every 200 body re-validates against its typed response model",
             ),
             InvariantResult(
                 name="every_request_answered_200",
@@ -1687,12 +1531,10 @@ class GatewaySoakScenario(Scenario):
                     f"completed={receipt.get('completed')} shed={receipt.get('shed')}"
                 ),
             ),
-            InvariantResult(
-                name="soak_sheds_nothing",
-                passed=receipt.get("shed", -1) == 0,
-                observed=float(receipt.get("shed", -1)),
-                bar="== 0",
-                detail="the conformance trace runs far below the admission bound",
+            _zero_bar(
+                "soak_sheds_nothing",
+                receipt.get("shed", -1),
+                "the conformance trace runs far below the admission bound",
             ),
         ]
         return ScenarioOutcome(
@@ -1736,4 +1578,4 @@ def get_scenario(name: str) -> Scenario:
 
 def run_scenario(name: str, config: ScenarioConfig | None = None) -> ScenarioOutcome:
     """Run one registered scenario end to end and return its outcome."""
-    return ScenarioRunner(get_scenario(name), config).run()
+    return get_scenario(name).run(config)

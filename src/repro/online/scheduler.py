@@ -69,7 +69,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.serving import ServedRewrite, ServedSearch, ServingPipeline
+from repro.core.serving import (
+    ServedRewrite,
+    ServedSearch,
+    ServingPipeline,
+    _nearest_rank,
+)
 from repro.online.clock import VirtualClock
 
 #: request kinds the scheduler batches independently of each other
@@ -171,12 +176,7 @@ class SchedulerReport:
 
     def percentile_queue_delay_seconds(self, q: float) -> float:
         """Nearest-rank percentile of the virtual queueing delay."""
-        if not (0.0 < q <= 1.0):
-            raise ValueError("q must be in (0, 1]")
-        if not self.queue_delays_seconds:
-            return 0.0
-        ordered = sorted(self.queue_delays_seconds)
-        return ordered[math.ceil(q * len(ordered)) - 1]
+        return _nearest_rank(sorted(self.queue_delays_seconds), q)
 
     def p95_queue_delay_seconds(self) -> float:
         """95th-percentile virtual queueing delay."""

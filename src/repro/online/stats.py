@@ -20,9 +20,10 @@ totals for end-of-run reporting.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from collections import deque
+
+from repro.core.serving import _nearest_rank
 
 
 class WindowedStats:
@@ -109,11 +110,7 @@ class WindowedStats:
 
     def percentile_latency_ms(self, q: float) -> float:
         """Nearest-rank percentile over the window — an O(1) array index."""
-        if not (0.0 < q <= 1.0):
-            raise ValueError("q must be in (0, 1]")
-        if not self._sorted:
-            return 0.0
-        return self._sorted[math.ceil(q * len(self._sorted)) - 1]
+        return _nearest_rank(self._sorted, q)
 
     def p50_latency_ms(self) -> float:
         """Windowed median latency."""

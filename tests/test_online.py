@@ -10,7 +10,7 @@ from hypothesis import settings as hyp_settings
 from hypothesis import strategies as hyp_st
 
 from repro.baselines import RuleBasedRewriter
-from repro.core import RewriteCache, ServingConfig, ServingPipeline
+from repro.core import RewriteCache, ServingConfig, ServingPipeline, ServingStats
 from repro.core.rewriter import RewriteResult
 from repro.data.catalog import CatalogConfig, CatalogGenerator, alias_to_canonical
 from repro.data.clicklog import ClickLogConfig, ClickLogSimulator
@@ -18,6 +18,7 @@ from repro.online import (
     FreshnessController,
     ReplayConfig,
     SchedulerConfig,
+    SchedulerReport,
     TrafficReplay,
     VirtualClock,
     WallClock,
@@ -120,6 +121,40 @@ class TestWindowedStats:
             stats.percentile_latency_ms(0.0)
         with pytest.raises(ValueError):
             WindowedStats(window=0)
+
+
+class TestNearestRankPercentile:
+    """``ServingStats``, ``WindowedStats`` and ``SchedulerReport`` read one
+    nearest-rank percentile: equal values on equal samples."""
+
+    SAMPLES = [7.0, 1.0, 3.0, 3.0, 9.0, 2.0, 0.5, 3.0, 11.0, 4.25, 6.0]
+
+    @staticmethod
+    def _three(samples):
+        serving = ServingStats(latencies_ms=list(samples))
+        windowed = WindowedStats(window=max(1, len(samples)))
+        for sample in samples:
+            windowed.record(sample)
+        report = SchedulerReport(queue_delays_seconds=list(samples))
+        return (
+            serving.percentile_latency_ms,
+            windowed.percentile_latency_ms,
+            report.percentile_queue_delay_seconds,
+        )
+
+    @pytest.mark.parametrize("q", [0.01, 0.1, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0])
+    @pytest.mark.parametrize("size", [0, 1, 2, 11])
+    def test_three_stats_types_agree(self, q, size):
+        samples = self.SAMPLES[:size]
+        ordered = sorted(samples)
+        expected = ordered[math.ceil(q * size) - 1] if size else 0.0
+        assert [read(q) for read in self._three(samples)] == [expected] * 3
+
+    @pytest.mark.parametrize("q", [0.0, -0.5, 1.01])
+    def test_three_stats_types_reject_q_outside_unit_interval(self, q):
+        for read in self._three(self.SAMPLES):
+            with pytest.raises(ValueError, match="q must be in"):
+                read(q)
 
 
 class TestFreshnessController:
