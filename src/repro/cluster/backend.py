@@ -147,22 +147,12 @@ class InprocBackend(ShardBackend):
 
     name = "inproc"
 
-    def __init__(self, tier: str, *, num_shards: int | None = None,
-                 indexes: list | None = None, parallel: bool = True):
-        """Wrap ``indexes`` (one per shard), or create ``num_shards``
-        empty lexical shards (the vector tier's geometry lives in its
-        indexes, so it must always pass them)."""
+    def __init__(self, tier: str, *, indexes: list, parallel: bool = True):
+        """Wrap ``indexes``, one per shard (the sharded facades build
+        their own empty shards)."""
         if tier not in OPS:
             raise ValueError(f"unknown tier {tier!r}; expected one of {sorted(OPS)}")
-        if indexes is None:
-            if num_shards is None or num_shards < 1:
-                raise ValueError("num_shards must be >= 1")
-            if tier != "lexical":
-                raise ValueError("pass indexes to build a non-lexical backend")
-            from repro.search.inverted_index import InvertedIndex
-
-            indexes = [InvertedIndex() for _ in range(num_shards)]
-        elif not indexes:
+        if not indexes:
             raise ValueError("indexes must name at least one shard")
         self.tier = tier
         self.num_shards = len(indexes)

@@ -210,18 +210,8 @@ class DirectRewriter:
         self._rng = np.random.default_rng(self.config.seed)
 
     def rewrite(self, query: str | list[str], k: int | None = None) -> list[RewriteResult]:
-        cfg = self.config
-        k = k or cfg.k
-        query_tokens = tokenize(query) if isinstance(query, str) else list(query)
-        if not query_tokens:
-            return []
-        source = self.vocab.encode(query_tokens, add_eos=True)
-        self.model.eval()
-        hyps = top_n_sampling(
-            self.model, np.array([source]), k=k, n=cfg.top_n, max_len=cfg.max_query_len,
-            rng=self._rng, forbid_tokens=(self.vocab.unk_id,),
-        )
-        return self._results_from_hyps(hyps, source, k)
+        """Up to ``k`` rewrites of one query: :meth:`rewrite_batch` of one."""
+        return self.rewrite_batch([query], k)[0]
 
     def rewrite_batch(
         self, queries: list[str | list[str]], k: int | None = None

@@ -40,9 +40,6 @@ class ServingConfig:
     """Serving knobs (paper: at most 3 rewrites per query)."""
 
     max_rewrites: int = 3
-    #: soft latency budget in ms (the paper's backend budget is ~50 ms);
-    #: requests are not cut off, but breaches are counted.
-    latency_budget_ms: float = 50.0
     #: write model-tier results back into the cache tier, so repeated tail
     #: queries promote themselves into the key-value store (the bounded
     #: LRU cache then evicts whatever went cold).
@@ -103,7 +100,6 @@ class ServingStats:
     cache_served: int = 0
     model_served: int = 0
     unserved: int = 0
-    budget_breaches: int = 0
     batches: int = 0
     #: requests accepted into a scheduler's queue (0 when no scheduler
     #: fronts the pipeline; see :mod:`repro.online.scheduler`)
@@ -299,8 +295,6 @@ class ServingPipeline:
 
     def _record(self, source: str, latency_ms: float) -> None:
         self.stats.latencies_ms.append(latency_ms)
-        if latency_ms > self.config.latency_budget_ms:
-            self.stats.budget_breaches += 1
         if source == "cache":
             self.stats.cache_served += 1
         elif source == "model":

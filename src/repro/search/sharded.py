@@ -55,7 +55,7 @@ from typing import NamedTuple
 from repro.cluster import InprocBackend, ProcessBackend, ShardBackend
 from repro.data.catalog import Catalog
 from repro.search.engine import SearchConfig, SearchOutcome
-from repro.search.inverted_index import IndexStats
+from repro.search.inverted_index import IndexStats, InvertedIndex
 from repro.search.ranking import Ranker, make_ranker
 from repro.search.syntax_tree import PackedTree, build_tree, merge_queries, pack
 from repro.text import tokenize
@@ -146,7 +146,8 @@ def resolve_backend(
     cold-starting its own chain via ``SegmentStore.load_shard``), or an
     already-built :class:`~repro.cluster.ShardBackend` /
     :class:`~repro.cluster.ReplicaRouter` instance, returned as-is.
-    Shared by the lexical and vector restore paths.
+    Shared by the lexical and vector restore paths; the store verifies
+    checksums and routing on either load.
     """
     if not isinstance(backend, str):
         if backend.tier != tier:
@@ -161,19 +162,9 @@ def resolve_backend(
             f"unknown backend {backend!r}; expected 'inproc', 'process', "
             "or a ShardBackend instance"
         )
-    import numpy as np
+    from repro.store import SegmentStore
 
-    from repro.store import SegmentCorruptError, SegmentStore
-
-    indexes = SegmentStore(root, tier).load()
-    for shard_id, index in enumerate(indexes):
-        live_ids = index._docs if tier == "lexical" else index._vectors
-        ids = np.fromiter(live_ids, dtype=np.int64, count=len(live_ids))
-        if ids.size and np.any(ids % len(indexes) != shard_id):
-            raise SegmentCorruptError(
-                f"shard {shard_id} holds documents routed to another shard"
-            )
-    return InprocBackend(tier, indexes=indexes, parallel=parallel)
+    return InprocBackend(tier, indexes=SegmentStore(root, tier).load(), parallel=parallel)
 
 
 @dataclass
@@ -191,8 +182,128 @@ class ShardedOutcome:
         return len(self.doc_ids)
 
 
-class ShardedIndex:
+class ShardedTier:
+    """One tier's documents over N single-writer shards behind a backend.
+
+    The base of :class:`ShardedIndex` (lexical) and
+    :class:`~repro.search.vector.ShardedVectorIndex` (vector): backend
+    and tier validation, ``doc_id % num_shards`` routing, persistence
+    into a :class:`~repro.store.SegmentStore` of the class's ``tier``,
+    restore through :func:`resolve_backend`, deployment reporting and
+    release.  A subclass adds its writes and its search.
+    """
+
+    #: ``"lexical"`` or ``"vector"``: the backend ops and store this class uses
+    tier: str
+
+    def __init__(self, num_shards: int, parallel: bool, backend, new_shard):
+        """Fresh thread-backed shards (``new_shard(i)`` builds shard
+        ``i``) when ``backend`` is None; otherwise the injected backend,
+        which must serve this class's tier."""
+        if backend is None:
+            if num_shards < 1:
+                raise ValueError("num_shards must be >= 1")
+            backend = InprocBackend(
+                self.tier,
+                indexes=[new_shard(i) for i in range(num_shards)],
+                parallel=parallel,
+            )
+        elif backend.tier != self.tier:
+            raise ValueError(
+                f"backend serves tier {backend.tier!r}, expected {self.tier!r}"
+            )
+        self._backend = backend
+        self.num_shards = backend.num_shards
+        self.parallel = getattr(backend, "parallel", True)
+
+    @property
+    def backend(self) -> ShardBackend:
+        """The shard backend this index routes through."""
+        return self._backend
+
+    # -- partitioning ---------------------------------------------------------
+    def shard_of(self, doc_id: int) -> int:
+        """The owning shard: ``doc_id % num_shards``."""
+        return doc_id % self.num_shards
+
+    def shard_sizes(self) -> list[int]:
+        """Live document count per shard."""
+        return self._backend.fanout("shard_size")
+
+    def __len__(self) -> int:
+        return sum(self.shard_sizes())
+
+    def __contains__(self, doc_id: int) -> bool:
+        return self._backend.call(self.shard_of(doc_id), "contains", doc_id)
+
+    # -- persistence -----------------------------------------------------------
+    #: store metadata a save records (``None`` keeps the store's own)
+    _store_meta: dict | None = None
+
+    def save(self, root):
+        """Persist every shard into a segment store of this tier at ``root``.
+
+        Quiesces the backend for the snapshot (in-process: all shard
+        mutexes held; worker processes: consistent pickled copies).
+        Incremental after the first save: unchanged shards write
+        nothing, churned shards append a delta segment, heavily churned
+        or (vector) re-fit shards rewrite their base.  Returns the new
+        :class:`~repro.store.Manifest`.
+        """
+        from repro.store import SegmentStore
+
+        store = SegmentStore(root, self.tier)
+        with self._backend.quiesce() as indexes:
+            return store.save(indexes, meta=self._store_meta)
+
+    @classmethod
+    def load(
+        cls,
+        root,
+        *,
+        parallel: bool = True,
+        backend: str | ShardBackend = "inproc",
+        timeout: float | None = None,
+    ):
+        """Restore an index saved by :meth:`save`.
+
+        The shard count (and the vector tier's geometry) comes from the
+        store.  ``backend`` picks the deployment: ``"inproc"`` decodes
+        every shard in this process (thread fan-out, the default),
+        ``"process"`` spawns one worker per shard that cold-starts its
+        own chain (``timeout`` bounds each RPC).  Checksums and routing
+        (``doc_id % num_shards``) are verified by the store on either
+        path; every failure raises a typed :class:`~repro.store.StoreError`.
+        """
+        return cls._from_backend(
+            resolve_backend(cls.tier, backend, root, parallel=parallel, timeout=timeout)
+        )
+
+    @classmethod
+    def _from_backend(cls, backend):
+        """An index over a restored ``backend`` (the tail of :meth:`load`)."""
+        return cls(backend=backend)
+
+    # -- deployment reporting --------------------------------------------------
+    def cluster_stats(self) -> dict:
+        """Backend choice + failover counters (see ``ServingStats``)."""
+        return dict(self._backend.describe())
+
+    def close(self) -> None:
+        """Release the backend (threads or worker processes; idempotent)."""
+        self._backend.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class ShardedIndex(ShardedTier):
     """Documents partitioned over N single-writer inverted-index shards."""
+
+    tier = "lexical"
 
     def __init__(
         self,
@@ -205,19 +316,7 @@ class ShardedIndex:
         pre-built deployment (a loaded :class:`~repro.cluster.
         ProcessBackend`, a :class:`~repro.cluster.ReplicaRouter`, ...) —
         global statistics are then rebuilt from the backend's shards."""
-        if backend is None:
-            if num_shards < 1:
-                raise ValueError("num_shards must be >= 1")
-            backend = InprocBackend(
-                "lexical", num_shards=num_shards, parallel=parallel
-            )
-        elif backend.tier != "lexical":
-            raise ValueError(
-                f"backend serves tier {backend.tier!r}, expected 'lexical'"
-            )
-        self._backend = backend
-        self.num_shards = backend.num_shards
-        self.parallel = getattr(backend, "parallel", True)
+        super().__init__(num_shards, parallel, backend, lambda _: InvertedIndex())
         # Global corpus statistics are maintained incrementally on every
         # write (O(distinct tokens of the doc)), so interleaved churn and
         # search never pays a full-vocabulary rescan.
@@ -240,26 +339,6 @@ class ShardedIndex:
             self._total_length += total_length
             for token, count in dfs.items():
                 self._dfs[token] = self._dfs.get(token, 0) + count
-
-    @property
-    def backend(self) -> ShardBackend:
-        """The shard backend this index routes through."""
-        return self._backend
-
-    # -- partitioning ---------------------------------------------------------
-    def shard_of(self, doc_id: int) -> int:
-        """The owning shard: ``doc_id % num_shards``."""
-        return doc_id % self.num_shards
-
-    def shard_sizes(self) -> list[int]:
-        """Live document count per shard."""
-        return self._backend.fanout("shard_size")
-
-    def __len__(self) -> int:
-        return sum(self.shard_sizes())
-
-    def __contains__(self, doc_id: int) -> bool:
-        return self._backend.call(self.shard_of(doc_id), "contains", doc_id)
 
     # -- incremental maintenance ----------------------------------------------
     def add_document(self, doc_id: int, tokens: list[str] | tuple[str, ...]) -> None:
@@ -342,50 +421,6 @@ class ShardedIndex:
                 },
             )
 
-    # -- persistence -----------------------------------------------------------
-    def save(self, root):
-        """Persist every shard into a ``"lexical"`` segment store at ``root``.
-
-        Quiesces the backend for the snapshot (in-process: all shard
-        mutexes held; worker processes: consistent pickled copies).
-        Incremental after the first save: unchanged shards write
-        nothing, churned shards append a delta segment, heavily churned
-        shards rewrite their base.  Returns the new
-        :class:`~repro.store.Manifest`.
-        """
-        from repro.store import SegmentStore
-
-        store = SegmentStore(root, "lexical")
-        with self._backend.quiesce() as indexes:
-            return store.save(indexes)
-
-    @classmethod
-    def load(
-        cls,
-        root,
-        *,
-        parallel: bool = True,
-        backend: str | ShardBackend = "inproc",
-        timeout: float | None = None,
-    ) -> "ShardedIndex":
-        """Restore a sharded index saved by :meth:`save`.
-
-        The shard count comes from the store.  ``backend`` picks the
-        deployment: ``"inproc"`` decodes every shard in this process
-        (thread fan-out, the default), ``"process"`` spawns one worker
-        per shard that cold-starts its own chain (``timeout`` bounds
-        each RPC).  Global corpus statistics are rebuilt as exact
-        integer sums over the decoded shards, so BM25 scores after a
-        reload are bit-identical to the live index the store was saved
-        from.  Routing is re-validated; every checksum failure raises a
-        typed :class:`~repro.store.StoreError`.
-        """
-        return cls(
-            backend=resolve_backend(
-                "lexical", backend, root, parallel=parallel, timeout=timeout
-            )
-        )
-
     # -- fan-out search --------------------------------------------------------
     def search(
         self,
@@ -452,21 +487,6 @@ class ShardedIndex:
                 )
             )
         return outcomes
-
-    # -- deployment reporting --------------------------------------------------
-    def cluster_stats(self) -> dict:
-        """Backend choice + failover counters (see ``ServingStats``)."""
-        return dict(self._backend.describe())
-
-    def close(self) -> None:
-        """Release the backend (threads or worker processes; idempotent)."""
-        self._backend.close()
-
-    def __enter__(self) -> "ShardedIndex":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class ShardedSearchEngine:

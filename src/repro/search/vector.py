@@ -51,9 +51,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster import InprocBackend, ShardBackend
+from repro.cluster import ShardBackend
 from repro.search.ranking import top_k_by_score
-from repro.search.sharded import merge_topk, resolve_backend
+from repro.search.sharded import ShardedTier, merge_topk
 
 
 def spherical_kmeans(
@@ -362,11 +362,12 @@ class VectorIndex:
         return top_k_by_score(ids, matrix @ query, k)
 
 
-class ShardedVectorIndex:
+class ShardedVectorIndex(ShardedTier):
     """Vectors partitioned over N single-writer :class:`VectorIndex` shards.
 
     The same fan-out/merge discipline as the lexical
-    :class:`~repro.search.sharded.ShardedIndex`: routing is
+    :class:`~repro.search.sharded.ShardedIndex`, from the same
+    :class:`~repro.search.sharded.ShardedTier` base: routing is
     ``doc_id % num_shards`` (stable, no routing table), shard state
     lives behind a pluggable :class:`~repro.cluster.ShardBackend`
     (threads in-process by default, worker processes or a replica
@@ -376,6 +377,8 @@ class ShardedVectorIndex:
     the merged top-k at full probe width equals an unsharded exact
     search, on every backend.
     """
+
+    tier = "vector"
 
     def __init__(
         self,
@@ -391,44 +394,31 @@ class ShardedVectorIndex:
         """Fresh thread-backed shards by default (shard ``i`` seeds its
         k-means at ``seed + i``); ``backend`` injects any pre-built
         deployment and must match ``dim``."""
-        if backend is None:
-            if num_shards < 1:
-                raise ValueError("num_shards must be >= 1")
-            indexes = [
-                VectorIndex(
-                    dim, num_clusters=num_clusters, nprobe=nprobe, seed=seed + i
-                )
-                for i in range(num_shards)
-            ]
-            backend = InprocBackend("vector", indexes=indexes, parallel=parallel)
-        elif backend.tier != "vector":
-            raise ValueError(
-                f"backend serves tier {backend.tier!r}, expected 'vector'"
-            )
+        super().__init__(
+            num_shards,
+            parallel,
+            backend,
+            lambda i: VectorIndex(
+                dim, num_clusters=num_clusters, nprobe=nprobe, seed=seed + i
+            ),
+        )
         self.dim = dim
-        self._backend = backend
-        self.num_shards = backend.num_shards
-        self.parallel = getattr(backend, "parallel", True)
+        self._store_meta = {"dim": dim}
 
-    @property
-    def backend(self) -> ShardBackend:
-        """The shard backend this index routes through."""
-        return self._backend
+    @classmethod
+    def _from_backend(cls, backend) -> "ShardedVectorIndex":
+        """The restored index, its ``dim`` read from the shards (which
+        must agree)."""
+        from repro.store import SegmentCorruptError
 
-    # -- partitioning ---------------------------------------------------------
-    def shard_of(self, doc_id: int) -> int:
-        """The owning shard: ``doc_id % num_shards``."""
-        return doc_id % self.num_shards
-
-    def shard_sizes(self) -> list[int]:
-        """Live document count per shard."""
-        return self._backend.fanout("shard_size")
-
-    def __len__(self) -> int:
-        return sum(self.shard_sizes())
-
-    def __contains__(self, doc_id: int) -> bool:
-        return self._backend.call(self.shard_of(doc_id), "contains", doc_id)
+        metas = backend.fanout("meta")
+        dims = {meta["dim"] for meta in metas}
+        if len(dims) != 1:
+            backend.close()
+            raise SegmentCorruptError(
+                f"shards disagree on vector dim: {sorted(dims)}"
+            )
+        return cls(metas[0]["dim"], backend=backend)
 
     # -- incremental maintenance ----------------------------------------------
     def fit(self, doc_ids, vectors: np.ndarray) -> None:
@@ -456,54 +446,6 @@ class ShardedVectorIndex:
         """Delete from the owning shard (single-writer discipline)."""
         self._backend.call(self.shard_of(doc_id), "remove", doc_id)
 
-    # -- persistence -----------------------------------------------------------
-    def save(self, root):
-        """Persist every shard into a ``"vector"`` segment store at ``root``.
-
-        Quiesces the backend for the snapshot (single-writer
-        discipline: churn excluded for the duration).  Incremental:
-        after the first save, only changed shards get a delta segment —
-        unless a shard was re-fit, which forces a full rewrite of that
-        shard.  Returns the new :class:`~repro.store.Manifest`.
-        """
-        from repro.store import SegmentStore
-
-        store = SegmentStore(root, "vector")
-        with self._backend.quiesce() as indexes:
-            return store.save(indexes, meta={"dim": self.dim})
-
-    @classmethod
-    def load(
-        cls,
-        root,
-        *,
-        parallel: bool = True,
-        backend: str | ShardBackend = "inproc",
-        timeout: float | None = None,
-    ) -> "ShardedVectorIndex":
-        """Restore a sharded vector index saved by :meth:`save`.
-
-        Shard count and per-shard geometry come from the store;
-        ``backend`` picks the deployment (``"inproc"`` decodes here,
-        ``"process"`` cold-starts one worker per shard — see
-        :meth:`~repro.search.sharded.ShardedIndex.load`).  Every segment
-        is checksum-verified; routing (``doc_id % num_shards``) is
-        re-validated against the decoded shards.
-        """
-        from repro.store import SegmentCorruptError
-
-        resolved = resolve_backend(
-            "vector", backend, root, parallel=parallel, timeout=timeout
-        )
-        metas = resolved.fanout("meta")
-        dims = {meta["dim"] for meta in metas}
-        if len(dims) != 1:
-            resolved.close()
-            raise SegmentCorruptError(
-                f"shards disagree on vector dim: {sorted(dims)}"
-            )
-        return cls(metas[0]["dim"], backend=resolved)
-
     # -- fan-out search --------------------------------------------------------
     def search(
         self, query: np.ndarray, k: int, *, nprobe: int | None = None
@@ -512,18 +454,3 @@ class ShardedVectorIndex:
         query = np.asarray(query, dtype=np.float64)
         per_shard = self._backend.fanout("search", query, k, nprobe)
         return merge_topk(per_shard, k)
-
-    # -- deployment reporting --------------------------------------------------
-    def cluster_stats(self) -> dict:
-        """Backend choice + failover counters (see ``ServingStats``)."""
-        return dict(self._backend.describe())
-
-    def close(self) -> None:
-        """Release the backend (threads or worker processes; idempotent)."""
-        self._backend.close()
-
-    def __enter__(self) -> "ShardedVectorIndex":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -26,11 +26,19 @@ Decoders validate shape and ordering invariants (sorted postings,
 consistent totals, in-range token ids) on top of the block checksums
 and raise :class:`~repro.store.errors.SegmentCorruptError` on any
 mismatch; they never return a half-built index.
+
+:data:`TIERS` holds one :class:`TierCodec` per tier — its two segment
+kinds and their codecs, the shard's live documents, content equality
+for the delta diff, and the re-fit rule — which is everything
+:class:`~repro.store.SegmentStore` needs to know about a tier.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -38,6 +46,7 @@ from repro.search.inverted_index import InvertedIndex
 from repro.search.vector import VectorIndex, _Cell
 from repro.store import blocks
 from repro.store.errors import SegmentCorruptError
+from repro.store.manifest import KINDS_BY_TIER
 
 _POSTINGS_HEADER = struct.Struct("<QQQQ")
 _POSTINGS_DELTA_HEADER = struct.Struct("<QQQ")
@@ -258,8 +267,9 @@ def encode_postings_delta(
 
 def decode_postings_delta(
     data: bytes, *, expected_crc: int | None = None
-) -> tuple[dict[int, tuple[str, ...]], list[int]]:
-    """Decode a postings delta into ``(added docs, removed doc ids)``."""
+) -> tuple[list[tuple[int, tuple[str, ...]]], list[int]]:
+    """Decode a postings delta into ``([(doc id, tokens)...], removed ids)``,
+    added documents in ascending id order."""
     _, sections = blocks.unpack_segment(
         data, expected_kind=blocks.KIND_POSTINGS_DELTA, expected_crc=expected_crc
     )
@@ -284,21 +294,7 @@ def decode_postings_delta(
     if flat.size != num_tokens:
         raise SegmentCorruptError("added token payload length mismatch")
     docs = _decode_docs(tokens, doc_ids, doc_lengths, flat, "postings delta")
-    return docs, removed.tolist()
-
-
-def apply_postings_delta(index: InvertedIndex, data: bytes, *, expected_crc=None) -> None:
-    """Replay one delta onto ``index``: removals first, then additions."""
-    docs, removed = decode_postings_delta(data, expected_crc=expected_crc)
-    try:
-        for doc_id in removed:
-            index.remove_document(doc_id)
-        for doc_id in sorted(docs):
-            index.add_document(doc_id, docs[doc_id])
-    except (KeyError, ValueError) as error:
-        raise SegmentCorruptError(
-            f"postings delta does not apply to its base segment: {error}"
-        ) from None
+    return list(docs.items()), removed.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +441,9 @@ def encode_vectors_delta(
 
 def decode_vectors_delta(
     data: bytes, *, expected_crc: int | None = None
-) -> tuple[list[int], np.ndarray, list[int]]:
-    """Decode a vector delta into ``(added ids, added vectors, removed ids)``."""
+) -> tuple[list[tuple[int, np.ndarray]], list[int]]:
+    """Decode a vector delta into ``([(doc id, vector)...], removed ids)``,
+    added rows in ascending id order."""
     _, sections = blocks.unpack_segment(
         data, expected_kind=blocks.KIND_VECTORS_DELTA, expected_crc=expected_crc
     )
@@ -472,24 +469,83 @@ def decode_vectors_delta(
         raise SegmentCorruptError("added ids are not strictly increasing")
     if flat.size != num_added * dim:
         raise SegmentCorruptError("added-vector payload does not match the id count")
-    return added.tolist(), flat.reshape(num_added, dim), removed.tolist()
+    return list(zip(added.tolist(), flat.reshape(num_added, dim))), removed.tolist()
 
 
-def apply_vectors_delta(index: VectorIndex, data: bytes, *, expected_crc=None) -> None:
-    """Replay one vector delta onto ``index``: removals, then additions.
+# ---------------------------------------------------------------------------
+# the per-tier record
+# ---------------------------------------------------------------------------
+def _centroids_moved(persisted: VectorIndex, live: VectorIndex) -> bool:
+    """Whether ``live`` was re-fit since ``persisted``: a delta replay
+    assigns each vector to a frozen centroid, so it cannot reproduce a
+    new cell layout."""
+    a, b = persisted.centroids, live.centroids
+    return (a is None) != (b is None) or (a is not None and not np.array_equal(a, b))
 
-    Additions go through :meth:`VectorIndex.add_document`, which assigns
-    each vector to the nearest centroid — the same computation the live
-    index performed, so the reconstructed cell layout matches exactly
-    (the store writes a full segment instead whenever centroids moved).
+
+@dataclass(frozen=True)
+class TierCodec:
+    """What one tier's shard is to :class:`~repro.store.SegmentStore`.
+
+    ``full_kind`` / ``delta_kind`` name the two segment kinds, each with
+    its encoder and decoder; ``decode_delta`` returns
+    ``([(doc id, content)...], removed ids)``.  ``live(index)`` is the
+    shard's ``{doc_id: content}`` map (token tuples or vectors): the ids
+    a segment records and routing checks, and the content the delta diff
+    compares with ``same``.  ``refit(persisted, live)`` is True when a
+    delta could not reproduce the live shard, forcing a base rewrite.
     """
-    added, vectors, removed = decode_vectors_delta(data, expected_crc=expected_crc)
-    try:
-        for doc_id in removed:
-            index.remove_document(doc_id)
-        for doc_id, vector in zip(added, vectors):
-            index.add_document(doc_id, vector)
-    except (KeyError, ValueError) as error:
-        raise SegmentCorruptError(
-            f"vectors delta does not apply to its base segment: {error}"
-        ) from None
+
+    full_kind: str
+    delta_kind: str
+    encode_full: Callable[[Any], bytes]
+    decode_full: Callable[..., Any]
+    encode_delta: Callable[[Any, list, list], bytes]
+    decode_delta: Callable[..., tuple[list, list]]
+    live: Callable[[Any], Mapping]
+    same: Callable[[Any, Any], bool]
+    refit: Callable[[Any, Any], bool]
+
+    def replay(self, index, rows: list, removed: list[int]) -> None:
+        """Apply one decoded delta onto ``index``: removals, then additions.
+
+        Additions go through the index's own ``add_document``; for the
+        vector tier that assigns each vector to the nearest centroid —
+        the computation the live index performed, so the rebuilt cell
+        layout matches exactly (the store writes a full segment instead
+        whenever centroids moved).
+        """
+        try:
+            for doc_id in removed:
+                index.remove_document(doc_id)
+            for doc_id, content in rows:
+                index.add_document(doc_id, content)
+        except (KeyError, ValueError) as error:
+            raise SegmentCorruptError(
+                f"{self.full_kind} delta does not apply to its base segment: {error}"
+            ) from None
+
+
+#: the segment store's view of each tier, by tier name
+TIERS = {
+    "lexical": TierCodec(
+        *KINDS_BY_TIER["lexical"],
+        encode_full=encode_postings_segment,
+        decode_full=decode_postings_segment,
+        encode_delta=encode_postings_delta,
+        decode_delta=decode_postings_delta,
+        live=operator.attrgetter("_docs"),
+        same=operator.eq,
+        refit=lambda persisted, live: False,
+    ),
+    "vector": TierCodec(
+        *KINDS_BY_TIER["vector"],
+        encode_full=encode_vectors_segment,
+        decode_full=decode_vectors_segment,
+        encode_delta=encode_vectors_delta,
+        decode_delta=decode_vectors_delta,
+        live=operator.attrgetter("_vectors"),
+        same=np.array_equal,
+        refit=_centroids_moved,
+    ),
+}

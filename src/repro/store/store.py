@@ -26,9 +26,15 @@ consistent.
 
 Read path (:meth:`load`): manifest → per-shard chain (base + deltas in
 generation order) → decode with every check on: block checksums, the
-manifest's payload checksum, and the manifest's doc-count/id-range
-records cross-checked against the decoded state.  Any mismatch raises
-a typed :class:`~repro.store.errors.StoreError` subclass.
+manifest's payload checksum, the manifest's doc-count/id-range records
+cross-checked against the decoded state, and routing (every id in
+shard ``doc_id % num_shards``).  Any mismatch raises a typed
+:class:`~repro.store.errors.StoreError` subclass.
+
+What a tier's shard *is* — its segment kinds and codecs, live
+documents, content equality and re-fit rule — the store reads from the
+tier's :class:`~repro.store.segments.TierCodec`; it never branches on
+the tier itself.
 
 Compaction (:meth:`compact`): loads the current state, rewrites one
 fresh full segment per shard at the next generation, and deletes every
@@ -43,15 +49,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.store import segments as codecs
 from repro.store.blocks import payload_checksum, unpack_segment
 from repro.store.errors import ManifestError, SegmentCorruptError
-from repro.store.manifest import (
-    KINDS_BY_TIER,
-    MANIFEST_NAME,
-    Manifest,
-    SegmentRef,
-)
+from repro.store.manifest import MANIFEST_NAME, Manifest, SegmentRef
+from repro.store.segments import TIERS
 
 #: rewrite a shard's base instead of appending a delta when the changed
 #: document count exceeds this fraction of the live shard
@@ -76,16 +77,26 @@ def _id_range(doc_ids) -> tuple[int, int]:
     return int(min(ids)), int(max(ids))
 
 
+def _check_routing(doc_ids, shard_id: int, num_shards: int) -> None:
+    """Refuse a shard holding any id with ``doc_id % num_shards != shard_id``."""
+    ids = np.fromiter(doc_ids, dtype=np.int64, count=len(doc_ids))
+    if ids.size and np.any(ids % num_shards != shard_id):
+        raise SegmentCorruptError(
+            f"shard {shard_id} holds documents routed to another shard"
+        )
+
+
 class SegmentStore:
     """Save/load/compact one tier's sharded indexes under a directory."""
 
     def __init__(self, root, tier: str):
         """``tier`` is ``"lexical"`` or ``"vector"``; the directory is
         created lazily on the first :meth:`save`."""
-        if tier not in KINDS_BY_TIER:
-            raise ValueError(f"unknown tier {tier!r}; expected one of {sorted(KINDS_BY_TIER)}")
+        if tier not in TIERS:
+            raise ValueError(f"unknown tier {tier!r}; expected one of {sorted(TIERS)}")
         self.root = Path(root)
         self.tier = tier
+        self._codec = TIERS[tier]
 
     # -- manifest ------------------------------------------------------------
     @property
@@ -120,42 +131,37 @@ class SegmentStore:
         tmp.write_text(manifest.to_json(), encoding="utf-8")
         os.replace(tmp, self.manifest_path)
 
-    def _segment_name(self, shard: int, generation: int, kind: str) -> str:
-        return f"{self.tier}-s{shard:03d}-g{generation:06d}.{kind}.seg"
+    # -- encode --------------------------------------------------------------
+    def _ref(self, shard_id: int, generation: int, kind: str, data: bytes,
+             counts: tuple[int, int], touched, writes) -> SegmentRef:
+        """Queue ``data`` for writing and describe it for the manifest.
 
-    # -- encode helpers ------------------------------------------------------
-    def _encode_full(self, index) -> tuple[bytes, int, int, tuple[int, int]]:
-        """(file bytes, checksum, payload bytes, id range) of a full segment."""
-        if self.tier == "lexical":
-            data = codecs.encode_postings_segment(index)
-            ids = index._docs
-        else:
-            data = codecs.encode_vectors_segment(index)
-            ids = index._vectors
+        ``counts`` is (documents added, documents removed); ``touched``
+        the ids the segment carries.
+        """
+        name = f"{self.tier}-s{shard_id:03d}-g{generation:06d}.{kind}.seg"
+        writes.append((name, data))
         _, sections = unpack_segment(data)
-        return data, payload_checksum(sections), sum(map(len, sections)), _id_range(ids)
-
-    def _encode_delta(
-        self, index, added: list[int], removed: list[int]
-    ) -> tuple[bytes, int, int, tuple[int, int]]:
-        """(file bytes, checksum, payload bytes, id range) of a delta."""
-        if self.tier == "lexical":
-            data = codecs.encode_postings_delta(index, added, removed)
-        else:
-            data = codecs.encode_vectors_delta(index, added, removed)
-        _, sections = unpack_segment(data)
-        return (
-            data,
-            payload_checksum(sections),
-            sum(map(len, sections)),
-            _id_range(list(added) + list(removed)),
+        lo, hi = _id_range(touched)
+        return SegmentRef(
+            name=name,
+            kind=kind,
+            shard=shard_id,
+            generation=generation,
+            checksum=payload_checksum(sections),
+            payload_bytes=sum(map(len, sections)),
+            doc_count=counts[0],
+            removed_count=counts[1],
+            min_doc_id=lo,
+            max_doc_id=hi,
         )
 
-    def _full_kind(self) -> str:
-        return "postings" if self.tier == "lexical" else "vectors"
-
-    def _delta_kind(self) -> str:
-        return f"{self._full_kind()}_delta"
+    def _full_ref(self, shard_id: int, generation: int, index, writes) -> SegmentRef:
+        codec = self._codec
+        return self._ref(
+            shard_id, generation, codec.full_kind, codec.encode_full(index),
+            (len(index), 0), codec.live(index), writes,
+        )
 
     # -- diffing -------------------------------------------------------------
     def _diff_shard(self, persisted, live) -> tuple[list[int], list[int], bool]:
@@ -164,27 +170,20 @@ class SegmentStore:
         A document whose content changed (same id, different tokens or
         vector) appears in both lists — the delta removes the old row and
         re-adds the new one.  ``must_rewrite`` is True when a delta could
-        not reproduce the live state (vector centroids changed, meaning
-        every cell assignment may have moved).
+        not reproduce the live state (the tier's re-fit rule: vector
+        centroids changed, meaning every cell assignment may have moved).
         """
-        if self.tier == "lexical":
-            old, new = persisted._docs, live._docs
-            changed = lambda doc_id: old[doc_id] != new[doc_id]  # noqa: E731
-            rewrite = False
-        else:
-            old, new = persisted._vectors, live._vectors
-            changed = lambda doc_id: not np.array_equal(old[doc_id], new[doc_id])  # noqa: E731
-            a, b = persisted.centroids, live.centroids
-            rewrite = (a is None) != (b is None) or (
-                a is not None and not np.array_equal(a, b)
-            )
+        codec = self._codec
+        old, new = codec.live(persisted), codec.live(live)
         removed = sorted(
-            doc_id for doc_id in old if doc_id not in new or changed(doc_id)
+            doc_id for doc_id in old
+            if doc_id not in new or not codec.same(old[doc_id], new[doc_id])
         )
         added = sorted(
-            doc_id for doc_id in new if doc_id not in old or changed(doc_id)
+            doc_id for doc_id in new
+            if doc_id not in old or not codec.same(old[doc_id], new[doc_id])
         )
-        return added, removed, rewrite
+        return added, removed, codec.refit(persisted, live)
 
     # -- save ----------------------------------------------------------------
     def save(self, shards: list, *, meta: dict | None = None, force_full: bool = False) -> Manifest:
@@ -195,11 +194,16 @@ class SegmentStore:
         automatic base rewrite when a shard churned past
         :data:`FULL_REWRITE_FRACTION` of its live size or (vector tier)
         was re-fit.  A save with no changes returns the current manifest
-        untouched.  Callers must quiesce writers for the duration (the
+        untouched.  A shard holding a document routed elsewhere
+        (``doc_id % len(shards)``) raises
+        :class:`~repro.store.SegmentCorruptError` before any file is
+        written.  Callers must quiesce writers for the duration (the
         sharded indexes' ``save`` methods hold every shard lock).
         """
         if not shards:
             raise ValueError("save needs at least one shard")
+        for shard_id, live in enumerate(shards):
+            _check_routing(self._codec.live(live), shard_id, len(shards))
         self.root.mkdir(parents=True, exist_ok=True)
 
         previous: Manifest | None = None
@@ -231,24 +235,12 @@ class SegmentStore:
             if must_rewrite or (len(added) + len(removed)) / live_size > FULL_REWRITE_FRACTION:
                 refs.append(self._full_ref(shard_id, generation, live, writes))
             else:
-                name = self._segment_name(shard_id, generation, self._delta_kind())
-                data, checksum, payload_bytes, (lo, hi) = self._encode_delta(
-                    live, added, removed
-                )
-                writes.append((name, data))
                 refs.extend(previous.chain_for_shard(shard_id))
                 refs.append(
-                    SegmentRef(
-                        name=name,
-                        kind=self._delta_kind(),
-                        shard=shard_id,
-                        generation=generation,
-                        checksum=checksum,
-                        payload_bytes=payload_bytes,
-                        doc_count=len(added),
-                        removed_count=len(removed),
-                        min_doc_id=lo,
-                        max_doc_id=hi,
+                    self._ref(
+                        shard_id, generation, self._codec.delta_kind,
+                        self._codec.encode_delta(live, added, removed),
+                        (len(added), len(removed)), added + removed, writes,
                     )
                 )
 
@@ -267,31 +259,15 @@ class SegmentStore:
         self._write_manifest(manifest)
         return manifest
 
-    def _full_ref(self, shard_id: int, generation: int, live, writes) -> SegmentRef:
-        name = self._segment_name(shard_id, generation, self._full_kind())
-        data, checksum, payload_bytes, (lo, hi) = self._encode_full(live)
-        writes.append((name, data))
-        return SegmentRef(
-            name=name,
-            kind=self._full_kind(),
-            shard=shard_id,
-            generation=generation,
-            checksum=checksum,
-            payload_bytes=payload_bytes,
-            doc_count=len(live),
-            removed_count=0,
-            min_doc_id=lo,
-            max_doc_id=hi,
-        )
-
     # -- load ----------------------------------------------------------------
     def load(self) -> list:
         """Reconstruct every shard's index, fully verified.
 
         Applies each shard's chain (base, then deltas in generation
-        order) with block checksums, manifest payload checksums, and the
-        manifest's doc-count / id-range records all enforced.  Returns
-        the per-shard index list in shard order.
+        order) with block checksums, manifest payload checksums, the
+        manifest's doc-count / id-range records and the routing check
+        (``doc_id % num_shards == shard_id``) all enforced.  Returns the
+        per-shard index list in shard order.
         """
         return self._load_indexes(self.manifest())
 
@@ -300,10 +276,9 @@ class SegmentStore:
 
         The worker cold-start path: a shard worker process restores only
         its own partition — O(shard) decode instead of O(store) — with
-        the same verification as :meth:`load` plus a routing check
-        (``doc_id % num_shards == shard_id``), so a mislabeled or
-        misrouted chain fails the boot instead of silently serving
-        another shard's documents.
+        the same verification as :meth:`load`, routing check included,
+        so a mislabeled or misrouted chain fails the boot instead of
+        silently serving another shard's documents.
         """
         manifest = self.manifest()
         if not 0 <= shard_id < manifest.num_shards:
@@ -311,14 +286,7 @@ class SegmentStore:
                 f"shard {shard_id} out of range for a "
                 f"{manifest.num_shards}-shard store"
             )
-        index = self._load_shard(manifest, shard_id)
-        live_ids = index._docs if self.tier == "lexical" else index._vectors
-        ids = np.fromiter(live_ids, dtype=np.int64, count=len(live_ids))
-        if ids.size and np.any(ids % manifest.num_shards != shard_id):
-            raise SegmentCorruptError(
-                f"shard {shard_id} holds documents routed to another shard"
-            )
-        return index
+        return self._load_shard(manifest, shard_id)
 
     def _load_indexes(self, manifest: Manifest) -> list:
         return [
@@ -327,36 +295,25 @@ class SegmentStore:
         ]
 
     def _load_shard(self, manifest: Manifest, shard_id: int):
-        chain = manifest.chain_for_shard(shard_id)
-        base, deltas = chain[0], chain[1:]
-        data = read_segment_file(self.root / base.name)
-        if self.tier == "lexical":
-            index = codecs.decode_postings_segment(
-                data, expected_crc=base.checksum
-            )
-            live_ids = index._docs
-        else:
-            index = codecs.decode_vectors_segment(
-                data, expected_crc=base.checksum
-            )
-            live_ids = index._vectors
-        self._check_ref(base, len(index), _id_range(live_ids))
+        """Decode one shard's chain and check every ref and the routing.
+
+        The one shard-chain decoder behind :meth:`load`,
+        :meth:`load_shard`, :meth:`compact` and :meth:`save`'s diff.
+        """
+        codec = self._codec
+        base, *deltas = manifest.chain_for_shard(shard_id)
+        index = codec.decode_full(
+            read_segment_file(self.root / base.name), expected_crc=base.checksum
+        )
+        self._check_ref(base, len(index), _id_range(codec.live(index)))
         for ref in deltas:
-            data = read_segment_file(self.root / ref.name)
-            if self.tier == "lexical":
-                docs, removed = codecs.decode_postings_delta(
-                    data, expected_crc=ref.checksum
-                )
-                touched = list(docs) + removed
-                self._check_ref(ref, len(docs), _id_range(touched), removed=len(removed))
-                codecs.apply_postings_delta(index, data, expected_crc=ref.checksum)
-            else:
-                added, vectors, removed = codecs.decode_vectors_delta(
-                    data, expected_crc=ref.checksum
-                )
-                touched = added + removed
-                self._check_ref(ref, len(added), _id_range(touched), removed=len(removed))
-                codecs.apply_vectors_delta(index, data, expected_crc=ref.checksum)
+            rows, removed = codec.decode_delta(
+                read_segment_file(self.root / ref.name), expected_crc=ref.checksum
+            )
+            added = [doc_id for doc_id, _ in rows]
+            self._check_ref(ref, len(added), _id_range(added + removed), removed=len(removed))
+            codec.replay(index, rows, removed)
+        _check_routing(codec.live(index), shard_id, manifest.num_shards)
         return index
 
     @staticmethod

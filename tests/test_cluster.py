@@ -12,6 +12,7 @@ broadcast writes, and the snapshot-ship path
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -31,7 +32,7 @@ from repro.search.inverted_index import InvertedIndex
 from repro.search.ranking import BM25Ranker
 from repro.search.sharded import ShardedIndex
 from repro.search.syntax_tree import build_tree
-from repro.store import ManifestError, SegmentCorruptError, SegmentStore
+from repro.store import MANIFEST_NAME, ManifestError, SegmentCorruptError, SegmentStore
 
 NUM_DOCS = 20
 
@@ -322,13 +323,31 @@ class TestStoreClusterPrimitives:
         with pytest.raises(ManifestError):
             store.load_shard(-1)
 
-    def test_load_shard_validates_routing(self, tmp_path):
-        # Swap the two shards' contents: every doc lands in the wrong
-        # partition, which per-shard cold start must refuse.
-        indexes = lexical_indexes()
-        SegmentStore(tmp_path / "store", "lexical").save(indexes[::-1])
+    @pytest.mark.parametrize("path", ["load", "load_shard", "compact", "save"])
+    def test_every_path_validates_routing(self, tmp_path, path):
+        # Swapped shard contents put every doc in the wrong partition.
+        # The read paths meet a manifest whose two chains traded shard
+        # numbers; save meets the swapped live shard set itself.  Each
+        # must refuse, and none may write a file first.
+        root = tmp_path / "store"
+        store = SegmentStore(root, "lexical")
+        if path == "save":
+            with pytest.raises(SegmentCorruptError, match="routed to another shard"):
+                store.save(lexical_indexes()[::-1])
+            assert not root.exists() or not any(root.iterdir())
+            return
+        manifest = store.save(lexical_indexes())
+        manifest.segments = [
+            dataclasses.replace(ref, shard=1 - ref.shard) for ref in manifest.segments
+        ]
+        (root / MANIFEST_NAME).write_text(manifest.to_json())
+        before = sorted(p.name for p in root.iterdir())
         with pytest.raises(SegmentCorruptError, match="routed to another shard"):
-            SegmentStore(tmp_path / "store", "lexical").load_shard(0)
+            if path == "load_shard":
+                store.load_shard(0)
+            else:
+                getattr(store, path)()
+        assert sorted(p.name for p in root.iterdir()) == before
 
     def test_ship_snapshot_round_trip(self, tmp_path):
         store = self.save_store(tmp_path)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import CyclicRewriter, DirectRewriter, RewriterConfig
+from repro.decoding import top_n_sampling
 from repro.decoding.logspace import logsumexp_np
+from repro.models import HybridNMT, ModelConfig
+from repro.text import tokenize
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +110,46 @@ class TestDirectRewriter:
 
     def test_empty_query(self, direct):
         assert direct.rewrite("") == []
+
+    def test_single_query_form_matches_the_one_query_decode(self, tiny_market):
+        """``rewrite(q)`` is ``rewrite_batch([q])[0]``; this checks it still
+        equals the single-row decode it replaced: ``top_n_sampling`` on a
+        ``(1, len)`` source, then the same result filtering.  Fifteen
+        sequential calls share each side's RNG stream, so one drawn
+        uniform out of step fails every later call; empty and
+        punctuation-only queries ride along.
+        """
+        model = HybridNMT(
+            ModelConfig(
+                vocab_size=len(tiny_market.vocab), d_model=16, num_heads=2,
+                d_ff=32, encoder_layers=1, decoder_layers=1, dropout=0.0, seed=3,
+            )
+        )
+        config = RewriterConfig(k=3, top_n=5, max_query_len=8, seed=11)
+        batched = DirectRewriter(model, tiny_market.vocab, config)
+        single = DirectRewriter(model, tiny_market.vocab, config)
+        tokens = tiny_market.vocab.tokens()[4:]
+        rng = np.random.default_rng(29)
+        queries = [
+            " ".join(tokens[i] for i in rng.integers(len(tokens), size=rng.integers(1, 5)))
+            for _ in range(12)
+        ]
+        queries[3:3] = ["", "?!"]
+        queries.insert(9, "!!! ???")
+
+        def digest(results):
+            return [(r.tokens, float(r.log_prob).hex()) for r in results]
+
+        for query in queries:
+            source_tokens = tokenize(query)
+            expected = []
+            if source_tokens:
+                source = tiny_market.vocab.encode(source_tokens, add_eos=True)
+                hyps = top_n_sampling(
+                    model, np.array([source]), k=config.k, n=config.top_n,
+                    max_len=config.max_query_len, rng=single._rng,
+                    forbid_tokens=(tiny_market.vocab.unk_id,),
+                )
+                expected = single._results_from_hyps(hyps, source, config.k)
+            assert digest(batched.rewrite(query)) == digest(expected)
+
