@@ -30,6 +30,7 @@ from repro.data.catalog import CatalogConfig
 from repro.data.clicklog import ClickLogConfig
 from repro.data.dataset import ParallelCorpus
 from repro.models import HybridNMT, ModelConfig, TransformerNMT
+from repro.online import WindowedStats
 from repro.training import CyclicConfig, CyclicTrainer, SeparateTrainer, TrainingConfig
 
 
@@ -81,17 +82,18 @@ def main() -> None:
     rng = np.random.default_rng(0)
     weights = np.array([max(r.total_clicks, 1) for r in records], dtype=float)
     weights /= weights.sum()
+    latencies = WindowedStats(window=400)
     for _ in range(400):
         record = records[int(rng.choice(len(records), p=weights))]
-        pipeline.serve(record.text)
+        latencies.record(pipeline.serve(record.text).latency_ms)
 
     stats = pipeline.stats
     print(f"  requests          : {stats.total}")
     print(f"  cache tier        : {stats.cache_served / stats.total:.1%}")
     print(f"  q2q model tier    : {stats.model_served / stats.total:.1%}")
     print(f"  unserved          : {stats.unserved / stats.total:.1%}")
-    print(f"  mean latency      : {stats.mean_latency_ms():.2f} ms")
-    print(f"  p99 latency       : {stats.p99_latency_ms():.2f} ms")
+    print(f"  mean latency      : {latencies.mean_latency_ms():.2f} ms")
+    print(f"  p99 latency       : {latencies.p99_latency_ms():.2f} ms")
 
     print("\n== sample served rewrites ==")
     for text in [records[0].text, records[len(records) // 2].text]:

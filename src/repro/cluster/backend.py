@@ -104,7 +104,7 @@ class ShardBackend:
         raise NotImplementedError
 
     def describe(self) -> dict:
-        """Deployment counters for :class:`~repro.core.serving.ServingStats`.
+        """Deployment counters; ``ServingPipeline.counters`` reads them.
 
         Routers override this with real failover numbers; a bare backend
         reports itself as one healthy replica.

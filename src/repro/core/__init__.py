@@ -29,8 +29,10 @@ Exported symbols:
   engine (``repro.search``) for the end-to-end rewrite-then-retrieve
   path (:class:`ServedSearch`).
 * :class:`ServingConfig` / :class:`ServingStats` / :class:`ServedRewrite`
-  — serving knobs, tier counters + latency percentiles (p50/p95/p99,
-  nearest-rank) + cache gauges, and the per-request outcome record.
+  — serving knobs, the pipeline's own tier counters, and the
+  per-request outcome record (with its latency).
+  ``ServingPipeline.counters()`` adds the cache and cluster gauges, read
+  from their owners; :func:`sum_counters` totals those dicts.
 * :class:`LMRewriter` / :class:`LMRewriterConfig` /
   :func:`build_lm_sequences` — the Section V decoder-only LM exploration
   over the special language ``query <sep1> title <sep2> query2``.  It has

@@ -17,19 +17,21 @@ Two serving modes:
   so the per-call model overhead is paid once per batch instead of once
   per miss.
 
-The pipeline measures wall-clock latency per request and keeps per-tier
-counters, so the cache-coverage / latency tradeoff of Section III-G can be
-reproduced quantitatively.  When the cache tier is bounded
-(:class:`~repro.core.cache.RewriteCache` with a capacity), its eviction
-count, fill ratio, and per-shard occupancy are mirrored into
-:class:`ServingStats` after every serve.
+The pipeline counts what it does at each tier (:class:`ServingStats`)
+and returns each request's wall-clock latency in its outcome record, so
+the cache-coverage / latency tradeoff of Section III-G can be reproduced
+quantitatively.  It keeps no copy of another tier's state and no latency
+history: :meth:`ServingPipeline.counters` asks the cache (evictions,
+expirations, fill ratio, per-shard occupancy) and the retrieval engine
+(backend, failovers, reroutes) at read time, and a caller that wants
+percentiles records the returned ``latency_ms`` values into a
+:class:`~repro.online.stats.WindowedStats`.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.core.cache import RewriteCache
 from repro.text import tokenize
@@ -85,18 +87,16 @@ class ServedSearch:
         return self.served.rewrites
 
 
-def _nearest_rank(ordered, q: float) -> float:
-    """The ``ceil(q·n)``-th smallest of the ascending ``ordered`` (0.0 if
-    empty) — the one nearest-rank percentile every stats type reads."""
-    if not (0.0 < q <= 1.0):
-        raise ValueError("q must be in (0, 1]")
-    if not ordered:
-        return 0.0
-    return ordered[math.ceil(q * len(ordered)) - 1]
-
-
 @dataclass
 class ServingStats:
+    """What the pipeline and its scheduler count themselves.
+
+    Every field is an integer tally (or the per-mode retrieval tally), so
+    memory stays constant however many requests are served.  The other
+    tiers' gauges are not copied here; :meth:`ServingPipeline.counters`
+    reads them from their owners.
+    """
+
     cache_served: int = 0
     model_served: int = 0
     unserved: int = 0
@@ -112,112 +112,33 @@ class ServingStats:
     search_postings_accessed: int = 0
     #: retrievals per mode ("lexical" | "semantic" | "hybrid")
     search_by_mode: dict = field(default_factory=dict)
-    latencies_ms: list[float] = field(default_factory=list)
-    #: cache-tier gauges, mirrored from the bounded cache after each serve
-    cache_evictions: int = 0
-    cache_expirations: int = 0
-    cache_fill_ratio: float = 0.0
-    cache_shard_occupancy: list[int] = field(default_factory=list)
-    #: cluster-tier gauges, mirrored from the engine's shard backend
-    #: after each retrieval batch ("" / zeros when the engine has no
-    #: backend; see :mod:`repro.cluster`)
-    search_backend: str = ""
-    failovers: int = 0
-    rerouted_requests: int = 0
-    #: model-tier decode gauges, mirrored from the fallback rewriter's
-    #: model after each serve (zeros without a neural fallback):
-    #: cumulative ``step`` calls and rows stepped.  With active-row
-    #: compaction ``decode_rows`` grows slower than steps × batch width —
-    #: the visible work saving.  Deliberately NOT part of
-    #: :meth:`counters`: the replay digests pin that dict's exact shape,
-    #: and these are work accounting, not request accounting.
-    decode_steps: int = 0
-    decode_rows: int = 0
 
     @property
     def total(self) -> int:
         return self.cache_served + self.model_served + self.unserved
 
-    def counters(self) -> dict:
-        """The deterministic projection of these stats.
 
-        Everything except wall-clock-derived values (the latency samples
-        and the budget breaches computed from them): two replays of the
-        same virtual-clocked schedule must agree on this dict exactly,
-        which is what the load-replay determinism acceptance compares.
-        """
-        return {
-            "cache_served": self.cache_served,
-            "model_served": self.model_served,
-            "unserved": self.unserved,
-            "batches": self.batches,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "search_requests": self.search_requests,
-            "search_postings_accessed": self.search_postings_accessed,
-            "search_by_mode": dict(self.search_by_mode),
-            "cache_evictions": self.cache_evictions,
-            "cache_expirations": self.cache_expirations,
-            "cache_fill_ratio": self.cache_fill_ratio,
-            "cache_shard_occupancy": list(self.cache_shard_occupancy),
-            "search_backend": self.search_backend,
-            "failovers": self.failovers,
-            "rerouted_requests": self.rerouted_requests,
-        }
-
-    def mean_latency_ms(self) -> float:
-        return sum(self.latencies_ms) / len(self.latencies_ms) if self.latencies_ms else 0.0
-
-    def percentile_latency_ms(self, q: float) -> float:
-        """Nearest-rank percentile: the ``ceil(q·n)``-th smallest latency."""
-        return _nearest_rank(sorted(self.latencies_ms), q)
-
-    def p50_latency_ms(self) -> float:
-        return self.percentile_latency_ms(0.50)
-
-    def p95_latency_ms(self) -> float:
-        return self.percentile_latency_ms(0.95)
-
-    def p99_latency_ms(self) -> float:
-        return self.percentile_latency_ms(0.99)
-
-
-def sum_counters(stats_list) -> dict:
-    """Sum the *additive* deterministic counters of several
-    :class:`ServingStats` — the global view over per-tenant pipelines.
+def sum_counters(counters_list) -> dict:
+    """Sum several :meth:`ServingPipeline.counters` dicts — the global view
+    over per-tenant pipelines.
 
     Multi-tenant drivers pin "per-tenant counters sum to global" as an
-    isolation invariant; this is the canonical summation, covering every
-    integer counter of :meth:`ServingStats.counters` plus the per-mode
-    retrieval tally (dict-merged).  Non-additive gauges (fill ratio,
-    shard occupancy) are deliberately excluded — they describe one
-    physical cache, not a sum.
+    isolation invariant; this is the canonical summation: every integer
+    counter, in the counters' own key order, then the per-mode retrieval
+    tally (dict-merged) last.  Non-additive gauges (fill ratio, shard
+    occupancy, backend label) are not integers and are left out — they
+    describe one physical cache or deployment, not a sum.
     """
-    total = {
-        "cache_served": 0,
-        "model_served": 0,
-        "unserved": 0,
-        "batches": 0,
-        "admitted": 0,
-        "shed": 0,
-        "search_requests": 0,
-        "search_postings_accessed": 0,
-        "cache_evictions": 0,
-        "cache_expirations": 0,
-        "failovers": 0,
-        "rerouted_requests": 0,
-        "search_by_mode": {},
-    }
-    for stats in stats_list:
-        counters = stats.counters()
-        for key in total:
-            if key == "search_by_mode":
-                for mode, count in counters["search_by_mode"].items():
-                    total["search_by_mode"][mode] = (
-                        total["search_by_mode"].get(mode, 0) + count
-                    )
-            else:
-                total[key] += counters[key]
+    total: dict = {}
+    by_mode: dict = {}
+    for counters in counters_list:
+        for key, value in counters.items():
+            if isinstance(value, dict):
+                for mode, count in value.items():
+                    by_mode[mode] = by_mode.get(mode, 0) + count
+            elif isinstance(value, int):
+                total[key] = total.get(key, 0) + value
+    total["search_by_mode"] = by_mode
     return total
 
 
@@ -276,6 +197,34 @@ class ServingPipeline:
         """Close the underlying engine on scope exit."""
         self.close()
 
+    def counters(self) -> dict:
+        """The deterministic projection of this pipeline's serving state.
+
+        :class:`ServingStats`' own tallies, then the gauges of the tiers
+        the pipeline fronts, asked of their owners now: the cache's
+        evictions, expirations, fill ratio and per-shard occupancy, and
+        the engine's ``cluster_stats()`` backend label, failovers and
+        reroutes (zeros, ``[]`` and ``""`` without a cache or a shard
+        backend).  No wall-clock value appears, so two replays of the
+        same virtual-clocked schedule agree on this dict exactly, which
+        is what the load-replay determinism acceptance compares.
+        """
+        cache = self.cache
+        reader = getattr(self.search_engine, "cluster_stats", None)
+        cluster = reader() if callable(reader) else {}
+        return {
+            **asdict(self.stats),
+            "cache_evictions": cache.stats.evictions if cache is not None else 0,
+            "cache_expirations": cache.stats.expirations if cache is not None else 0,
+            "cache_fill_ratio": cache.fill_ratio if cache is not None else 0.0,
+            "cache_shard_occupancy": (
+                cache.shard_occupancy() if cache is not None else []
+            ),
+            "search_backend": cluster.get("backend", ""),
+            "failovers": int(cluster.get("failovers", 0)),
+            "rerouted_requests": int(cluster.get("rerouted_requests", 0)),
+        }
+
     # -- internal ------------------------------------------------------------
     def _lookup_cache(self, query: str) -> list[str] | None:
         """None on a cache *miss*; the (truncated) rewrite list on a hit.
@@ -293,8 +242,7 @@ class ServingPipeline:
             return None
         return cached[: self.config.max_rewrites]
 
-    def _record(self, source: str, latency_ms: float) -> None:
-        self.stats.latencies_ms.append(latency_ms)
+    def _record(self, source: str) -> None:
         if source == "cache":
             self.stats.cache_served += 1
         elif source == "model":
@@ -306,29 +254,9 @@ class ServingPipeline:
         if self.config.cache_model_results and self.cache is not None and rewrites:
             self.cache.put(query, rewrites)
 
-    def _sync_cache_gauges(self) -> None:
-        # O(shards) per call — negligible next to a model decode, and it
-        # keeps ServingStats a plain value object with no cache backref.
-        if self.cache is None:
-            return
-        self.stats.cache_evictions = self.cache.stats.evictions
-        self.stats.cache_expirations = self.cache.stats.expirations
-        self.stats.cache_fill_ratio = self.cache.fill_ratio
-        self.stats.cache_shard_occupancy = self.cache.shard_occupancy()
-
-    def _sync_decode_gauges(self) -> None:
-        # Any fallback exposing a `model` with decode telemetry (every
-        # Seq2SeqModel) is sampled; rule-based fallbacks have neither
-        # attribute and leave the gauges at zero.
-        model = getattr(self.fallback, "model", None)
-        if model is None:
-            return
-        self.stats.decode_steps = int(getattr(model, "decode_steps", 0))
-        self.stats.decode_rows = int(getattr(model, "decode_rows", 0))
-
     # -- serving -------------------------------------------------------------
     def serve(self, query: str) -> ServedRewrite:
-        """Serve one request, recording tier and latency."""
+        """Serve one request, counting its tier; the outcome carries its latency."""
         started = time.perf_counter()
         rewrites = self._lookup_cache(query)
         source = "cache" if rewrites is not None else "none"
@@ -341,9 +269,7 @@ class ServingPipeline:
                 self._writeback(query, rewrites)
 
         latency_ms = (time.perf_counter() - started) * 1000.0
-        self._record(source, latency_ms)
-        self._sync_cache_gauges()
-        self._sync_decode_gauges()
+        self._record(source)
         return ServedRewrite(
             query=query, rewrites=rewrites or [], source=source, latency_ms=latency_ms
         )
@@ -404,11 +330,9 @@ class ServingPipeline:
                 )
 
         for served in results:
-            self._record(served.source, served.latency_ms)
+            self._record(served.source)
         if queries:
             self.stats.batches += 1
-        self._sync_cache_gauges()
-        self._sync_decode_gauges()
         return results
 
     def _resolve_modes(
@@ -536,21 +460,4 @@ class ServingPipeline:
                     latency_ms=served.latency_ms + spent_ms,
                 )
             )
-        self._sync_cluster_gauges()
         return results
-
-    def _sync_cluster_gauges(self) -> None:
-        """Mirror the engine's cluster counters into :class:`ServingStats`.
-
-        Engines without a shard backend (a plain ``SearchEngine``) expose
-        no ``cluster_stats``; the gauges then stay at their zero defaults.
-        The mirrored values are deterministic under replay: failovers and
-        reroutes are driven by scripted kill/respawn events, not timing.
-        """
-        reader = getattr(self.search_engine, "cluster_stats", None)
-        if not callable(reader):
-            return
-        cluster = reader()
-        self.stats.search_backend = cluster.get("backend", "")
-        self.stats.failovers = int(cluster.get("failovers", 0))
-        self.stats.rerouted_requests = int(cluster.get("rerouted_requests", 0))

@@ -23,6 +23,7 @@ from repro.experiments.result import ExperimentResult
 from repro.experiments.scale import ExperimentScale, SMALL
 from repro.experiments.shared import build_context
 from repro.models import HybridNMT, ModelConfig
+from repro.online import WindowedStats
 from repro.training import SeparateTrainer, TrainingConfig
 
 #: requests per serving batch in the traffic replay
@@ -94,24 +95,26 @@ def run(scale: ExperimentScale = SMALL, head_fraction: float = 0.4) -> Experimen
     requests = [
         texts[int(i)] for i in rng.choice(len(texts), size=n_requests, p=weights)
     ]
+    latencies = WindowedStats(window=n_requests)
     for start in range(0, n_requests, BATCH_SIZE):
-        pipeline.serve_batch(requests[start : start + BATCH_SIZE])
+        for served in pipeline.serve_batch(requests[start : start + BATCH_SIZE]):
+            latencies.record(served.latency_ms)
 
     stats = pipeline.stats
     measured = {
         "cache_entries": len(cache),
         "cache_capacity": cache.capacity,
-        "cache_fill_ratio": stats.cache_fill_ratio,
-        "cache_evictions": stats.cache_evictions,
+        "cache_fill_ratio": cache.fill_ratio,
+        "cache_evictions": cache.stats.evictions,
         "cache_share": stats.cache_served / max(1, stats.total),
         "model_share": stats.model_served / max(1, stats.total),
         "unserved_share": stats.unserved / max(1, stats.total),
-        "mean_latency_ms": stats.mean_latency_ms(),
-        "p50_latency_ms": stats.p50_latency_ms(),
-        "p95_latency_ms": stats.p95_latency_ms(),
-        "p99_latency_ms": stats.p99_latency_ms(),
+        "mean_latency_ms": latencies.mean_latency_ms(),
+        "p50_latency_ms": latencies.p50_latency_ms(),
+        "p95_latency_ms": latencies.p95_latency_ms(),
+        "p99_latency_ms": latencies.p99_latency_ms(),
     }
-    occupancy = ", ".join(str(n) for n in stats.cache_shard_occupancy)
+    occupancy = ", ".join(str(n) for n in cache.shard_occupancy())
     rows = [
         ["traffic served from cache", "> 80% (top 8M queries)", f"{measured['cache_share']:.1%}"],
         ["traffic served by q2q model", "long tail", f"{measured['model_share']:.1%}"],

@@ -187,7 +187,7 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
         "speedup": qps_batched / qps_per_query,
         "cache_capacity": capacity,
         "max_cache_occupancy": max_occupancy,
-        "cache_evictions": batched.stats.cache_evictions,
+        "cache_evictions": batched.cache.stats.evictions,
         "batched_cache_share": batched.stats.cache_served / max(1, batched.stats.total),
         "batched_model_share": batched.stats.model_served / max(1, batched.stats.total),
     }

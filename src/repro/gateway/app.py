@@ -13,7 +13,7 @@ Routes (all JSON)::
     POST /v1/search    one query end to end (rewrite + retrieval)
     POST /v1/batch     several tagged items in one submission
     GET  /v1/health    liveness + queue/tenant snapshot
-    GET  /v1/stats     ServingStats counters, scheduler + HTTP telemetry
+    GET  /v1/stats     per-tenant serving counters, scheduler + HTTP telemetry
     POST /v1/drain     graceful drain; returns the conservation receipt
 
 Error contract: *every* non-2xx response is a typed
@@ -481,12 +481,10 @@ class Gateway:
     def _stats(self) -> StatsResponse:
         """Snapshot for ``GET /v1/stats``."""
         serving = {
-            tenant: self.pipelines[tenant].stats.counters()
+            tenant: self.pipelines[tenant].counters()
             for tenant in sorted(self.pipelines)
         }
-        totals = sum_counters(
-            [self.pipelines[tenant].stats for tenant in sorted(self.pipelines)]
-        )
+        totals = sum_counters(serving.values())
         scheduler = {}
         for tenant in sorted(self.bridges):
             report = self.bridges[tenant].scheduler.report

@@ -509,7 +509,7 @@ class HealthResponse(WireModel):
 class StatsResponse(WireModel):
     """Wire form of ``GET /v1/stats``: serving + scheduler + HTTP telemetry."""
 
-    #: tenant -> deterministic ServingStats.counters() projection
+    #: tenant -> deterministic ServingPipeline.counters() projection
     serving: dict
     #: additive counters summed over tenants (sum_counters)
     totals: dict

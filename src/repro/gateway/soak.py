@@ -11,7 +11,7 @@ deterministic :class:`~repro.online.replay.TrafficReplay`-derived trace
   :class:`~repro.online.clock.VirtualClock`
 
 produces **byte-identical** deterministic
-:meth:`~repro.core.serving.ServingStats.counters` per tenant.
+:meth:`~repro.core.serving.ServingPipeline.counters` per tenant.
 
 That only holds when every counter is order-independent, because the
 socket arm's request interleaving is up to the OS scheduler.  The soak
@@ -446,7 +446,7 @@ def run_twin_arm(config: SoakConfig, items) -> dict:
         schedulers[tenant].drain()
         pipelines[tenant].close()
     return {
-        tenant: pipelines[tenant].stats.counters() for tenant in sorted(pipelines)
+        tenant: pipelines[tenant].counters() for tenant in sorted(pipelines)
     }
 
 

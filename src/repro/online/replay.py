@@ -103,7 +103,7 @@ class ReplayReport:
     seconds: float
     churn_events: int
     stats: WindowedStats
-    #: tier counters mirrored from the pipeline at end of run
+    #: tier counters read from the pipeline at end of run
     cache_served: int = 0
     model_served: int = 0
     unserved: int = 0
@@ -356,18 +356,18 @@ class TrafficReplay:
                 self.record_serve(pipeline, stats, served, request.query, last_churn)
         seconds = time.perf_counter() - started
 
-        serving = pipeline.stats
+        serving = pipeline.counters()
         return ReplayReport(
             arm=arm,
             requests=stats.total_requests,
             seconds=seconds,
             churn_events=churn_events,
             stats=stats,
-            cache_served=serving.cache_served,
-            model_served=serving.model_served,
-            unserved=serving.unserved,
-            cache_expirations=serving.cache_expirations,
-            cache_evictions=serving.cache_evictions,
+            cache_served=serving["cache_served"],
+            model_served=serving["model_served"],
+            unserved=serving["unserved"],
+            cache_expirations=serving["cache_expirations"],
+            cache_evictions=serving["cache_evictions"],
             searches=searches,
             dead_doc_hits=dead_doc_hits,
             freshness=controller.report if controller is not None else None,
@@ -485,18 +485,18 @@ class TrafficReplay:
         scheduler_report = scheduler.drain()
         seconds = time.perf_counter() - started
 
-        serving = pipeline.stats
+        serving = pipeline.counters()
         return ReplayReport(
             arm=arm,
             requests=stats.total_requests,
             seconds=seconds,
             churn_events=churn_events,
             stats=stats,
-            cache_served=serving.cache_served,
-            model_served=serving.model_served,
-            unserved=serving.unserved,
-            cache_expirations=serving.cache_expirations,
-            cache_evictions=serving.cache_evictions,
+            cache_served=serving["cache_served"],
+            model_served=serving["model_served"],
+            unserved=serving["unserved"],
+            cache_expirations=serving["cache_expirations"],
+            cache_evictions=serving["cache_evictions"],
             searches=searches,
             dead_doc_hits=dead_doc_hits,
             freshness=controller.report if controller is not None else None,

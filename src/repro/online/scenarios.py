@@ -716,7 +716,7 @@ class ScenarioRunner:
 
     def _tenant_telemetry(self, tenant: TenantState) -> dict:
         return {
-            "counters": tenant.pipeline.stats.counters(),
+            "counters": tenant.pipeline.counters(),
             "scheduler_fingerprint": tenant.scheduler.report.fingerprint(),
             "requests": tenant.stats.total_requests,
             "hits": tenant.stats.total_hits,
@@ -757,7 +757,7 @@ class ScenarioRunner:
             for doc_id in _engine_doc_ids(tenant.engine)
             if not tenant.id_base <= doc_id < tenant.id_base + _TENANT_ID_STRIDE
         )
-        totals = sum_counters([t.pipeline.stats for t in self.tenants])
+        totals = sum_counters([t.pipeline.counters() for t in self.tenants])
         served = totals["cache_served"] + totals["model_served"] + totals["unserved"]
         submitted = sum(t.submitted for t in self.tenants)
         completed = sum(t.scheduler.report.completed for t in self.tenants)
@@ -1396,7 +1396,7 @@ class ShardFailoverScenario(Scenario):
         mismatches = sum(
             1 for mine, theirs in zip(tenant.search_log, twin_log) if mine != theirs
         ) + abs(len(tenant.search_log) - len(twin_log))
-        totals = sum_counters([t.pipeline.stats for t in runner.tenants])
+        totals = sum_counters([t.pipeline.counters() for t in runner.tenants])
         notes = tenant.notes
         return [
             InvariantResult(
@@ -1500,7 +1500,7 @@ class GatewaySoakScenario(Scenario):
                 observed=float(outcome.identical),
                 bar="== virtual-clock twin",
                 detail=(
-                    "per-tenant ServingStats.counters() over the socket path "
+                    "per-tenant ServingPipeline.counters() over the socket path "
                     "must byte-match the same-seed in-process replay"
                 ),
             ),

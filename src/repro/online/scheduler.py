@@ -42,7 +42,7 @@ behind a lower lane's backlog.
 When full, an arriving request is shed — unless a strictly
 lower-priority request is pending, in which case the *youngest* request
 of the lowest-priority non-empty lane is shed instead and the arrival is
-admitted.  Admitted/shed totals are mirrored into
+admitted.  Admitted/shed totals are counted into
 :class:`~repro.core.serving.ServingStats` (``admitted`` / ``shed``) so
 the serving tier's own telemetry shows the backpressure.
 
@@ -57,10 +57,10 @@ queueing-delay bound exact.
 **Determinism** — the loop is a virtual-time event simulation: the only
 state is the submit order, the clock, and the config, so two replays of
 the same trace produce byte-identical
-:meth:`~repro.core.serving.ServingStats.counters` and
+:meth:`~repro.core.serving.ServingPipeline.counters` and
 :meth:`SchedulerReport.fingerprint`.  Wall-clock time appears nowhere in
-the scheduling decisions (the pipeline still measures wall latencies,
-which are excluded from both fingerprints).
+the scheduling decisions (the pipeline's outcome records still carry
+wall latencies, which neither fingerprint reads).
 """
 
 from __future__ import annotations
@@ -69,13 +69,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.serving import (
-    ServedRewrite,
-    ServedSearch,
-    ServingPipeline,
-    _nearest_rank,
-)
+from repro.core.serving import ServedRewrite, ServedSearch, ServingPipeline
 from repro.online.clock import VirtualClock
+from repro.online.stats import _nearest_rank
 
 #: request kinds the scheduler batches independently of each other
 REQUEST_KINDS = ("rewrite", "search")

@@ -1,16 +1,19 @@
 """Sliding-window streaming gauges for long-running replays.
 
-:class:`~repro.core.serving.ServingStats` keeps *every* latency sample and
-re-sorts the full list on each percentile call — fine for a benchmark that
-reads percentiles once at the end, O(n log n) per read and unbounded
-memory for a service that reports gauges continuously.  ``WindowedStats``
-is the long-run replacement: a bounded ring of the most recent samples
-kept in sorted order incrementally, so
+The serving pipeline keeps no latency history: each request's
+``latency_ms`` comes back in its outcome record, and a caller that wants
+percentiles records it here.  ``WindowedStats`` is a bounded ring of the
+most recent samples kept in sorted order incrementally, so
 
 * ``record`` is O(log w) to locate + O(w) to shift within the fixed-size
   window (w is a constant, independent of stream length);
 * every percentile read is O(1) (index into the maintained sorted array);
 * memory is O(w) no matter how many requests the replay serves.
+
+A finite run that wants percentiles over all of its requests sizes the
+window to the run.  :func:`_nearest_rank` is the one nearest-rank
+percentile that both this window and the scheduler's
+:class:`~repro.online.scheduler.SchedulerReport` read.
 
 Alongside latency percentiles the window tracks the serving-quality
 gauges the freshness subsystem cares about: hit rate, stale-serve rate,
@@ -20,10 +23,19 @@ totals for end-of-run reporting.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import deque
 
-from repro.core.serving import _nearest_rank
+
+def _nearest_rank(ordered, q: float) -> float:
+    """The ``ceil(q·n)``-th smallest of the ascending ``ordered`` (0.0 if
+    empty) — the one nearest-rank percentile every stats type reads."""
+    if not (0.0 < q <= 1.0):
+        raise ValueError("q must be in (0, 1]")
+    if not ordered:
+        return 0.0
+    return ordered[math.ceil(q * len(ordered)) - 1]
 
 
 class WindowedStats:

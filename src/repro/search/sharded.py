@@ -286,7 +286,7 @@ class ShardedTier:
 
     # -- deployment reporting --------------------------------------------------
     def cluster_stats(self) -> dict:
-        """Backend choice + failover counters (see ``ServingStats``)."""
+        """Backend choice + failover counters (``ServingPipeline.counters`` reads them)."""
         return dict(self._backend.describe())
 
     def close(self) -> None:

@@ -6,7 +6,7 @@ and deadline triggers, three priority lanes, queue-full victims taken
 from the other kind, arrival sheds, a busy virtual worker, batches whose
 pipeline call raises, explicit ``advance_to`` ticks and the final
 ``drain``.  The fixture records, per trace, the sha256 of
-``report.fingerprint()``, of ``pipeline.stats.counters()`` and of the
+``report.fingerprint()``, of ``pipeline.counters()`` and of the
 exact sequence of ``on_batch`` / ``on_shed`` / ``on_failed``
 notifications, plus the headline counts in the clear so a reader can see
 that each trace does exercise what it is named for.  It was written
@@ -235,7 +235,7 @@ def run_trace(name: str, seed: int, after_operation=None) -> dict:
         "failed": sum(event[0] == "failed" for event in events),
         "peak_queue_depth": report.peak_queue_depth,
         "fingerprint_sha256": digest(report.fingerprint()),
-        "counters_sha256": digest(sorted(pipeline.stats.counters().items())),
+        "counters_sha256": digest(sorted(pipeline.counters().items())),
         "events_sha256": digest(events),
     }
 

@@ -1,8 +1,15 @@
 """Rewrite cache (bounded sharded LRU) and the two-tier serving pipeline."""
 
+import gc
+
 import pytest
 
-from repro.core import RewriteCache, ServingConfig, ServingPipeline, ServingStats
+from repro.core import (
+    RewriteCache,
+    ServingConfig,
+    ServingPipeline,
+    sum_counters,
+)
 from repro.core.rewriter import RewriteResult
 
 
@@ -358,33 +365,6 @@ class TestCachedEmptyServing:
         assert len(cache) == 0  # nothing unservable stored
 
 
-class TestServingStatsPercentiles:
-    def test_p99_nearest_rank(self):
-        # nearest-rank: ceil(0.99 * 100) = 100th smallest -> index 98 -> 99.0,
-        # not the old int(0.99*n) indexing that returned the maximum.
-        stats = ServingStats(latencies_ms=[float(i) for i in range(1, 101)])
-        assert stats.p99_latency_ms() == 99.0
-        assert stats.p95_latency_ms() == 95.0
-        assert stats.p50_latency_ms() == 50.0
-
-    def test_single_sample(self):
-        stats = ServingStats(latencies_ms=[7.0])
-        assert stats.p50_latency_ms() == 7.0
-        assert stats.p99_latency_ms() == 7.0
-
-    def test_empty(self):
-        stats = ServingStats()
-        assert stats.p50_latency_ms() == 0.0
-        assert stats.p99_latency_ms() == 0.0
-
-    def test_invalid_quantile(self):
-        stats = ServingStats(latencies_ms=[1.0])
-        with pytest.raises(ValueError):
-            stats.percentile_latency_ms(0.0)
-        with pytest.raises(ValueError):
-            stats.percentile_latency_ms(1.5)
-
-
 class TestServeBatch:
     def test_mixed_batch_tier_accounting(self):
         cache = RewriteCache()
@@ -394,13 +374,13 @@ class TestServeBatch:
         served = pipeline.serve_batch(["head", "tail", "unknown"])
         assert [s.source for s in served] == ["cache", "model", "none"]
         assert [s.query for s in served] == ["head", "tail", "unknown"]
+        assert all(s.latency_ms >= 0.0 for s in served)
         stats = pipeline.stats
         assert stats.cache_served == 1
         assert stats.model_served == 1
         assert stats.unserved == 1
         assert stats.total == 3
         assert stats.batches == 1
-        assert len(stats.latencies_ms) == 3
 
     def test_misses_share_one_batched_call(self):
         fallback = BatchStubRewriter({"t1": ["r1"], "t2": ["r2"]})
@@ -454,20 +434,19 @@ class TestServeBatch:
         )
         pipeline.serve_batch([f"t{i}" for i in range(6)])
         assert len(cache) <= 2
-        assert pipeline.stats.cache_evictions > 0
+        assert pipeline.cache.stats.evictions > 0
         # The promoted entries now hit the cache tier.
         served = pipeline.serve_batch(["t5"])
         assert served[0].source == "cache"
 
-    def test_cache_gauges_threaded_into_stats(self):
+    def test_cache_gauges_read_from_the_cache(self):
         cache = RewriteCache(capacity=4, shards=2)
         pipeline = ServingPipeline(cache, None)
         cache.put("a", ["r"])
         pipeline.serve_batch(["a"])
-        stats = pipeline.stats
-        assert stats.cache_fill_ratio == pytest.approx(0.25)
-        assert sum(stats.cache_shard_occupancy) == 1
-        assert len(stats.cache_shard_occupancy) == 2
+        assert pipeline.cache.fill_ratio == pytest.approx(0.25)
+        assert sum(pipeline.cache.shard_occupancy()) == 1
+        assert len(pipeline.cache.shard_occupancy()) == 2
 
 
 class TestServingPipeline:
@@ -504,17 +483,13 @@ class TestServingPipeline:
         cache = RewriteCache()
         cache.put("hit", ["r"])
         pipeline = ServingPipeline(cache, StubRewriter({"model": ["m"]}))
-        pipeline.serve("hit")
-        pipeline.serve("model")
-        pipeline.serve("none")
+        served = [pipeline.serve(q) for q in ("hit", "model", "none")]
+        assert all(s.latency_ms >= 0.0 for s in served)
         stats = pipeline.stats
         assert stats.cache_served == 1
         assert stats.model_served == 1
         assert stats.unserved == 1
         assert stats.total == 3
-        assert len(stats.latencies_ms) == 3
-        assert stats.mean_latency_ms() >= 0.0
-        assert stats.p99_latency_ms() >= 0.0
 
     def test_cache_only_pipeline(self):
         cache = RewriteCache()
@@ -618,3 +593,149 @@ class TestSearchBatch:
         assert all(
             tiny_market.catalog.get(d).category == "phone" for d in result.doc_ids
         )
+
+
+class ModalStubSearchEngine(StubSearchEngine):
+    """A stub that serves named retrieval modes and reports a backend."""
+
+    retrieval_modes = ("lexical", "semantic")
+    default_mode = "lexical"
+
+    def search(self, query, rewrites=None, mode=None):
+        outcome = super().search(query, rewrites)
+        outcome.mode = mode or self.default_mode
+        return outcome
+
+    def cluster_stats(self):
+        return {"backend": "stub", "failovers": 2, "rerouted_requests": 3}
+
+
+COUNTER_KEYS = [
+    "cache_served",
+    "model_served",
+    "unserved",
+    "batches",
+    "admitted",
+    "shed",
+    "search_requests",
+    "search_postings_accessed",
+    "search_by_mode",
+    "cache_evictions",
+    "cache_expirations",
+    "cache_fill_ratio",
+    "cache_shard_occupancy",
+    "search_backend",
+    "failovers",
+    "rerouted_requests",
+]
+TOTAL_KEYS = [
+    "cache_served",
+    "model_served",
+    "unserved",
+    "batches",
+    "admitted",
+    "shed",
+    "search_requests",
+    "search_postings_accessed",
+    "cache_evictions",
+    "cache_expirations",
+    "failovers",
+    "rerouted_requests",
+    "search_by_mode",
+]
+
+
+def _busy_pipeline(modes):
+    """A pipeline that has served hits, misses, evictions and searches."""
+    cache = RewriteCache(capacity=2, shards=1)
+    cache.put("hit", ["cached rewrite"])
+    fallback = BatchStubRewriter({f"t{i}": [f"r{i}"] for i in range(4)})
+    pipeline = ServingPipeline(
+        cache,
+        fallback,
+        ServingConfig(cache_model_results=True),
+        search_engine=ModalStubSearchEngine(),
+    )
+    pipeline.serve_batch(["hit", "t0", "t1", "t2", "nothing"])
+    pipeline.search_batch(["hit", "t3", "other"], modes=modes)
+    return pipeline
+
+
+class TestCounters:
+    def test_counters_key_order(self):
+        pipeline = _busy_pipeline("lexical")
+        assert list(pipeline.counters()) == COUNTER_KEYS
+
+    def test_sum_counters_key_order(self):
+        pipelines = [_busy_pipeline("lexical"), _busy_pipeline("semantic")]
+        totals = sum_counters([p.counters() for p in pipelines])
+        assert list(totals) == TOTAL_KEYS
+        assert list(totals)[-1] == "search_by_mode"
+
+    def test_totals_are_per_key_sums(self):
+        pipelines = [
+            _busy_pipeline("lexical"),
+            _busy_pipeline(["semantic", None, "lexical"]),
+        ]
+        per_pipeline = [p.counters() for p in pipelines]
+        totals = sum_counters([p.counters() for p in pipelines])
+        for key in TOTAL_KEYS[:-1]:
+            assert totals[key] == sum(c[key] for c in per_pipeline), key
+        assert totals["cache_evictions"] > 0
+        assert totals["failovers"] == 4
+        assert totals["search_by_mode"] == {"lexical": 5, "semantic": 1}
+
+    def test_gauges_never_summed(self):
+        pipelines = [_busy_pipeline("lexical"), _busy_pipeline("lexical")]
+        totals = sum_counters([p.counters() for p in pipelines])
+        for gauge in ("cache_fill_ratio", "cache_shard_occupancy", "search_backend"):
+            assert gauge not in totals
+
+    def test_cache_gauges_read_at_read_time(self):
+        cache = RewriteCache(capacity=8, shards=2)
+        cache.put("a", ["r"])
+        cache.put("b", ["r"])
+        pipeline = ServingPipeline(cache, None)
+        assert pipeline.serve("a").source == "cache"
+        assert cache.delete("a")
+        counters = pipeline.counters()
+        assert counters["cache_fill_ratio"] == cache.fill_ratio == pytest.approx(1 / 8)
+        assert counters["cache_shard_occupancy"] == cache.shard_occupancy()
+        assert sum(counters["cache_shard_occupancy"]) == 1
+
+    def test_search_backend_reported_before_first_search(self):
+        pipeline = ServingPipeline(
+            RewriteCache(), None, search_engine=ModalStubSearchEngine()
+        )
+        counters = pipeline.counters()
+        assert counters["search_backend"] == "stub"
+        assert (counters["failovers"], counters["rerouted_requests"]) == (2, 3)
+
+
+def _reachable(root) -> int:
+    """How many objects a ``gc.get_referents`` walk reaches from ``root``
+    (classes excluded: they reach every module)."""
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+def test_serving_stats_memory_is_bounded():
+    cache = RewriteCache()
+    for i in range(10):
+        cache.put(f"q{i}", [f"r{i}"])
+    pipeline = ServingPipeline(cache, None)
+    batch = [f"q{i % 12}" for i in range(50)]
+    reachable = {}
+    for served in range(0, 50_000 + 1, len(batch)):
+        if served in (5_000, 50_000):
+            reachable[served] = _reachable(pipeline.stats)
+        pipeline.serve_batch(batch)
+    assert pipeline.stats.total > 50_000
+    assert reachable[5_000] == reachable[50_000]

@@ -4,7 +4,7 @@ A small deterministic trace is driven through a **live** gateway on an
 ephemeral loopback port by concurrent HTTP clients, and the identical
 trace is replayed in process on a :class:`VirtualClock`.  The pinned
 claim: with the soak's order-independent configuration, the per-tenant
-``ServingStats.counters()`` of the two arms are **byte-identical** —
+``ServingPipeline.counters()`` of the two arms are **byte-identical** —
 plus zero HTTP 500s, schema-valid responses end to end, and a drain
 receipt that conserves every admitted request.
 

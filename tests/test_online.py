@@ -10,7 +10,7 @@ from hypothesis import settings as hyp_settings
 from hypothesis import strategies as hyp_st
 
 from repro.baselines import RuleBasedRewriter
-from repro.core import RewriteCache, ServingConfig, ServingPipeline, ServingStats
+from repro.core import RewriteCache, ServingConfig, ServingPipeline
 from repro.core.rewriter import RewriteResult
 from repro.data.catalog import CatalogConfig, CatalogGenerator, alias_to_canonical
 from repro.data.clicklog import ClickLogConfig, ClickLogSimulator
@@ -124,35 +124,33 @@ class TestWindowedStats:
 
 
 class TestNearestRankPercentile:
-    """``ServingStats``, ``WindowedStats`` and ``SchedulerReport`` read one
-    nearest-rank percentile: equal values on equal samples."""
+    """``WindowedStats`` and ``SchedulerReport`` read one nearest-rank
+    percentile: equal values on equal samples."""
 
     SAMPLES = [7.0, 1.0, 3.0, 3.0, 9.0, 2.0, 0.5, 3.0, 11.0, 4.25, 6.0]
 
     @staticmethod
-    def _three(samples):
-        serving = ServingStats(latencies_ms=list(samples))
+    def _both(samples):
         windowed = WindowedStats(window=max(1, len(samples)))
         for sample in samples:
             windowed.record(sample)
         report = SchedulerReport(queue_delays_seconds=list(samples))
         return (
-            serving.percentile_latency_ms,
             windowed.percentile_latency_ms,
             report.percentile_queue_delay_seconds,
         )
 
     @pytest.mark.parametrize("q", [0.01, 0.1, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0])
     @pytest.mark.parametrize("size", [0, 1, 2, 11])
-    def test_three_stats_types_agree(self, q, size):
+    def test_both_stats_types_agree(self, q, size):
         samples = self.SAMPLES[:size]
         ordered = sorted(samples)
         expected = ordered[math.ceil(q * size) - 1] if size else 0.0
-        assert [read(q) for read in self._three(samples)] == [expected] * 3
+        assert [read(q) for read in self._both(samples)] == [expected] * 2
 
     @pytest.mark.parametrize("q", [0.0, -0.5, 1.01])
-    def test_three_stats_types_reject_q_outside_unit_interval(self, q):
-        for read in self._three(self.SAMPLES):
+    def test_both_stats_types_reject_q_outside_unit_interval(self, q):
+        for read in self._both(self.SAMPLES):
             with pytest.raises(ValueError, match="q must be in"):
                 read(q)
 
@@ -393,7 +391,7 @@ class TestTrafficReplay:
                 SchedulerConfig(max_batch_size=8, max_wait_seconds=0.8),
             )
             engine.close()
-            return report.scheduler.fingerprint(), pipeline.stats.counters()
+            return report.scheduler.fingerprint(), pipeline.counters()
 
         first_fp, first_counters = run_once()
         second_fp, second_counters = run_once()
@@ -517,7 +515,7 @@ class TestFingerprintRegression:
             self.SCHEDULER_DIGEST
         )
         counters = sorted(
-            pipeline.stats.counters().items(), key=lambda kv: kv[0]
+            pipeline.counters().items(), key=lambda kv: kv[0]
         )
         assert self._digest(counters) == self.COUNTERS_DIGEST
 

@@ -223,8 +223,8 @@ def test_decoding_surface():
     ):
         assert callable(getattr(reference, symbol)), symbol
 
-    # Models expose the decode-work gauges the compaction contract
-    # reports through ServingStats.
+    # Models expose the decode-work gauges (``decode_steps`` /
+    # ``decode_rows``) the compaction contract reports.
     from repro.models import HybridNMT, RecurrentNMT, TransformerNMT
     from repro.models.base import Seq2SeqModel
 

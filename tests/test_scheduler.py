@@ -357,7 +357,7 @@ class TestDeterminism:
                 )
             )
         report = scheduler.drain()
-        return report.fingerprint(), pipeline.stats.counters()
+        return report.fingerprint(), pipeline.counters()
 
     def test_same_trace_same_fingerprint_and_counters(self):
         first_fp, first_counters = self.run_once()
@@ -595,7 +595,7 @@ class TestWallClockDropIn:
             scheduler.submit(
                 ScheduledRequest(query=f"q{i % 9}", arrival_seconds=i * 0.07)
             )
-        return scheduler.drain().fingerprint(), pipeline.stats.counters()
+        return scheduler.drain().fingerprint(), pipeline.counters()
 
     def test_wall_clock_matches_virtual_clock_exactly(self):
         from repro.online import WallClock

@@ -493,7 +493,7 @@ class TestServingFanOutWork:
                     ScheduledRequest(query, arrival_seconds=0.01 * n, kind="search")
                 )
             report = scheduler.drain()
-            return pipeline.stats.counters(), report.fingerprint()
+            return pipeline.counters(), report.fingerprint()
 
         assert replay(process_engine) == replay(SearchOnly(process_engine))
 
