@@ -1,20 +1,18 @@
 """Benchmark fixtures: one shared experiment context per session.
 
 Each benchmark regenerates one table/figure of the paper and prints the
-rendered result.  The tracked ``benchmarks/results/<id>.txt`` artifacts
-(EXPERIMENTS.md points there) carry wall-clock numbers, so an ordinary
-run leaves them alone; refresh them on purpose with::
+rendered result.  An ordinary run leaves the tracked
+``benchmarks/results/<id>.txt`` artifacts (EXPERIMENTS.md points there)
+alone; refresh them on purpose with::
 
     PYTHONPATH=src python -m pytest benchmarks --update-results
 
-Four bars are ratios of wall-clock timings that a small shared machine
-cannot hold steady (the IVF-vs-brute-force speedup, the
-process-workers-vs-threads qps ratio, the cached-vs-reference decode
-speedup and the serial-vs-micro-batch replay throughput).  They gate
-only under ``--wall-clock`` — CI's ``benchmark-smoke`` job passes it,
-where the cores exist — and are rendered either way; every
-deterministic assertion (recall, match rates, postings, model calls,
-churn) always runs.
+Every bar here is deterministic: recall, match rates, postings, decoder
+steps, model calls, titles encoded, cells scored, churn.  No bar
+compares two wall-clock readings — how fast the serving stack runs is
+``bench/``'s to measure (see ``BENCHMARK.json``).  Only Table V (the
+paper's latency table) and the ``serving`` latency table still render
+timings, so a refresh rewrites their numbers every time.
 """
 
 from __future__ import annotations
@@ -47,19 +45,6 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite the tracked benchmarks/results/*.txt from this run",
     )
-    parser.addoption(
-        "--wall-clock",
-        action="store_true",
-        default=False,
-        help="also assert the wall-clock ratio bars (needs a quiet machine)",
-    )
-
-
-@pytest.fixture(scope="session")
-def wall_clock(request) -> bool:
-    """Whether the wall-clock ratio bars gate this run (``--wall-clock``);
-    like ``--update-results``, never in a whole-repo run."""
-    return request.config.getoption("wall_clock", default=False)
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,10 @@ Three claims must hold on a ≥50k-document catalog (see
 1. **Recall** — on the vocabulary-gap query set (queries and rewrites
    built from query-side-only tokens, so every rewrite misses the
    inverted index), hybrid recall@10 is strictly above lexical-only.
-2. **Speed** — the IVF probe search beats per-query brute-force dot
-   products by ≥5× (a wall-clock ratio: asserted under ``--wall-clock``,
-   rendered always) while agreeing with the exact top-10 at ≥0.95.
+2. **Scoring work** — while agreeing with the exact top-10 at ≥0.95,
+   an IVF probe scores at most a fifth of the documents a brute-force
+   dot product scores: ``docs_indexed`` over the sum of the ``nprobe``
+   largest cells is ≥5.
 3. **Churn** — products delisted through the hybrid engine (catalog,
    inverted index, and vector index in lockstep) never surface from the
    vector tier again, even probed with their own embeddings.
@@ -17,7 +18,7 @@ Three claims must hold on a ≥50k-document catalog (see
 from repro.experiments import hybrid_retrieval
 
 
-def test_hybrid_retrieval(benchmark, save_result, wall_clock):
+def test_hybrid_retrieval(benchmark, save_result):
     result = benchmark.pedantic(lambda: hybrid_retrieval.run(), rounds=1, iterations=1)
     save_result(result)
     measured = result.measured
@@ -33,10 +34,9 @@ def test_hybrid_retrieval(benchmark, save_result, wall_clock):
     # contributes nothing, so hybrid == semantic ranking).
     assert measured["hybrid_recall"] >= measured["semantic_recall"] - 1e-9
 
-    # ANN vs brute force: matched recall first, then the speed claim.
+    # ANN vs brute force: matched recall first, then the scoring bound.
     assert measured["ann_matched_recall"] >= 0.95
-    if wall_clock:
-        assert measured["ann_speedup"] >= 5.0
+    assert measured["ann_scoring_bound"] >= 5.0
 
     # Churn-interleaved: removed products never surface from the vector
     # tier; a surviving fresh product is findable in both tiers.

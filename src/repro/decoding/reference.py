@@ -8,8 +8,9 @@ sampling loops.  They exist for two jobs:
 
 * **equivalence oracle** — ``tests/test_decode_equivalence.py`` pins the
   optimized decoders' hypotheses byte-identical to these;
-* **honest baseline** — the decode-throughput benchmark times these, not
-  a hobbled copy of the new code, so the reported speedup is real.
+* **honest baseline** — ``experiments/serving_batched.py`` counts the
+  rows these step against the optimized decoders' rows, not a hobbled
+  copy of the new code, so the reported saving is real.
 
 They intentionally retain the seed path's known defects (the empty-pool
 NaN crash, zombie-row stepping); do not "fix" them here — the regression

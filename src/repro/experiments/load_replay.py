@@ -1,4 +1,4 @@
-"""Load replay through the micro-batch scheduler: the qps/p95 tradeoff.
+"""Load replay through the micro-batch scheduler: model calls vs p95 delay.
 
 Every serving benchmark so far hand-formed its batches; this one feeds
 the serving tier the way production does — single requests arriving on a
@@ -12,8 +12,8 @@ identical two-tier stacks (bounded cache + untrained-hybrid
 * **serial** — ``max_batch_size=1``: every request pays its own model
   decode, the no-scheduler baseline;
 * **micro-N** — dynamic micro-batches under ``max_batch_size=N`` /
-  ``max_wait`` so cache misses share one stacked decode; larger N buys
-  throughput with (bounded) queueing delay;
+  ``max_wait`` so cache misses share one stacked decode; larger N saves
+  model calls at (bounded) queueing delay;
 * **overload** — a deliberately slow virtual worker behind a short
   queue, showing admission control shedding load instead of letting the
   queue (and delays) grow without bound.
@@ -26,8 +26,8 @@ policy's ``max_wait`` bound whenever the worker keeps up, only the
 overload arm sheds, and two replays of the same seed produce
 byte-identical deterministic counters
 (:meth:`~repro.core.serving.ServingStats.counters` and the scheduler
-fingerprint).  The serial-vs-micro-32 wall-clock throughput ratio is
-rendered beside them and gates only on a quiet machine.
+fingerprint).  Every number here is a count or a virtual-clock reading;
+wall-clock throughput is ``bench/``'s to measure.
 
 The fallback model is untrained — decode cost per token matches a
 trained one, and scheduling is a property of the serving machinery, not
@@ -69,8 +69,6 @@ CACHE_SHARDS = 4
 NUM_SHARDS = 4
 TOP_K = 20
 MAX_REWRITES = 3
-#: wall-clock timing rounds for the serial-vs-micro throughput ratio
-TIMING_ROUNDS = 2
 
 #: the batch-policy sweep; (key, label, SchedulerConfig)
 POLICIES: list[tuple[str, str, SchedulerConfig]] = [
@@ -212,7 +210,6 @@ def _run_arm(
 def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
     market, generator, replay = _build_workload(scale)
     num_requests = replay.config.num_requests
-    timing_rounds = scale.timing_rounds(TIMING_ROUNDS)
 
     # The full policy sweep, one arm per policy on fresh stacks.
     reports: dict[str, ReplayReport] = {}
@@ -221,22 +218,6 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
         reports[key], decodes[key] = _run_arm(
             market, generator, replay, scale, policy, arm=key
         )
-
-    # Extra wall-clock rounds for the serial-vs-micro throughput ratio,
-    # interleaved so machine drift charges both arms equally; best-of-N
-    # absorbs scheduler noise (all counters are identical across rounds).
-    serial_seconds = [reports["serial"].seconds]
-    micro_seconds = [reports["micro32"].seconds]
-    for round_index in range(1, timing_rounds):
-        order = ("micro32", "serial") if round_index % 2 else ("serial", "micro32")
-        for key in order:
-            policy = next(p for k, _, p in POLICIES if k == key)
-            report, _ = _run_arm(market, generator, replay, scale, policy, arm=key)
-            (serial_seconds if key == "serial" else micro_seconds).append(
-                report.seconds
-            )
-    serial_qps = num_requests / min(serial_seconds)
-    micro_qps = num_requests / min(micro_seconds)
 
     # Determinism: a second replay of the micro-32 arm on a fresh stack
     # must reproduce every deterministic counter byte for byte.
@@ -260,19 +241,11 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
         "requests": num_requests,
         "churn_events": reports["serial"].churn_events,
         "head_queries": len(replay.head_queries()),
-        "serial_qps": serial_qps,
-        "micro32_qps": micro_qps,
-        "speedup": micro_qps / serial_qps if serial_qps else 0.0,
         "deterministic": deterministic,
     }
     for key, _, policy in POLICIES:
         report = reports[key]
         sched = report.scheduler
-        if key not in ("serial", "micro32"):
-            # serial/micro32 keep their best-of-N qps from above — the
-            # values the speedup was computed from; a first-round-only
-            # number here would contradict the recorded ratio.
-            measured[f"{key}_qps"] = report.qps
         measured[f"{key}_completed"] = sched.completed
         measured[f"{key}_shed"] = sched.shed
         measured[f"{key}_batches"] = sched.batches
@@ -297,27 +270,17 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
         rows.append(
             [
                 label,
-                f"{report.qps:.0f} req/s",
+                f"{decodes[key]['calls']}",
                 f"{sched.p95_queue_delay_seconds() * 1000:.0f} ms",
                 f"{sched.mean_batch_size():.1f}",
                 f"{measured[f'{key}_misses_per_model_call']:.1f}",
                 f"{sched.shed}",
             ]
         )
-    rows.append(
-        [
-            "serial -> micro-32 speedup",
-            f"{measured['speedup']:.2f}x (target >= 2x)",
-            "-",
-            "-",
-            "-",
-            "-",
-        ]
-    )
     rendered = ascii_table(
         [
             "policy",
-            "throughput",
+            "model calls",
             "p95 queue delay (virtual)",
             "mean batch",
             "misses / model call",
@@ -328,7 +291,7 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
     )
     return ExperimentResult(
         experiment_id="load_replay",
-        title="Micro-batch scheduling under load (qps vs queueing delay)",
+        title="Micro-batch scheduling under load (model calls vs queueing delay)",
         measured=measured,
         paper={
             "claim": "the serving tier absorbs bursty single-request traffic",
@@ -338,8 +301,8 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
         notes=(
             "One Poisson arrival trace (head-skewed + churn) replayed under "
             "each batch policy on identical fresh stacks; virtual-clock "
-            "scheduling makes every counter reproducible, wall-clock qps "
-            "measured per arm.  Larger micro-batches buy throughput at "
+            "scheduling makes every counter reproducible.  Larger "
+            "micro-batches stack more misses into each model call at "
             "bounded queueing delay; the overload arm shows backpressure "
             "shedding instead of unbounded queues."
         ),

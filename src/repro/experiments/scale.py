@@ -41,7 +41,7 @@ class ExperimentScale:
     abtest_sessions_per_day: int
     seed: int = 0
     #: multiplier for the scale-independent serving/retrieval workloads
-    #: (corpus sizes, replay lengths, timing rounds).  1.0 keeps every
+    #: (corpus sizes, replay lengths).  1.0 keeps every
     #: acceptance-bar size (e.g. the ≥50k-doc retrieval corpus); TINY
     #: shrinks them to smoke-test proportions.
     workload_factor: float = 1.0
@@ -53,11 +53,6 @@ class ExperimentScale:
         its workload constants at smoke scales while keeping the
         acceptance-bar sizes intact at factor 1.0."""
         return max(floor, int(n * self.workload_factor))
-
-    def timing_rounds(self, rounds: int) -> int:
-        """Full timing repeats at factor ≥ 1; a single round for smoke
-        scales, where wall-clock comparisons are not meaningful anyway."""
-        return rounds if self.workload_factor >= 1.0 else 1
 
 
 SMALL = ExperimentScale(

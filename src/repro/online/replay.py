@@ -27,7 +27,6 @@ retrieval never surfaces a delisted product.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +99,6 @@ class ReplayReport:
 
     arm: str
     requests: int
-    seconds: float
     churn_events: int
     stats: WindowedStats
     #: tier counters read from the pipeline at end of run
@@ -118,11 +116,6 @@ class ReplayReport:
     scheduler: SchedulerReport | None = None
     #: retained for introspection/rendering
     notes: dict = field(default_factory=dict)
-
-    @property
-    def qps(self) -> float:
-        """Wall-clock request throughput of this arm."""
-        return self.requests / self.seconds if self.seconds > 0 else 0.0
 
     @property
     def stale_rate(self) -> float:
@@ -308,9 +301,8 @@ class TrafficReplay:
         ``pipeline`` must be constructed with a churn-capable search
         engine (``ShardedSearchEngine``) and a cache whose clock is
         ``clock.now``; ``controller`` is optional — omit it for the
-        no-freshness baseline.  The wall-clock ``seconds`` measured here
-        cover serving *and* any controller work, so throughput
-        comparisons between arms charge freshness its true cost.
+        no-freshness baseline.  The controller's own work is counted in
+        its :class:`~repro.online.freshness.FreshnessReport`.
         """
         engine = pipeline.search_engine
         if engine is None or not hasattr(engine, "add_product"):
@@ -327,7 +319,6 @@ class TrafficReplay:
         dead_doc_hits = 0
         batch_index = 0
 
-        started = time.perf_counter()
         for kind, payload in self._schedule:
             if kind == "churn":
                 self.apply_churn(
@@ -354,13 +345,11 @@ class TrafficReplay:
 
             for request, served in zip(payload, served_batch):
                 self.record_serve(pipeline, stats, served, request.query, last_churn)
-        seconds = time.perf_counter() - started
 
         serving = pipeline.counters()
         return ReplayReport(
             arm=arm,
             requests=stats.total_requests,
-            seconds=seconds,
             churn_events=churn_events,
             stats=stats,
             cache_served=serving["cache_served"],
@@ -462,7 +451,6 @@ class TrafficReplay:
         # Its own stream: the end-to-end probe picks must not perturb the
         # arrival-gap draws (or the schedule's), so replays stay comparable.
         probe_rng = np.random.default_rng(cfg.seed + 2)
-        started = time.perf_counter()
         for kind, at, payload in self.arrival_trace():
             if kind == "churn":
                 # Serve everything due strictly before the churn lands,
@@ -483,13 +471,11 @@ class TrafficReplay:
                 )
             )
         scheduler_report = scheduler.drain()
-        seconds = time.perf_counter() - started
 
         serving = pipeline.counters()
         return ReplayReport(
             arm=arm,
             requests=stats.total_requests,
-            seconds=seconds,
             churn_events=churn_events,
             stats=stats,
             cache_served=serving["cache_served"],

@@ -40,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import shutil
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -1043,27 +1042,19 @@ class ColdRestartPersistentScenario(ColdRestartScenario):
     mid-trace and a fresh, empty cache swaps in — but this node also
     loses its in-memory retrieval index and recovers it from
     :mod:`repro.store` segments instead of re-adding every catalog
-    document.  On top of the inherited crater/recovery bars, three new
+    document.  On top of the inherited crater/recovery bars, two new
     bars pin the recovery path itself: the restored index must match
     the live one *exactly* (same documents, same ranked results with
     identical scores — churn included, which a catalog rebuild would
-    miss), restoring must not be slower than rebuilding, and the save
-    must actually have produced per-shard segment files.
+    miss), and the save must actually have produced per-shard segment
+    files.  That a restore does no rebuild work is counted at 50k
+    documents by ``benchmarks/test_persistence.py``.
     """
 
     name = "cold_restart_persistent"
-    description = (
-        "restart restores the index from on-disk segments; equality + speed bars"
-    )
-    #: additive timing slack (seconds) so the restore-vs-rebuild bar is
-    #: not flaky at smoke scale, where both sides take ~milliseconds;
-    #: the real 5x separation is pinned at 50k docs by
-    #: ``benchmarks/test_persistence.py``
-    SLACK_SECONDS = 0.025
+    description = "restart restores the index from on-disk segments; equality bars"
     #: head queries probed for exact result equality after the restore
     PROBE_QUERIES = 5
-    #: timing repetitions (best-of, to shed scheduler noise)
-    TIMING_ROUNDS = 3
 
     @staticmethod
     def _restart_from_segments(runner: ScenarioRunner, tenant: TenantState) -> None:
@@ -1074,10 +1065,8 @@ class ColdRestartPersistentScenario(ColdRestartScenario):
         restored from those segments, and the tenant is swapped onto the
         restored engine for the rest of the trace — so every
         post-restart search bar in the suite exercises the *restored*
-        index, not the one that "survived" the crash.  Rebuild-from-
-        catalog is timed as the baseline the restore must beat.  All
-        timings land in ``tenant.notes`` (never in the per-tenant
-        telemetry, which must stay run-to-run fingerprint-identical).
+        index, not the one that "survived" the crash.  The checks land
+        in ``tenant.notes`` (never in the per-tenant telemetry).
         """
         arm = runner.scenario
         runner.swap_cache(tenant)
@@ -1087,27 +1076,13 @@ class ColdRestartPersistentScenario(ColdRestartScenario):
         expected = {query: live.search(query) for query in probes}
 
         root = runner._scratch / "store"
-        start = time.perf_counter()
         live.save(root)
-        save_seconds = time.perf_counter() - start
-
-        restored = None
-        restore_seconds = float("inf")
-        for _ in range(arm.TIMING_ROUNDS):
-            start = time.perf_counter()
-            restored = ShardedSearchEngine.load(
-                tenant.market.catalog,
-                root,
-                SearchConfig(ranker="bm25"),
-                parallel=False,
-            )
-            restore_seconds = min(restore_seconds, time.perf_counter() - start)
-
-        rebuild_seconds = float("inf")
-        for _ in range(arm.TIMING_ROUNDS):
-            start = time.perf_counter()
-            arm.build_engine(tenant.market, runner)
-            rebuild_seconds = min(rebuild_seconds, time.perf_counter() - start)
+        restored = ShardedSearchEngine.load(
+            tenant.market.catalog,
+            root,
+            SearchConfig(ranker="bm25"),
+            parallel=False,
+        )
 
         mismatches = 0
         if _engine_doc_ids(restored) != live_docs:
@@ -1118,9 +1093,6 @@ class ColdRestartPersistentScenario(ColdRestartScenario):
                 mismatches += 1
 
         segment_files = sorted(root.glob("*.seg"))
-        tenant.notes["persist_save_seconds"] = save_seconds
-        tenant.notes["persist_restore_seconds"] = restore_seconds
-        tenant.notes["persist_rebuild_seconds"] = rebuild_seconds
         tenant.notes["persist_mismatches"] = mismatches
         tenant.notes["persist_segment_files"] = len(segment_files)
         tenant.notes["persist_segment_bytes"] = sum(
@@ -1135,8 +1107,6 @@ class ColdRestartPersistentScenario(ColdRestartScenario):
     def invariants(self, runner: ScenarioRunner) -> list[InvariantResult]:
         """Inherited crater/recovery bars plus the recovery-path bars."""
         notes = runner.tenants[0].notes
-        restore = notes.get("persist_restore_seconds", float("inf"))
-        rebuild = notes.get("persist_rebuild_seconds", 0.0)
         files = notes.get("persist_segment_files", 0)
         shards = notes.get("persist_num_shards", 1)
         return super().invariants(runner) + [
@@ -1146,16 +1116,6 @@ class ColdRestartPersistentScenario(ColdRestartScenario):
                 "restored engine must hold the exact live document set and "
                 f"rank {self.PROBE_QUERIES} probe queries with identical "
                 "scores (churn included)",
-            ),
-            InvariantResult(
-                name="restore_faster_than_rebuild",
-                passed=restore <= rebuild + self.SLACK_SECONDS,
-                observed=restore,
-                bar=f"<= rebuild ({rebuild:.4f}s) + {self.SLACK_SECONDS}s",
-                detail=(
-                    "loading segments must not lose to re-adding every "
-                    f"catalog document (best of {self.TIMING_ROUNDS} rounds each)"
-                ),
             ),
             InvariantResult(
                 name="segments_persisted",

@@ -9,8 +9,7 @@ acceptance scale (``ScenarioConfig(seed=0)``): the sha256 of
 ``repr(outcome.fingerprint())`` and every invariant's
 ``(name, passed, bar, observed)``.  The deliberately broken
 ``multi_tenant`` deployment (``namespace_cache=False``) is pinned at both
-scales too, with its failure names.  ``restore_faster_than_rebuild``
-compares two wall-clock readings, so only its name is pinned.
+scales too, with its failure names.
 ``tests/test_scenarios_golden.py`` asserts the current code reproduces
 the file byte for byte.
 Regenerate (only when an outcome change is intended) with::
@@ -34,21 +33,15 @@ SCALES = {
     "smoke": ScenarioConfig().scaled(0.04),
     "full": ScenarioConfig(seed=0),
 }
-#: invariants whose bar and observed value are wall-clock readings
-WALL_CLOCK = frozenset({"restore_faster_than_rebuild"})
 
 
 def record(name: str, config: ScenarioConfig) -> dict:
     """The pinned facts of one run of arm ``name`` from ``config``."""
     outcome = run_scenario(name, config)
-    invariants = []
-    for result in outcome.invariants:
-        if result.name in WALL_CLOCK:
-            invariants.append([result.name])
-        else:
-            invariants.append(
-                [result.name, result.passed, result.bar, result.observed]
-            )
+    invariants = [
+        [result.name, result.passed, result.bar, result.observed]
+        for result in outcome.invariants
+    ]
     row = {
         "fingerprint_sha256": hashlib.sha256(
             repr(outcome.fingerprint()).encode()
