@@ -11,8 +11,8 @@ Every bar here is deterministic: recall, match rates, postings, decoder
 steps, model calls, titles encoded, cells scored, churn.  No bar
 compares two wall-clock readings — how fast the serving stack runs is
 ``bench/``'s to measure (see ``BENCHMARK.json``).  Only Table V (the
-paper's latency table) and the ``serving`` latency table still render
-timings, so a refresh rewrites their numbers every time.
+paper's latency table) still renders timings, so a refresh rewrites its
+numbers every time.
 """
 
 from __future__ import annotations

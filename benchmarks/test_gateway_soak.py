@@ -1,53 +1,48 @@
 """Gateway soak — acceptance bars for the service front door.
 
-The ``gateway_soak`` experiment boots a real asyncio HTTP gateway on an
-ephemeral loopback port, replays a deterministic trace through it with
-concurrent socket clients, and twins the run in process on a virtual
-clock.  At acceptance scale every conformance bar must hold: per-tenant
-serving counters byte-identical across the two paths, zero HTTP 500s,
-schema-valid responses, and a drain receipt conserving every admitted
-request.  A mid-soak drain (driven directly here, not via the
-experiment) additionally pins the zero-loss property under interruption.
+The ``gateway_soak`` scenario arm (rendered by the ``scenarios``
+experiment) boots a real asyncio HTTP gateway on an ephemeral loopback
+port, replays a deterministic trace through it with concurrent socket
+clients, and twins the run in process on a virtual clock.  The bars
+here drive the same harness at acceptance scale where the arm cannot:
+a mid-soak drain that loses nothing, a client-count sweep, and
+micro-batched conservation through the socket path.
 """
 
 import asyncio
 
-from repro.experiments import gateway_soak as gateway_soak_experiment
+from repro.gateway.app import Gateway, GatewayConfig
+from repro.gateway.ratelimit import RateLimitConfig
 from repro.gateway.soak import (
-    SoakConfig,
+    SOAK_SCHEDULER,
+    MiniClient,
+    build_tenant_pipeline,
     build_workload,
     item_path,
     item_payload,
-    run_gateway_arm,
     run_soak,
 )
+from repro.online import ScenarioConfig
+from repro.online.clock import WallClock
+from repro.online.scheduler import SchedulerConfig
+
+#: shaping off: admission depends on the trace alone, not client pacing
+UNSHAPED = RateLimitConfig(rate_per_second=1e6, burst=1_000_000)
 
 
-def test_gateway_soak(benchmark, save_result, scale):
-    result = benchmark.pedantic(
-        gateway_soak_experiment.run, args=(scale,), rounds=1, iterations=1
+def _config(scale) -> ScenarioConfig:
+    """Two tenants, acceptance-scale traffic, the scale's seed."""
+    return ScenarioConfig(
+        seed=scale.seed, requests_per_tenant=scale.scaled(120, 60), num_sessions=250
     )
-    save_result(result)
-    measured = result.measured
 
-    # The headline conformance claim: the socket path IS the replay model.
-    assert measured["socket_counters_byte_identical"] is True
-    assert measured["identical"] is True
 
-    # Error containment and schema discipline over the whole soak.
-    assert measured["http_500s"] == 0
-    assert measured["schema_failures"] == 0
-    assert measured["every_request_answered_200"] is True
-
-    # Conservation across the graceful drain: nothing admitted vanished.
-    assert measured["lost_requests"] == 0
-    receipt = measured["receipt"]
-    assert receipt["admitted"] == receipt["completed"] + receipt["shed"]
-    assert receipt["admitted"] == measured["requests"]
-
-    # The deterministic side of the outcome reruns byte-identically.
-    assert measured["deterministic"] is True
-    assert measured["all_passed"] is True
+def _pipelines(config: ScenarioConfig, clock) -> dict:
+    """tenant -> serving pipeline, exactly as the soak builds them."""
+    return {
+        f"tenant{index}": build_tenant_pipeline(config, index, clock.now)
+        for index in range(config.num_tenants)
+    }
 
 
 def test_drain_mid_soak_loses_nothing(scale):
@@ -58,31 +53,18 @@ def test_drain_mid_soak_loses_nothing(scale):
     receipt's ``admitted == completed + shed`` is checked against the
     clients' own accounting of 200s received.
     """
-    config = SoakConfig(
-        seed=scale.seed, num_requests=scale.scaled(240, 120), drain_at_end=False
-    )
+    config = _config(scale)
     items, _ = build_workload(config)
 
     async def interrupted():
-        from repro.gateway.soak import MiniClient
-        from repro.gateway.app import Gateway, GatewayConfig
-        from repro.gateway.ratelimit import RateLimitConfig
-        from repro.gateway.soak import SOAK_SCHEDULER, build_tenant_pipeline
-        from repro.online.clock import WallClock
-
         clock = WallClock()
-        pipelines = {
-            tenant: build_tenant_pipeline(config, index, clock.now)
-            for index, tenant in enumerate(config.tenants)
-        }
-        gateway_config = GatewayConfig(
-            scheduler=SOAK_SCHEDULER,
-            rate_limit=RateLimitConfig(rate_per_second=1e6, burst=1_000_000),
-        )
+        gateway_config = GatewayConfig(scheduler=SOAK_SCHEDULER, rate_limit=UNSHAPED)
         drain_after = len(items) // 2
         served_200 = 0
         draining_503 = 0
-        async with Gateway(pipelines, gateway_config, clock=clock) as gateway:
+        async with Gateway(
+            _pipelines(config, clock), gateway_config, clock=clock
+        ) as gateway:
             client = MiniClient(gateway.config.host, gateway.port)
             drainer = MiniClient(gateway.config.host, gateway.port)
             receipt = None
@@ -120,22 +102,16 @@ def test_concurrency_level_does_not_change_counters(scale):
 
     The soak's byte-equality claim is only meaningful if the socket arm
     is insensitive to interleaving; sweeping the client count is the
-    direct probe of that property.
+    direct probe of that property.  Each run must byte-match its twin,
+    so the two runs' outcomes fingerprint identically.
     """
-    base = SoakConfig(seed=scale.seed, num_requests=scale.scaled(240, 120))
-    items, _ = build_workload(base)
-    counters = []
+    config = _config(scale)
+    fingerprints = []
     for clients in (1, 8):
-        config = SoakConfig(
-            seed=base.seed, num_requests=base.num_requests, clients=clients
-        )
-        serving, by_status, schema_failures, _, _ = asyncio.run(
-            run_gateway_arm(config, items)
-        )
-        assert by_status == {"200": len(items)}
-        assert schema_failures == 0
-        counters.append(serving)
-    assert counters[0] == counters[1]
+        outcome = run_soak(config, clients=clients)
+        assert outcome.passed, [str(r) for r in outcome.failures()]
+        fingerprints.append(outcome.fingerprint())
+    assert fingerprints[0] == fingerprints[1]
 
 
 def test_micro_batched_gateway_conserves_work(scale):
@@ -145,33 +121,21 @@ def test_micro_batched_gateway_conserves_work(scale):
     requests (so cache/model splits may differ from the twin); what must
     hold is exact work conservation and zero error responses.
     """
-    from repro.gateway.app import GatewayConfig
-    from repro.gateway.ratelimit import RateLimitConfig
-    from repro.online.scheduler import SchedulerConfig
-
-    config = SoakConfig(
-        seed=scale.seed, num_requests=scale.scaled(240, 120), drain_at_end=True
-    )
+    config = _config(scale)
     items, _ = build_workload(config)
 
     async def batched():
-        from repro.gateway.app import Gateway
-        from repro.gateway.soak import MiniClient, build_tenant_pipeline
-        from repro.online.clock import WallClock
-
         clock = WallClock()
-        pipelines = {
-            tenant: build_tenant_pipeline(config, index, clock.now)
-            for index, tenant in enumerate(config.tenants)
-        }
         gateway_config = GatewayConfig(
             scheduler=SchedulerConfig(
                 max_batch_size=8, max_wait_seconds=0.02, max_queue_depth=4096
             ),
-            rate_limit=RateLimitConfig(rate_per_second=1e6, burst=1_000_000),
+            rate_limit=UNSHAPED,
             pump_interval_seconds=0.002,
         )
-        async with Gateway(pipelines, gateway_config, clock=clock) as gateway:
+        async with Gateway(
+            _pipelines(config, clock), gateway_config, clock=clock
+        ) as gateway:
             lanes = [items[offset::4] for offset in range(4)]
 
             async def drive(slice_items):
@@ -200,9 +164,3 @@ def test_micro_batched_gateway_conserves_work(scale):
     assert receipt["admitted"] == len(items)
     assert receipt["admitted"] == receipt["completed"] + receipt["shed"]
     assert receipt["shed"] == 0
-
-
-def test_soak_fingerprint_stable_across_runs(scale):
-    """Two full soak runs agree on the deterministic fingerprint."""
-    config = SoakConfig(seed=scale.seed, num_requests=scale.scaled(240, 120))
-    assert run_soak(config).fingerprint() == run_soak(config).fingerprint()

@@ -1,4 +1,4 @@
-"""Section III-G — two-tier serving: cache coverage and latency."""
+"""Section III-G — two-tier serving: cache coverage and the bounded cache."""
 
 from repro.experiments import serving
 
@@ -11,4 +11,5 @@ def test_serving_tradeoff(benchmark, context, scale, save_result):
     assert measured["cache_share"] > 0.5
     # The fallback model serves (part of) the tail.
     assert measured["model_share"] + measured["unserved_share"] > 0.0
-    assert measured["mean_latency_ms"] < 1000.0
+    # Model-tier write-back stays inside the cache's capacity bound.
+    assert 0 < measured["cache_entries"] <= measured["cache_capacity"]

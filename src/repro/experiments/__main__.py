@@ -28,7 +28,6 @@ from repro.experiments import (
     fig7,
     fig8,
     fig9,
-    gateway_soak,
     hybrid_retrieval,
     lm_exploration,
     load_replay,
@@ -67,7 +66,6 @@ RUNNERS = {
     "load_replay": load_replay.run,
     "persistence": persistence.run,
     "scenarios": scenarios.run,
-    "gateway_soak": gateway_soak.run,
     "ablation_lambda": ablations.lambda_sweep,
     "ablation_diversity": ablations.decoder_diversity,
     "ablation_warmup": ablations.warmup_sensitivity,

@@ -5,11 +5,13 @@ The paper's two-tier deployment: precomputed rewrites for head queries
 (~30 ms).  We populate a *bounded, sharded* cache with the head of the
 simulated traffic distribution, replay traffic through the batched
 serving path (requests arrive in batches; misses share one stacked
-decode), and report tier shares, latency percentiles, and the cache's
-occupancy/eviction gauges.  Model-tier results are written back into the
-cache, so repeated tail queries promote themselves and the LRU bound
-evicts whatever went cold — the "top 8M queries" tier as a finite
-resource rather than an ever-growing dict.
+decode), and report tier shares and the cache's occupancy/eviction
+gauges.  Model-tier results are written back into the cache, so repeated
+tail queries promote themselves and the LRU bound evicts whatever went
+cold — the "top 8M queries" tier as a finite resource rather than an
+ever-growing dict.  Every rendered quantity is a count, so the artifact
+reproduces byte for byte; the paper's latencies are Table V's
+(``table5``) to time.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from repro.experiments.result import ExperimentResult
 from repro.experiments.scale import ExperimentScale, SMALL
 from repro.experiments.shared import build_context
 from repro.models import HybridNMT, ModelConfig
-from repro.online import WindowedStats
 from repro.training import SeparateTrainer, TrainingConfig
 
 #: requests per serving batch in the traffic replay
@@ -95,10 +96,8 @@ def run(scale: ExperimentScale = SMALL, head_fraction: float = 0.4) -> Experimen
     requests = [
         texts[int(i)] for i in rng.choice(len(texts), size=n_requests, p=weights)
     ]
-    latencies = WindowedStats(window=n_requests)
     for start in range(0, n_requests, BATCH_SIZE):
-        for served in pipeline.serve_batch(requests[start : start + BATCH_SIZE]):
-            latencies.record(served.latency_ms)
+        pipeline.serve_batch(requests[start : start + BATCH_SIZE])
 
     stats = pipeline.stats
     measured = {
@@ -109,10 +108,6 @@ def run(scale: ExperimentScale = SMALL, head_fraction: float = 0.4) -> Experimen
         "cache_share": stats.cache_served / max(1, stats.total),
         "model_share": stats.model_served / max(1, stats.total),
         "unserved_share": stats.unserved / max(1, stats.total),
-        "mean_latency_ms": latencies.mean_latency_ms(),
-        "p50_latency_ms": latencies.p50_latency_ms(),
-        "p95_latency_ms": latencies.p95_latency_ms(),
-        "p99_latency_ms": latencies.p99_latency_ms(),
     }
     occupancy = ", ".join(str(n) for n in cache.shard_occupancy())
     rows = [
@@ -121,19 +116,13 @@ def run(scale: ExperimentScale = SMALL, head_fraction: float = 0.4) -> Experimen
         ["cache occupancy / capacity", "top-8M budget", f"{len(cache)}/{cache.capacity} ({measured['cache_fill_ratio']:.0%})"],
         ["cache evictions (LRU)", "finite KV store", f"{measured['cache_evictions']}"],
         ["per-shard occupancy", f"{CACHE_SHARDS} shards", occupancy],
-        ["mean latency", "<5ms cache / ~30ms model", f"{measured['mean_latency_ms']:.2f} ms"],
-        ["p50 / p95 / p99 latency", "~50ms budget", (
-            f"{measured['p50_latency_ms']:.2f} / "
-            f"{measured['p95_latency_ms']:.2f} / "
-            f"{measured['p99_latency_ms']:.2f} ms"
-        )],
     ]
     rendered = ascii_table(["quantity", "paper", "measured"], rows, float_format="{:.3f}")
     return ExperimentResult(
         experiment_id="serving",
         title="Online serving tradeoff (Section III-G)",
         measured=measured,
-        paper={"cache_share": ">0.8", "latency": "30ms CPU"},
+        paper={"cache_share": ">0.8"},
         rendered=rendered,
         notes=(
             "Bounded sharded-LRU head cache plus batched direct-q2q fallback; "

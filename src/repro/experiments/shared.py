@@ -106,9 +106,9 @@ class ExperimentContext:
 _CONTEXT_CACHE: dict[str, ExperimentContext] = {}
 
 
-def build_context(scale: ExperimentScale, use_cache: bool = True) -> ExperimentContext:
+def build_context(scale: ExperimentScale) -> ExperimentContext:
     """Build (or fetch) the full experiment context for a scale preset."""
-    if use_cache and scale.name in _CONTEXT_CACHE:
+    if scale.name in _CONTEXT_CACHE:
         return _CONTEXT_CACHE[scale.name]
 
     marketplace = generate_marketplace(
@@ -137,8 +137,7 @@ def build_context(scale: ExperimentScale, use_cache: bool = True) -> ExperimentC
         encoder=_train_encoder(marketplace, scale),
         labeler=SimulatedLabeler(marketplace.catalog),
     )
-    if use_cache:
-        _CONTEXT_CACHE[scale.name] = context
+    _CONTEXT_CACHE[scale.name] = context
     return context
 
 

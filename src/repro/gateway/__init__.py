@@ -18,8 +18,9 @@ stdlib ``asyncio``, no new dependencies:
   :class:`~repro.online.clock.WallClock`;
 * :mod:`repro.gateway.app` — the :class:`Gateway` itself: routes,
   admission, graceful drain, ``/v1/stats`` telemetry;
-* :mod:`repro.gateway.soak` — the socket-path soak harness proving the
-  gateway's counters byte-match an in-process virtual-clock replay.
+* :mod:`repro.gateway.soak` — the ``gateway_soak`` scenario arm's
+  harness, proving the gateway's counters byte-match an in-process
+  virtual-clock replay.
 
 See ``docs/GATEWAY.md`` for the API reference and design notes.
 """
@@ -41,14 +42,7 @@ from repro.gateway.schemas import (
     SearchResponse,
     StatsResponse,
 )
-from repro.gateway.soak import (
-    MiniClient,
-    SoakConfig,
-    SoakItem,
-    SoakOutcome,
-    build_workload,
-    run_soak,
-)
+from repro.gateway.soak import MiniClient, SoakItem, build_workload, run_soak
 
 __all__ = [
     "Gateway",
@@ -71,9 +65,7 @@ __all__ = [
     "HealthResponse",
     "StatsResponse",
     "DrainResponse",
-    "SoakConfig",
     "SoakItem",
-    "SoakOutcome",
     "MiniClient",
     "build_workload",
     "run_soak",

@@ -1,4 +1,4 @@
-"""Socket-path soak harness: live gateway vs in-process twin replay.
+"""Socket-path soak: the ``gateway_soak`` scenario arm's harness.
 
 The conformance claim this module exists to check: serving the *same*
 deterministic :class:`~repro.online.replay.TrafficReplay`-derived trace
@@ -22,17 +22,17 @@ zero wait (each request is its own dispatch), no model-result caching
 separately by the lifecycle tests through conservation invariants rather
 than byte equality.
 
-Everything here is shared by ``tests/test_gateway_soak.py``,
-``benchmarks/test_gateway_soak.py``, the ``gateway_soak`` experiment
-runner, and the scenario arm of the same name — one workload definition,
-four consumers.
+The run is shaped by the arm's :class:`~repro.online.scenarios.
+ScenarioConfig` alone: tenants ``tenant0..``, ``requests_per_tenant``
+requests each, the scenario library's search cadence, and the config's
+catalog and click-log sizes.  :func:`run_soak` is the arm's whole run.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.baselines import RuleBasedRewriter
 from repro.core import RewriteCache, ServingConfig, ServingPipeline
@@ -48,44 +48,19 @@ from repro.gateway.schemas import (
 )
 from repro.online.clock import VirtualClock, WallClock
 from repro.online.replay import ReplayConfig, TrafficReplay
+from repro.online.scenarios import (
+    _SEARCH_EVERY,
+    InvariantResult,
+    ScenarioConfig,
+    ScenarioOutcome,
+    _zero_bar,
+)
 from repro.online.scheduler import (
     MicroBatchScheduler,
     ScheduledRequest,
     SchedulerConfig,
 )
 from repro.search import SearchConfig, ShardedSearchEngine
-
-
-@dataclass(frozen=True)
-class SoakConfig:
-    """Shape of one soak run (both arms derive everything from this)."""
-
-    seed: int = 0
-    #: total requests across all tenants
-    num_requests: int = 240
-    #: marketplaces served; each gets its own catalog/pipeline/scheduler
-    tenants: tuple = ("marketplace_na", "marketplace_eu")
-    #: every Nth request per tenant goes end-to-end through retrieval
-    search_every: int = 4
-    #: concurrent HTTP client connections in the socket arm
-    clients: int = 4
-    #: catalog/click-log scale per tenant
-    products_per_category: int = 4
-    sessions_per_tenant: int = 250
-    #: drain the gateway at the end and keep the conservation receipt
-    drain_at_end: bool = True
-
-    def __post_init__(self):
-        """A soak needs work, tenants, and at least one client."""
-        if self.num_requests < 1:
-            raise ValueError("num_requests must be >= 1")
-        if not self.tenants:
-            raise ValueError("tenants must be non-empty")
-        if self.clients < 1:
-            raise ValueError("clients must be >= 1")
-        if self.search_every < 1:
-            raise ValueError("search_every must be >= 1")
-
 
 #: the order-independent scheduler policy both arms share (see module doc)
 SOAK_SCHEDULER = SchedulerConfig(
@@ -108,53 +83,9 @@ class SoakItem:
     lane: int
 
 
-@dataclass
-class SoakOutcome:
-    """Everything both arms produced, ready for invariant checks."""
-
-    #: requests in the trace
-    requests: int
-    #: tenant -> deterministic counters seen over HTTP (/v1/stats)
-    gateway_counters: dict
-    #: tenant -> deterministic counters from the virtual-clock twin
-    twin_counters: dict
-    #: HTTP responses received, by status code
-    responses_by_status: dict
-    #: responses whose body failed response-schema validation
-    schema_failures: int
-    #: drain receipt (DrainResponse wire dict), when drain_at_end
-    receipt: dict | None
-    #: the gateway block of /v1/stats at end of run
-    gateway_stats: dict = field(default_factory=dict)
-
-    @property
-    def identical(self) -> bool:
-        """Whether the two arms' counters are byte-identical."""
-        return _canonical(self.gateway_counters) == _canonical(self.twin_counters)
-
-    @property
-    def http_500s(self) -> int:
-        """Internal errors observed by the clients (pinned to zero)."""
-        return sum(
-            count
-            for status, count in self.responses_by_status.items()
-            if int(status) >= 500
-        )
-
-    @property
-    def lost_requests(self) -> int:
-        """Admitted requests that neither completed nor were shed."""
-        if self.receipt is None:
-            return 0
-        return (
-            self.receipt["admitted"]
-            - self.receipt["completed"]
-            - self.receipt["shed"]
-        )
-
-    def fingerprint(self) -> str:
-        """Canonical digest of the deterministic outcome (twin side)."""
-        return _canonical(self.twin_counters)
+def _tenants(config: ScenarioConfig) -> list[str]:
+    """The soak's tenant names, ``tenant0`` .. ``tenant{n-1}``."""
+    return [f"tenant{i}" for i in range(config.num_tenants)]
 
 
 def _canonical(counters: dict) -> str:
@@ -163,7 +94,7 @@ def _canonical(counters: dict) -> str:
 
 
 # -- workload ----------------------------------------------------------------
-def build_workload(config: SoakConfig):
+def build_workload(config: ScenarioConfig):
     """The deterministic trace plus per-tenant head sets.
 
     Returns ``(items, heads)``: ``items`` interleaves the tenants
@@ -172,11 +103,12 @@ def build_workload(config: SoakConfig):
     by construction — the churn cadence is pushed past the trace length —
     so the trace is pure traffic.
     """
-    per_tenant = max(1, config.num_requests // len(config.tenants))
+    per_tenant = config.requests_per_tenant
+    tenants = _tenants(config)
     traces = {}
     heads = {}
-    for index, tenant in enumerate(config.tenants):
-        replay = _build_replay(config, index, per_tenant)
+    for index, tenant in enumerate(tenants):
+        replay = _build_replay(config, index)
         heads[tenant] = set(replay.head_queries())
         requests = [
             payload
@@ -186,7 +118,7 @@ def build_workload(config: SoakConfig):
         traces[tenant] = [
             SoakItem(
                 tenant=tenant,
-                kind="search" if seq % config.search_every == 0 else "rewrite",
+                kind="search" if seq % _SEARCH_EVERY == 0 else "rewrite",
                 query=request.query,
                 lane=0 if request.query in heads[tenant] else 1,
             )
@@ -194,12 +126,12 @@ def build_workload(config: SoakConfig):
         ]
     items = []
     for seq in range(per_tenant):
-        for tenant in config.tenants:
+        for tenant in tenants:
             items.append(traces[tenant][seq])
     return items, heads
 
 
-def _build_replay(config: SoakConfig, index: int, per_tenant: int) -> TrafficReplay:
+def _build_replay(config: ScenarioConfig, index: int) -> TrafficReplay:
     """One tenant's deterministic traffic source (no churn events)."""
     seed = config.seed + 11 * index
     generator = CatalogGenerator(
@@ -209,11 +141,12 @@ def _build_replay(config: SoakConfig, index: int, per_tenant: int) -> TrafficRep
     click_log = ClickLogSimulator(
         catalog,
         config=ClickLogConfig(
-            num_sessions=config.sessions_per_tenant,
+            num_sessions=config.num_sessions,
             intent_pool_size=60,
             seed=seed,
         ),
     ).simulate()
+    per_tenant = config.requests_per_tenant
     replay_config = ReplayConfig(
         num_requests=per_tenant,
         batch_size=16,
@@ -223,8 +156,10 @@ def _build_replay(config: SoakConfig, index: int, per_tenant: int) -> TrafficRep
     return TrafficReplay(click_log, generator, replay_config)
 
 
-def build_tenant_pipeline(config: SoakConfig, index: int, clock) -> ServingPipeline:
-    """One tenant's serving stack, identical in both arms.
+def build_tenant_pipeline(
+    config: ScenarioConfig, index: int, clock
+) -> ServingPipeline:
+    """Tenant ``index``'s serving stack, identical in both arms.
 
     ``clock`` is the zero-argument time source for the cache TTL (the
     arm's WallClock.now or VirtualClock.now).  The TTL is effectively
@@ -241,15 +176,14 @@ def build_tenant_pipeline(config: SoakConfig, index: int, clock) -> ServingPipel
     )
     cache = RewriteCache(ttl_seconds=1e9, clock=clock)
     rewriter = RuleBasedRewriter(alias_to_canonical())
-    per_tenant = max(1, config.num_requests // len(config.tenants))
-    replay = _build_replay(config, index, per_tenant)
+    replay = _build_replay(config, index)
     cache.populate(rewriter, list(replay.head_queries()), k=3)
     return ServingPipeline(
         cache,
         rewriter,
         ServingConfig(cache_model_results=False),
         search_engine=engine,
-        tenant=config.tenants[index],
+        tenant=_tenants(config)[index],
     )
 
 
@@ -354,16 +288,20 @@ def item_path(item: SoakItem) -> str:
 
 
 # -- the two arms ------------------------------------------------------------
-async def run_gateway_arm(config: SoakConfig, items):
+async def run_gateway_arm(config: ScenarioConfig, items, *, clients: int = 4):
     """Drive the trace through a live gateway over real sockets.
 
-    Returns ``(per_tenant_counters, responses_by_status, schema_failures,
+    ``clients`` concurrent connections each post every ``clients``-th
+    item; the gateway is drained at the end.  Returns
+    ``(per_tenant_counters, responses_by_status, schema_failures,
     receipt, gateway_stats)``.
     """
+    if clients < 1:
+        raise ValueError(f"clients must be >= 1, got {clients}")
     clock = WallClock()
     pipelines = {
         tenant: build_tenant_pipeline(config, index, clock.now)
-        for index, tenant in enumerate(config.tenants)
+        for index, tenant in enumerate(_tenants(config))
     }
     gateway_config = GatewayConfig(
         scheduler=SOAK_SCHEDULER,
@@ -373,9 +311,8 @@ async def run_gateway_arm(config: SoakConfig, items):
     )
     responses_by_status: dict = {}
     schema_failures = 0
-    receipt = None
     async with Gateway(pipelines, gateway_config, clock=clock) as gateway:
-        lanes = [items[offset :: config.clients] for offset in range(config.clients)]
+        lanes = [items[offset::clients] for offset in range(clients)]
 
         async def drive(slice_items):
             nonlocal schema_failures
@@ -401,11 +338,9 @@ async def run_gateway_arm(config: SoakConfig, items):
 
         reader = MiniClient(gateway.config.host, gateway.port)
         try:
+            _, _, receipt_body = await reader.post("/v1/drain", {})
+            receipt = DrainResponse.parse(receipt_body).to_wire()
             _, _, stats = await reader.get("/v1/stats")
-            if config.drain_at_end:
-                _, _, receipt_body = await reader.post("/v1/drain", {})
-                receipt = DrainResponse.parse(receipt_body).to_wire()
-                _, _, stats = await reader.get("/v1/stats")
         finally:
             await reader.close()
     return (
@@ -417,7 +352,7 @@ async def run_gateway_arm(config: SoakConfig, items):
     )
 
 
-def run_twin_arm(config: SoakConfig, items) -> dict:
+def run_twin_arm(config: ScenarioConfig, items) -> dict:
     """Replay the same trace in process on a virtual clock.
 
     One shared :class:`VirtualClock`, one scheduler per tenant (exactly
@@ -425,13 +360,14 @@ def run_twin_arm(config: SoakConfig, items) -> dict:
     the global round-robin order.  Returns tenant -> counters.
     """
     clock = VirtualClock()
+    tenants = _tenants(config)
     pipelines = {
         tenant: build_tenant_pipeline(config, index, clock.now)
-        for index, tenant in enumerate(config.tenants)
+        for index, tenant in enumerate(tenants)
     }
     schedulers = {
         tenant: MicroBatchScheduler(pipelines[tenant], clock, SOAK_SCHEDULER)
-        for tenant in config.tenants
+        for tenant in tenants
     }
     for seq, item in enumerate(items):
         schedulers[item.tenant].submit(
@@ -442,7 +378,7 @@ def run_twin_arm(config: SoakConfig, items) -> dict:
                 kind=item.kind,
             )
         )
-    for tenant in config.tenants:
+    for tenant in tenants:
         schedulers[tenant].drain()
         pipelines[tenant].close()
     return {
@@ -450,20 +386,87 @@ def run_twin_arm(config: SoakConfig, items) -> dict:
     }
 
 
-def run_soak(config: SoakConfig | None = None) -> SoakOutcome:
-    """Run both arms and assemble the :class:`SoakOutcome` (sync entry)."""
-    config = config or SoakConfig()
+def run_soak(
+    config: ScenarioConfig | None = None, *, clients: int = 4
+) -> ScenarioOutcome:
+    """Run both arms from ``config`` and judge the ``gateway_soak`` bars.
+
+    ``clients`` is the socket arm's concurrent connection count; the
+    outcome may not depend on it.  ``per_tenant`` holds the twin's
+    counters, ``notes`` the HTTP status tally, the gateway block of
+    ``/v1/stats`` and the drain receipt.
+    """
+    config = config or ScenarioConfig()
     items, _ = build_workload(config)
     gateway_counters, by_status, schema_failures, receipt, gateway_stats = (
-        asyncio.run(run_gateway_arm(config, items))
+        asyncio.run(run_gateway_arm(config, items, clients=clients))
     )
     twin_counters = run_twin_arm(config, items)
-    return SoakOutcome(
-        requests=len(items),
-        gateway_counters=gateway_counters,
-        twin_counters=twin_counters,
-        responses_by_status=by_status,
-        schema_failures=schema_failures,
-        receipt=receipt,
-        gateway_stats=gateway_stats,
+    identical = _canonical(gateway_counters) == _canonical(twin_counters)
+    http_500s = sum(
+        count for status, count in by_status.items() if int(status) >= 500
+    )
+    lost = receipt["admitted"] - receipt["completed"] - receipt["shed"]
+    answered_200 = by_status.get("200", 0)
+    per_tenant = {}
+    for tenant, counters in twin_counters.items():
+        per_tenant[tenant] = {
+            "counters": counters,
+            "requests": counters["admitted"],
+            "submitted": counters["admitted"] + counters["shed"],
+            "searches": counters["search_requests"],
+            "churn_events": 0,  # the conformance trace is pure traffic
+            "dead_doc_hits": 0,
+            "cross_tenant_cache_hits": 0,
+            "cross_tenant_doc_serves": 0,
+            "counters_byte_identical": identical,
+        }
+    invariants = [
+        InvariantResult(
+            name="socket_counters_byte_identical",
+            passed=identical,
+            observed=float(identical),
+            bar="== virtual-clock twin",
+            detail=(
+                "per-tenant ServingPipeline.counters() over the socket path "
+                "must byte-match the same-seed in-process replay"
+            ),
+        ),
+        _zero_bar(
+            "zero_http_500s", http_500s, "no request may surface an internal error"
+        ),
+        _zero_bar(
+            "all_responses_schema_valid",
+            schema_failures,
+            "every 200 body re-validates against its typed response model",
+        ),
+        InvariantResult(
+            name="every_request_answered_200",
+            passed=answered_200 == len(items),
+            observed=float(answered_200),
+            bar=f"== {len(items)}",
+            detail=f"responses by status: {by_status}",
+        ),
+        _zero_bar(
+            "zero_lost_requests",
+            lost,
+            f"drain receipt admitted={receipt['admitted']} "
+            f"completed={receipt['completed']} shed={receipt['shed']}",
+        ),
+        _zero_bar(
+            "soak_sheds_nothing",
+            receipt["shed"],
+            "the conformance trace runs far below the admission bound",
+        ),
+    ]
+    return ScenarioOutcome(
+        scenario="gateway_soak",
+        config=config,
+        invariants=invariants,
+        per_tenant=per_tenant,
+        notes={
+            "responses_by_status": dict(by_status),
+            "gateway_stats": dict(gateway_stats),
+            "receipt": dict(receipt),
+        },
     )

@@ -69,30 +69,3 @@ def paper_hyperparameters() -> dict[str, dict[str, object]]:
         },
     }
 
-
-def reproduction_forward_config(vocab_size: int, seed: int = 0) -> ModelConfig:
-    """Scaled-down query-to-title config (4 layers in the paper -> 2 here)."""
-    return ModelConfig(
-        vocab_size=vocab_size,
-        d_model=32,
-        num_heads=4,
-        d_ff=64,
-        encoder_layers=2,
-        decoder_layers=2,
-        dropout=0.0,
-        seed=seed,
-    )
-
-
-def reproduction_backward_config(vocab_size: int, seed: int = 1) -> ModelConfig:
-    """Scaled-down title-to-query config (1 layer, as in the paper)."""
-    return ModelConfig(
-        vocab_size=vocab_size,
-        d_model=32,
-        num_heads=4,
-        d_ff=64,
-        encoder_layers=1,
-        decoder_layers=1,
-        dropout=0.0,
-        seed=seed,
-    )

@@ -1412,8 +1412,7 @@ class GatewaySoakScenario(Scenario):
     the two arms' deterministic serving counters be **byte-identical** —
     plus zero HTTP 500s, schema-valid responses throughout, and a
     drain receipt conserving every admitted request.  Overrides
-    :meth:`Scenario.run`; the shared harness lives in
-    :mod:`repro.gateway.soak`.
+    :meth:`Scenario.run` with :func:`repro.gateway.soak.run_soak`.
     """
 
     name = "gateway_soak"
@@ -1423,91 +1422,9 @@ class GatewaySoakScenario(Scenario):
         """Run both soak arms and judge the conformance bars."""
         # Imported lazily: repro.gateway imports this package at module
         # load, so a top-level import here would be circular.
-        from repro.gateway.soak import SoakConfig, run_soak
+        from repro.gateway.soak import run_soak
 
-        cfg = self.adjust(config or ScenarioConfig())
-        tenants = tuple(f"tenant{i}" for i in range(cfg.num_tenants))
-        outcome = run_soak(
-            SoakConfig(
-                seed=cfg.seed,
-                num_requests=cfg.requests_per_tenant * cfg.num_tenants,
-                tenants=tenants,
-                search_every=_SEARCH_EVERY,
-                products_per_category=cfg.products_per_category,
-                sessions_per_tenant=cfg.num_sessions,
-            )
-        )
-        per_tenant = {}
-        for tenant in tenants:
-            counters = outcome.twin_counters[tenant]
-            per_tenant[tenant] = {
-                "counters": counters,
-                "requests": counters["admitted"],
-                "submitted": counters["admitted"] + counters["shed"],
-                "searches": counters["search_requests"],
-                "churn_events": 0,  # the conformance trace is pure traffic
-                "dead_doc_hits": 0,
-                "cross_tenant_cache_hits": 0,
-                "cross_tenant_doc_serves": 0,
-                "counters_byte_identical": outcome.identical,
-            }
-        answered_200 = outcome.responses_by_status.get("200", 0)
-        receipt = outcome.receipt or {}
-        invariants = [
-            InvariantResult(
-                name="socket_counters_byte_identical",
-                passed=outcome.identical,
-                observed=float(outcome.identical),
-                bar="== virtual-clock twin",
-                detail=(
-                    "per-tenant ServingPipeline.counters() over the socket path "
-                    "must byte-match the same-seed in-process replay"
-                ),
-            ),
-            _zero_bar(
-                "zero_http_500s",
-                outcome.http_500s,
-                "no request may surface an internal error",
-            ),
-            _zero_bar(
-                "all_responses_schema_valid",
-                outcome.schema_failures,
-                "every 200 body re-validates against its typed response model",
-            ),
-            InvariantResult(
-                name="every_request_answered_200",
-                passed=answered_200 == outcome.requests,
-                observed=float(answered_200),
-                bar=f"== {outcome.requests}",
-                detail=f"responses by status: {outcome.responses_by_status}",
-            ),
-            InvariantResult(
-                name="zero_lost_requests",
-                passed=outcome.receipt is not None and outcome.lost_requests == 0,
-                observed=float(outcome.lost_requests),
-                bar="== 0",
-                detail=(
-                    f"drain receipt admitted={receipt.get('admitted')} "
-                    f"completed={receipt.get('completed')} shed={receipt.get('shed')}"
-                ),
-            ),
-            _zero_bar(
-                "soak_sheds_nothing",
-                receipt.get("shed", -1),
-                "the conformance trace runs far below the admission bound",
-            ),
-        ]
-        return ScenarioOutcome(
-            scenario=self.name,
-            config=cfg,
-            invariants=invariants,
-            per_tenant=per_tenant,
-            notes={
-                "responses_by_status": dict(outcome.responses_by_status),
-                "gateway_stats": dict(outcome.gateway_stats),
-                "receipt": dict(receipt),
-            },
-        )
+        return run_soak(self.adjust(config or ScenarioConfig()))
 
 
 #: registry of every pinned scenario, keyed by stable name

@@ -164,12 +164,6 @@ class SchedulerReport:
     #: size of every dispatched batch, dispatch order
     batch_sizes: list[int] = field(default_factory=list)
 
-    def mean_queue_delay_seconds(self) -> float:
-        """Mean virtual queueing delay over all completed requests."""
-        if not self.queue_delays_seconds:
-            return 0.0
-        return sum(self.queue_delays_seconds) / len(self.queue_delays_seconds)
-
     def percentile_queue_delay_seconds(self, q: float) -> float:
         """Nearest-rank percentile of the virtual queueing delay."""
         return _nearest_rank(sorted(self.queue_delays_seconds), q)

@@ -56,6 +56,8 @@ class TestCli:
         assert set(SCENARIOS) == expected_arms
         for name in expected_arms:
             assert get_scenario(name).name == name
+        # Arms run only through the scenarios experiment.
+        assert not expected_arms & set(RUNNERS)
 
     def test_scales_registered(self):
         assert set(SCALES) == {"tiny", "small", "default"}
@@ -104,3 +106,11 @@ def test_every_registered_experiment_writes_artifact(name, tmp_path, capsys):
     assert len(text.strip()) > 0
     failing = [line for line in text.splitlines() if "FAIL" in line]
     assert not failing, f"{name} renders failing verdicts: {failing}"
+
+
+def test_serving_artifact_reproduces():
+    """``serving`` renders counters only, so two same-seed runs render the
+    same text and ``--update-results`` leaves ``serving.txt`` unchanged."""
+    from repro.experiments import TINY, serving
+
+    assert serving.run(TINY).render() == serving.run(TINY).render()

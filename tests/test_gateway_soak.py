@@ -8,29 +8,26 @@ claim: with the soak's order-independent configuration, the per-tenant
 plus zero HTTP 500s, schema-valid responses end to end, and a drain
 receipt that conserves every admitted request.
 
-``benchmarks/test_gateway_soak.py`` holds the acceptance-scale bars
-(mid-soak drain, client-count sweeps, micro-batched conservation); this
-file keeps a fast version of the headline claims in the tier-1 suite,
-and exercises the ``gateway_soak`` scenario arm + workload builder.
+The soak runs only as the ``gateway_soak`` scenario arm:
+:func:`~repro.gateway.soak.run_soak` takes the arm's ``ScenarioConfig``
+and returns its ``ScenarioOutcome``.  ``benchmarks/test_gateway_soak.py``
+holds the acceptance-scale bars (mid-soak drain, client-count sweep,
+micro-batched conservation).
 """
 
 from __future__ import annotations
 
-import asyncio
+import dataclasses
 
 import pytest
 
-from repro.gateway.soak import (
-    SoakConfig,
-    build_workload,
-    run_gateway_arm,
-    run_soak,
-    run_twin_arm,
-)
+from repro.gateway.soak import build_workload, run_soak, run_twin_arm
 from repro.online import ScenarioConfig, run_scenario
 
 #: one small soak shared by the whole file (sockets are not free)
-SMALL = SoakConfig(seed=0, num_requests=96, sessions_per_tenant=120)
+SMALL = ScenarioConfig(seed=0, requests_per_tenant=48, num_sessions=120)
+#: requests in SMALL's trace, across both tenants
+REQUESTS = SMALL.requests_per_tenant * SMALL.num_tenants
 
 
 @pytest.fixture(scope="module")
@@ -39,33 +36,43 @@ def outcome():
     return run_soak(SMALL)
 
 
+def _bar(outcome, name: str):
+    """The arm's invariant called ``name``."""
+    return next(result for result in outcome.invariants if result.name == name)
+
+
 class TestSoakConformance:
     def test_counters_byte_identical_across_the_socket(self, outcome):
-        assert outcome.identical, (
-            outcome.gateway_counters,
-            outcome.twin_counters,
-        )
+        assert _bar(outcome, "socket_counters_byte_identical").passed
+        for tenant in outcome.per_tenant.values():
+            assert tenant["counters_byte_identical"] is True
 
     def test_zero_500s_and_every_request_answered_200(self, outcome):
-        assert outcome.http_500s == 0
-        assert outcome.responses_by_status == {"200": outcome.requests}
+        assert _bar(outcome, "zero_http_500s").observed == 0
+        assert outcome.notes["responses_by_status"] == {"200": REQUESTS}
 
     def test_every_response_schema_valid(self, outcome):
-        assert outcome.schema_failures == 0
+        assert _bar(outcome, "all_responses_schema_valid").observed == 0
 
     def test_drain_receipt_conserves_every_admitted_request(self, outcome):
-        receipt = outcome.receipt
-        assert outcome.lost_requests == 0
+        receipt = outcome.notes["receipt"]
+        assert _bar(outcome, "zero_lost_requests").observed == 0
         assert receipt["admitted"] == receipt["completed"] + receipt["shed"]
-        assert receipt["admitted"] == outcome.requests
+        assert receipt["admitted"] == REQUESTS
         assert receipt["shed"] == 0
 
     def test_gateway_stats_tally_the_soak(self, outcome):
-        stats = outcome.gateway_stats
-        # every trace request plus the final stats/drain round trips
-        assert stats["http_requests"] >= outcome.requests
+        stats = outcome.notes["gateway_stats"]
+        # every trace request plus the final drain/stats round trips
+        assert stats["http_requests"] >= REQUESTS
         assert stats["drains"] == 1
         assert stats["responses_by_status"].get("500", 0) == 0
+
+    def test_tenants_and_counts_follow_the_scenario_config(self, outcome):
+        assert sorted(outcome.per_tenant) == ["tenant0", "tenant1"]
+        for tenant in outcome.per_tenant.values():
+            assert tenant["requests"] == SMALL.requests_per_tenant
+            assert tenant["searches"] == SMALL.requests_per_tenant // 8
 
 
 class TestDeterminism:
@@ -77,22 +84,18 @@ class TestDeterminism:
         items, heads = build_workload(SMALL)
         again, _ = build_workload(SMALL)
         assert items == again
-        assert len(items) == SMALL.num_requests
-        assert set(heads) == set(SMALL.tenants)
+        assert len(items) == REQUESTS
+        assert set(heads) == {"tenant0", "tenant1"}
         # round-robin interleave: both tenants appear in every window
-        tenants_seen = {item.tenant for item in items[: len(SMALL.tenants)]}
-        assert tenants_seen == set(SMALL.tenants)
+        tenants_seen = {item.tenant for item in items[: SMALL.num_tenants]}
+        assert tenants_seen == set(heads)
         # the probe cadence is positional, so search mix is fixed
         kinds = {item.kind for item in items}
         assert kinds == {"rewrite", "search"}
 
     def test_seed_changes_the_fingerprint(self):
         items, _ = build_workload(SMALL)
-        other_config = SoakConfig(
-            seed=SMALL.seed + 1,
-            num_requests=SMALL.num_requests,
-            sessions_per_tenant=SMALL.sessions_per_tenant,
-        )
+        other_config = dataclasses.replace(SMALL, seed=SMALL.seed + 1)
         other_items, _ = build_workload(other_config)
         assert run_twin_arm(SMALL, items) != run_twin_arm(
             other_config, other_items
@@ -100,25 +103,14 @@ class TestDeterminism:
 
 
 class TestConcurrencyInsensitivity:
-    def test_two_client_counts_agree(self):
-        """The byte-equality claim requires interleaving-insensitivity;
-        1 vs 3 concurrent clients must produce identical counters."""
-        items, _ = build_workload(SMALL)
-        counters = []
+    def test_two_client_counts_agree(self, outcome):
+        """The byte-equality claim requires interleaving-insensitivity:
+        1 and 3 concurrent clients must each byte-match the twin, so
+        their outcomes fingerprint like the default 4-client run's."""
         for clients in (1, 3):
-            config = SoakConfig(
-                seed=SMALL.seed,
-                num_requests=SMALL.num_requests,
-                sessions_per_tenant=SMALL.sessions_per_tenant,
-                clients=clients,
-            )
-            serving, by_status, schema_failures, _, _ = asyncio.run(
-                run_gateway_arm(config, items)
-            )
-            assert by_status == {"200": len(items)}
-            assert schema_failures == 0
-            counters.append(serving)
-        assert counters[0] == counters[1]
+            swept = run_soak(SMALL, clients=clients)
+            assert swept.passed, [str(r) for r in swept.failures()]
+            assert swept.fingerprint() == outcome.fingerprint()
 
 
 class TestScenarioArm:
@@ -139,13 +131,7 @@ class TestScenarioArm:
         assert totals["shed"] == 0
 
 
-class TestSoakConfigValidation:
-    def test_rejects_degenerate_values(self):
-        with pytest.raises(ValueError):
-            SoakConfig(num_requests=0)
-        with pytest.raises(ValueError):
-            SoakConfig(tenants=())
-        with pytest.raises(ValueError):
-            SoakConfig(clients=0)
-        with pytest.raises(ValueError):
-            SoakConfig(search_every=0)
+class TestSoakValidation:
+    def test_rejects_fewer_than_one_client(self):
+        with pytest.raises(ValueError, match="clients"):
+            run_soak(SMALL, clients=0)

@@ -161,12 +161,16 @@ def test_gateway_surface():
         "BatchResponse",
         "HealthResponse",
         "DrainResponse",
-        "SoakConfig",
         "MiniClient",
         "run_soak",
     ):
         assert symbol in gateway.__all__, symbol
         assert hasattr(gateway, symbol), symbol
+    # The soak is shaped by the arm's ScenarioConfig and judged into its
+    # ScenarioOutcome; it keeps no config or outcome type of its own.
+    for symbol in ("SoakConfig", "SoakOutcome"):
+        assert symbol not in gateway.__all__, symbol
+        assert not hasattr(gateway, symbol), symbol
 
     # Every wire model exposes the parse/wire round trip the typed
     # schema contract promises, and schema faults carry stable codes.
