@@ -164,3 +164,9 @@ def test_micro_batched_gateway_conserves_work(scale):
     assert receipt["admitted"] == len(items)
     assert receipt["admitted"] == receipt["completed"] + receipt["shed"]
     assert receipt["shed"] == 0
+
+
+def test_soak_fingerprint_stable_across_runs(scale):
+    """Two full soak runs agree on the deterministic fingerprint."""
+    config = _config(scale)
+    assert run_soak(config).fingerprint() == run_soak(config).fingerprint()
