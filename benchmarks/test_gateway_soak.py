@@ -22,7 +22,7 @@ from repro.gateway.soak import (
     item_payload,
     run_soak,
 )
-from repro.online import ScenarioConfig
+from repro.online.scenarios import ScenarioConfig
 from repro.online.clock import WallClock
 from repro.online.scheduler import SchedulerConfig
 

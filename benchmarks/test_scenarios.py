@@ -10,7 +10,7 @@ invariant FAIL.  A harness that cannot fail proves nothing.
 """
 
 from repro.experiments import scenarios as scenarios_experiment
-from repro.online import SCENARIOS, ScenarioConfig, run_scenario
+from repro.online.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
 EXPECTED_ARMS = {
     "multi_tenant",

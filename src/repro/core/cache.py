@@ -32,7 +32,21 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.core.rewriter import rewrite_many
 from repro.text import normalize
+
+#: Heads per stacked decode in :meth:`RewriteCache.populate`.  Warming the
+#: repo benchmark's 300 heads (``bench/``, full scale, seed 7, one BLAS
+#: thread on a 2-core x86 host) took 1.3-1.5 s one head at a time and
+#: 0.27-0.30 / 0.17 / 0.14 / 0.13 s in chunks of 8 / 16 / 32 / 64.  The
+#: warm's decode batch is the largest a serving process holds under light
+#: traffic, so it sets the peak memory: the warm's traced allocation peak
+#: was 0.25 MB one head at a time and 0.54 / 0.87 / 1.55 / 3.05 MB in
+#: those chunks, and the open-loop ``mixed_open`` workload's
+#: ``peak_rss_mb`` (seeds 331-333) rose over the one-at-a-time warm by
+#: 0.2 MB at 8, 0.7-2.7 MB at 16 and 1.7-2.0 MB at 32.  Chunks of 8 take
+#: most of the speed-up and keep the peak flat.
+_WARM_CHUNK = 8
 
 
 @dataclass
@@ -380,18 +394,24 @@ class RewriteCache:
                         keys.append(key[len(self._prefix):])
         return keys
 
-    def populate(self, rewriter, queries: list[str], k: int = 3, progress=None) -> int:
+    def populate(self, rewriter, queries: list[str], k: int = 3) -> int:
         """Precompute rewrites for head ``queries`` using any rewriter with
         a ``rewrite(query, k) -> list[RewriteResult]`` method.
+
+        The heads are decoded :data:`_WARM_CHUNK` at a time through
+        :func:`~repro.core.rewriter.rewrite_many`, the dispatch
+        ``ServingPipeline.serve_batch`` uses: one stacked
+        ``rewrite_batch`` decode per chunk when the rewriter has one, else
+        one ``rewrite`` per head.  Entries are written in input order, so
+        the LRU order is the one a per-head warm leaves.
 
         Returns the number of queries that produced at least one rewrite.
         """
         filled = 0
-        for i, query in enumerate(queries):
-            results = rewriter.rewrite(query, k=k)
-            if results:
-                self.put(query, [r.text for r in results])
-                filled += 1
-            if progress is not None:
-                progress(i + 1, len(queries))
+        for start in range(0, len(queries), _WARM_CHUNK):
+            chunk = queries[start:start + _WARM_CHUNK]
+            for query, results in zip(chunk, rewrite_many(rewriter, chunk, k=k)):
+                if results:
+                    self.put(query, [r.text for r in results])
+                    filled += 1
         return filled

@@ -257,3 +257,16 @@ class DirectRewriter:
             if h.tokens and tuple(h.tokens) != original
         ]
         return results[:k]
+
+
+def rewrite_many(
+    rewriter, queries: list[str], k: int | None = None
+) -> list[list[RewriteResult]]:
+    """Rewrites of every query in ``queries``, one list per query in
+    input order: a single stacked ``rewrite_batch`` decode when the
+    rewriter has one (:class:`DirectRewriter`), else one ``rewrite`` per
+    query.  The serving pipeline's misses and the cache warm both
+    dispatch through here."""
+    if hasattr(rewriter, "rewrite_batch"):
+        return rewriter.rewrite_batch(queries, k=k)
+    return [rewriter.rewrite(query, k=k) for query in queries]

@@ -34,6 +34,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.core.cache import RewriteCache
+from repro.core.rewriter import rewrite_many
 from repro.text import tokenize
 
 
@@ -157,8 +158,11 @@ class ServingPipeline:
         """``fallback_rewriter`` is any object with
         ``rewrite(query, k) -> list[RewriteResult]`` (typically a
         :class:`~repro.core.rewriter.DirectRewriter` over a hybrid model);
-        pass None to serve cache-only.  ``serve_batch`` additionally uses
-        ``rewrite_batch(queries, k)`` when the rewriter provides it.
+        pass None to serve cache-only.  ``serve_batch`` hands its misses
+        to :func:`~repro.core.rewriter.rewrite_many`, the same dispatch
+        :meth:`~repro.core.cache.RewriteCache.populate` warms through:
+        one stacked ``rewrite_batch(queries, k)`` decode when the
+        rewriter provides it, else one ``rewrite`` per miss.
 
         ``search_engine`` is any object with ``search(query, rewrites) ->
         SearchOutcome`` (a :class:`~repro.search.SearchEngine` or
@@ -302,15 +306,9 @@ class ServingPipeline:
         if misses and self.fallback is not None:
             miss_queries = [queries[i] for i in misses]
             started = time.perf_counter()
-            if hasattr(self.fallback, "rewrite_batch"):
-                batched = self.fallback.rewrite_batch(
-                    miss_queries, k=self.config.max_rewrites
-                )
-            else:
-                batched = [
-                    self.fallback.rewrite(q, k=self.config.max_rewrites)
-                    for q in miss_queries
-                ]
+            batched = rewrite_many(
+                self.fallback, miss_queries, k=self.config.max_rewrites
+            )
             model_ms = (time.perf_counter() - started) * 1000.0
             amortized_ms = model_ms / len(misses)
             for i, rewrite_results in zip(misses, batched):

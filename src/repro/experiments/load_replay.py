@@ -5,7 +5,7 @@ the serving tier the way production does — single requests arriving on a
 Poisson clock — and lets the
 :class:`~repro.online.scheduler.MicroBatchScheduler` form the batches.
 One arrival trace (head-skewed traffic + catalog churn, from
-:meth:`~repro.online.TrafficReplay.arrival_trace`) is replayed through
+:meth:`~repro.online.replay.TrafficReplay.arrival_trace`) is replayed through
 identical two-tier stacks (bounded cache + untrained-hybrid
 ``DirectRewriter`` + sharded retrieval) under a sweep of batch policies:
 
@@ -44,13 +44,8 @@ from repro.experiments.rendering import ascii_table
 from repro.experiments.result import ExperimentResult
 from repro.experiments.scale import ExperimentScale, SMALL
 from repro.models import HybridNMT, ModelConfig
-from repro.online import (
-    ReplayConfig,
-    ReplayReport,
-    SchedulerConfig,
-    TrafficReplay,
-    VirtualClock,
-)
+from repro.online import SchedulerConfig, VirtualClock
+from repro.online.replay import ReplayConfig, ReplayReport, TrafficReplay
 from repro.search import SearchConfig, ShardedSearchEngine
 
 #: catalog/traffic shape — a serving-layer workload, independent of

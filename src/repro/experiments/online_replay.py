@@ -8,7 +8,7 @@ stacks (bounded TTL cache + rule-dictionary fallback + sharded retrieval):
 
 * **baseline** — no freshness management: entries serve stale until their
   TTL runs out, then fault through the model tier;
-* **freshness** — a :class:`~repro.online.FreshnessController`
+* **freshness** — a :class:`~repro.online.freshness.FreshnessController`
   invalidates + re-populates the affected head entries on every churn
   event, sweeps expired entries out of capacity, and refresh-ahead
   re-populates entries close to expiry.
@@ -32,13 +32,9 @@ from repro.data.clicklog import ClickLogConfig, ClickLogSimulator
 from repro.experiments.rendering import ascii_table
 from repro.experiments.result import ExperimentResult
 from repro.experiments.scale import ExperimentScale, SMALL
-from repro.online import (
-    FreshnessController,
-    ReplayConfig,
-    ReplayReport,
-    TrafficReplay,
-    VirtualClock,
-)
+from repro.online.clock import VirtualClock
+from repro.online.freshness import FreshnessController
+from repro.online.replay import ReplayConfig, ReplayReport, TrafficReplay
 from repro.search import SearchConfig, ShardedSearchEngine
 
 #: catalog/traffic shape — independent of ExperimentScale so the replay

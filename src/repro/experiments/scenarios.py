@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.experiments.rendering import ascii_table
 from repro.experiments.result import ExperimentResult
 from repro.experiments.scale import ExperimentScale, SMALL
-from repro.online import SCENARIOS, ScenarioConfig, run_scenario
+from repro.online.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
 
 def _scenario_config(scale: ExperimentScale) -> ScenarioConfig:

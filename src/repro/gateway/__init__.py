@@ -20,7 +20,10 @@ stdlib ``asyncio``, no new dependencies:
   admission, graceful drain, ``/v1/stats`` telemetry;
 * :mod:`repro.gateway.soak` — the ``gateway_soak`` scenario arm's
   harness, proving the gateway's counters byte-match an in-process
-  virtual-clock replay.
+  virtual-clock replay.  It is a test harness, not part of the server,
+  so this package does not import it: take ``run_soak``,
+  ``build_workload``, ``MiniClient`` and ``SoakItem`` from
+  ``repro.gateway.soak``.
 
 See ``docs/GATEWAY.md`` for the API reference and design notes.
 """
@@ -42,7 +45,6 @@ from repro.gateway.schemas import (
     SearchResponse,
     StatsResponse,
 )
-from repro.gateway.soak import MiniClient, SoakItem, build_workload, run_soak
 
 __all__ = [
     "Gateway",
@@ -65,8 +67,4 @@ __all__ = [
     "HealthResponse",
     "StatsResponse",
     "DrainResponse",
-    "SoakItem",
-    "MiniClient",
-    "build_workload",
-    "run_soak",
 ]

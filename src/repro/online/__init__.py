@@ -6,7 +6,7 @@ arriving while the catalog churns underneath, cached rewrites go stale,
 TTLs run out, and the index must follow every listing/delisting without a
 rebuild.  See ``docs/ONLINE.md`` for the full story.
 
-Exported pieces:
+Exported pieces — what the serving process itself runs:
 
 * :class:`VirtualClock` / :class:`WallClock` — the clock protocol's two
   implementations: an explicitly-advanced virtual time source shared by
@@ -17,36 +17,33 @@ Exported pieces:
   stale/empty-serve rates, p50/p95/p99 latency) with O(1) percentile
   reads and O(window) memory, replacing full-sort percentiles for long
   runs.
-* :class:`TrafficReplay` / :class:`ReplayConfig` / :class:`ReplayReport`
-  / :class:`Request` / :class:`ChurnEvent` — the precomputed head/tail
-  request stream interleaved with catalog churn, replayable identically
-  through multiple serving stacks.
-* :class:`FreshnessController` / :class:`FreshnessReport` — churn-driven
-  invalidation + re-population, expired-entry sweeps, and refresh-ahead
-  for entries close to TTL expiry.
 * :class:`MicroBatchScheduler` / :class:`SchedulerConfig` /
   :class:`ScheduledRequest` / :class:`CompletedRequest` /
   :class:`SchedulerReport` — the deterministic load scheduler: dynamic
   micro-batching under size/deadline triggers, priority lanes, and
   bounded-queue admission control in front of the serving pipeline (see
   ``docs/SERVING.md``).
-* :class:`Scenario` / :class:`ScenarioConfig` / :class:`ScenarioRunner` /
-  :class:`ScenarioOutcome` / :class:`InvariantResult` /
-  :data:`SCENARIOS` / :func:`run_scenario` — the multi-tenant scenario
-  library: named adversarial replay arms with pinned pass/fail
-  invariants driven through the whole stack above (see
-  ``docs/SCENARIOS.md``).
+
+The replay harnesses are imported from their own modules, so a server
+that imports this package does not load them:
+
+* :mod:`repro.online.replay` — :class:`~repro.online.replay.TrafficReplay`
+  / ``ReplayConfig`` / ``ReplayReport`` / ``Request`` / ``ChurnEvent``:
+  the precomputed head/tail request stream interleaved with catalog
+  churn, replayable identically through multiple serving stacks.
+* :mod:`repro.online.freshness` —
+  :class:`~repro.online.freshness.FreshnessController` /
+  ``FreshnessReport``: churn-driven invalidation + re-population,
+  expired-entry sweeps, and refresh-ahead for entries close to TTL
+  expiry.
+* :mod:`repro.online.scenarios` — ``Scenario`` / ``ScenarioConfig`` /
+  ``ScenarioRunner`` / ``ScenarioOutcome`` / ``InvariantResult`` /
+  ``SCENARIOS`` / ``run_scenario``: the multi-tenant scenario library,
+  named adversarial replay arms with pinned pass/fail invariants driven
+  through the whole stack above (see ``docs/SCENARIOS.md``).
 """
 
 from repro.online.clock import VirtualClock, WallClock
-from repro.online.freshness import FreshnessController, FreshnessReport
-from repro.online.replay import (
-    ChurnEvent,
-    ReplayConfig,
-    ReplayReport,
-    Request,
-    TrafficReplay,
-)
 from repro.online.scheduler import (
     CompletedRequest,
     MicroBatchScheduler,
@@ -54,42 +51,15 @@ from repro.online.scheduler import (
     SchedulerConfig,
     SchedulerReport,
 )
-from repro.online.scenarios import (
-    SCENARIOS,
-    InvariantResult,
-    Scenario,
-    ScenarioConfig,
-    ScenarioOutcome,
-    ScenarioRunner,
-    TenantState,
-    get_scenario,
-    run_scenario,
-)
 from repro.online.stats import WindowedStats
 
 __all__ = [
     "VirtualClock",
     "WallClock",
     "WindowedStats",
-    "TrafficReplay",
-    "ReplayConfig",
-    "ReplayReport",
-    "Request",
-    "ChurnEvent",
-    "FreshnessController",
-    "FreshnessReport",
     "MicroBatchScheduler",
     "SchedulerConfig",
     "ScheduledRequest",
     "CompletedRequest",
     "SchedulerReport",
-    "Scenario",
-    "ScenarioConfig",
-    "ScenarioRunner",
-    "ScenarioOutcome",
-    "InvariantResult",
-    "TenantState",
-    "SCENARIOS",
-    "get_scenario",
-    "run_scenario",
 ]

@@ -147,8 +147,9 @@ class HybridSearchEngine:
     Catalog churn goes through :meth:`add_product` / :meth:`remove_product`,
     which update the catalog, the inverted index, and the vector index in
     lockstep — a product is searchable in every mode or in none, which is
-    what keeps :class:`~repro.online.TrafficReplay`'s churn accounting and
-    the freshness controller's invalidation meaningful over this engine.
+    what keeps :class:`~repro.online.replay.TrafficReplay`'s churn
+    accounting and the freshness controller's invalidation meaningful over
+    this engine.
     """
 
     retrieval_modes = RETRIEVAL_MODES

@@ -24,7 +24,7 @@ import hashlib
 import json
 import pathlib
 
-from repro.online import SCENARIOS, ScenarioConfig, run_scenario
+from repro.online.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_scenarios.json"
 

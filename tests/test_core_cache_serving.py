@@ -10,7 +10,10 @@ from repro.core import (
     ServingPipeline,
     sum_counters,
 )
-from repro.core.rewriter import RewriteResult
+from repro.baselines import RuleBasedRewriter
+from repro.core.rewriter import DirectRewriter, RewriteResult, RewriterConfig
+from repro.data.synonyms import build_rule_dictionary
+from repro.models import HybridNMT, ModelConfig
 
 
 class StubRewriter:
@@ -81,6 +84,88 @@ class TestRewriteCache:
         assert filled == 1
         assert cache.get("q1") == ["r1"]
         assert cache.get("q2") is None
+
+
+class TestBatchedWarm:
+    """``populate`` decodes heads in stacked chunks of 8 through
+    ``rewrite_many``, the dispatch ``serve_batch`` uses, and writes the
+    entries in input order."""
+
+    @staticmethod
+    def _direct(vocab):
+        model = HybridNMT(
+            ModelConfig(
+                vocab_size=len(vocab), d_model=16, num_heads=2, d_ff=32,
+                encoder_layers=1, decoder_layers=1, dropout=0.0, seed=3,
+            )
+        )
+        return DirectRewriter(
+            model, vocab, RewriterConfig(k=3, top_n=5, max_query_len=8, seed=11)
+        )
+
+    @staticmethod
+    def _heads(market, count=20):
+        queries = dict.fromkeys(" ".join(q) for q, _, _ in market.train_pairs)
+        return list(queries)[:count]
+
+    def test_direct_rewriter_warms_in_chunks_of_eight(self, tiny_market):
+        heads = self._heads(tiny_market)
+        warmed = self._direct(tiny_market.vocab)
+        sizes = []
+        rewrite_batch = warmed.rewrite_batch
+
+        def counted(queries, k=None):
+            sizes.append(len(queries))
+            return rewrite_batch(queries, k=k)
+
+        warmed.rewrite_batch = counted
+        cache = RewriteCache()
+        filled = cache.populate(warmed, heads, k=3)
+        assert sizes == [8, 8, 4]
+
+        # The same chunked calls on a fresh rewriter with the same seed.
+        fresh = self._direct(tiny_market.vocab)
+        expected = {}
+        for start in range(0, len(heads), 8):
+            chunk = heads[start:start + 8]
+            for query, results in zip(chunk, fresh.rewrite_batch(chunk, k=3)):
+                expected[query] = [r.text for r in results] or None
+        assert filled == sum(v is not None for v in expected.values()) > 0
+        assert {query: cache.get(query) for query in heads} == expected
+
+    def test_rewriter_without_batch_gets_one_rewrite_per_head(self, tiny_market):
+        heads = self._heads(tiny_market)
+        rules = build_rule_dictionary()
+        warmed = RuleBasedRewriter(rules)
+        seen = []
+        rewrite = warmed.rewrite
+
+        def counted(query, k=3):
+            seen.append(query)
+            return rewrite(query, k=k)
+
+        warmed.rewrite = counted
+        cache = RewriteCache()
+        filled = cache.populate(warmed, heads, k=3)
+        assert seen == heads
+
+        fresh = RuleBasedRewriter(rules)
+        expected = {
+            query: [r.text for r in fresh.rewrite(query, k=3)] or None
+            for query in heads
+        }
+        assert filled == sum(v is not None for v in expected.values()) > 0
+        assert {query: cache.get(query) for query in heads} == expected
+
+    def test_entries_are_written_in_input_order(self):
+        heads = [f"head {i}" for i in range(10)]
+        rewriter = BatchStubRewriter({query: [f"{query} rewrite"] for query in heads})
+        cache = RewriteCache(capacity=4, shards=1)
+        assert cache.populate(rewriter, heads, k=3) == 10
+        assert rewriter.batches == [heads[:8], heads[8:]]
+        # The bounded LRU keeps the last four written, as a head-by-head
+        # warm leaves it.
+        assert [query in cache for query in heads] == [False] * 6 + [True] * 4
 
 
 class TestBoundedCache:

@@ -46,7 +46,7 @@ class TestCli:
         experiment is registered, and every arm in the scenario registry
         is one the experiment (and the CI smoke) will actually run."""
         assert "scenarios" in RUNNERS
-        from repro.online import SCENARIOS, get_scenario
+        from repro.online.scenarios import SCENARIOS, get_scenario
 
         expected_arms = {
             "multi_tenant", "hot_key_storm", "churn_storm",

@@ -29,7 +29,8 @@ import gc
 from repro.core import RewriteCache, ServingConfig, ServingPipeline
 from repro.core.rewriter import RewriteResult
 from repro.core.serving import ServedRewrite
-from repro.gateway import Gateway, GatewayConfig, MiniClient, SchedulerBridge
+from repro.gateway import Gateway, GatewayConfig, SchedulerBridge
+from repro.gateway.soak import MiniClient
 from repro.gateway.ratelimit import RateLimitConfig
 from repro.gateway.schemas import (
     DrainResponse,

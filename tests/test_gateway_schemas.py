@@ -359,7 +359,8 @@ def _fuzz_bodies() -> list[bytes]:
 
 def test_socket_fuzz_maps_every_fault_to_a_typed_4xx():
     """POST every fuzz body at a live gateway: 4xx envelopes, zero 500s."""
-    from repro.gateway import Gateway, GatewayConfig, MiniClient
+    from repro.gateway import Gateway, GatewayConfig
+    from repro.gateway.soak import MiniClient
     from repro.gateway.ratelimit import RateLimitConfig
     from repro.online.clock import WallClock
 

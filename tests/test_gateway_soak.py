@@ -22,7 +22,7 @@ import dataclasses
 import pytest
 
 from repro.gateway.soak import build_workload, run_soak, run_twin_arm
-from repro.online import ScenarioConfig, run_scenario
+from repro.online.scenarios import ScenarioConfig, run_scenario
 
 #: one small soak shared by the whole file (sockets are not free)
 SMALL = ScenarioConfig(seed=0, requests_per_tenant=48, num_sessions=120)

@@ -15,15 +15,14 @@ from repro.core.rewriter import RewriteResult
 from repro.data.catalog import CatalogConfig, CatalogGenerator, alias_to_canonical
 from repro.data.clicklog import ClickLogConfig, ClickLogSimulator
 from repro.online import (
-    FreshnessController,
-    ReplayConfig,
     SchedulerConfig,
     SchedulerReport,
-    TrafficReplay,
     VirtualClock,
     WallClock,
     WindowedStats,
 )
+from repro.online.freshness import FreshnessController
+from repro.online.replay import ReplayConfig, TrafficReplay
 from repro.search import SearchConfig, ShardedSearchEngine
 
 
@@ -520,7 +519,7 @@ class TestFingerprintRegression:
         assert self._digest(counters) == self.COUNTERS_DIGEST
 
     def test_multi_tenant_scenario_fingerprint_is_pinned(self):
-        from repro.online import ScenarioConfig, run_scenario
+        from repro.online.scenarios import ScenarioConfig, run_scenario
 
         outcome = run_scenario("multi_tenant", ScenarioConfig().scaled(0.04))
         assert self._digest(outcome.fingerprint()) == self.SCENARIO_DIGEST

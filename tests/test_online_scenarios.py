@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.cluster import ReplicaRouter
-from repro.online import (
+from repro.online.scenarios import (
     SCENARIOS,
     InvariantResult,
     Scenario,

@@ -1,7 +1,11 @@
 """Public API surface: every package imports and every __all__ resolves."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,37 @@ def test_every_module_importable():
     assert not failures, failures
 
 
+#: test harnesses a serving process has no use for
+HARNESS_MODULES = (
+    "repro.gateway.soak",
+    "repro.online.scenarios",
+    "repro.online.replay",
+    "repro.baselines",
+)
+
+
+def test_server_import_loads_no_harness():
+    """What a serving process imports — the gateway and the scheduler —
+    loads no soak, scenario, replay or baseline module.  Runs in a fresh
+    interpreter, since this one has imported everything already."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    listing = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.gateway, repro.online.scheduler; "
+            "print(*sorted(sys.modules), sep='\\n')",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    ).stdout.split()
+    assert "repro.gateway.app" in listing
+    assert [name for name in HARNESS_MODULES if name in listing] == []
+
+
 def test_version_string():
     assert repro.__version__.count(".") == 2
 
@@ -84,8 +119,11 @@ def test_one_figure4_sampler_surface():
 
 
 def test_scenario_library_surface():
-    """The scenario library is part of repro.online's public contract."""
+    """The scenario library is a public contract of its own module,
+    ``repro.online.scenarios``; the ``repro.online`` package exports only
+    what a serving process runs, so it does not re-export the library."""
     from repro import online
+    from repro.online import scenarios
 
     for symbol in (
         "Scenario",
@@ -97,8 +135,10 @@ def test_scenario_library_surface():
         "get_scenario",
         "run_scenario",
     ):
-        assert symbol in online.__all__, symbol
-        assert hasattr(online, symbol), symbol
+        assert hasattr(scenarios, symbol), symbol
+        assert symbol not in online.__all__, symbol
+    for symbol in ("TrafficReplay", "ReplayConfig", "FreshnessController"):
+        assert symbol not in online.__all__, symbol
 
 
 def test_cluster_surface():
@@ -161,11 +201,16 @@ def test_gateway_surface():
         "BatchResponse",
         "HealthResponse",
         "DrainResponse",
-        "MiniClient",
-        "run_soak",
     ):
         assert symbol in gateway.__all__, symbol
         assert hasattr(gateway, symbol), symbol
+    # The soak harness is imported from repro.gateway.soak; the server's
+    # package does not re-export it.
+    from repro.gateway import soak
+
+    for symbol in ("MiniClient", "SoakItem", "build_workload", "run_soak"):
+        assert hasattr(soak, symbol), symbol
+        assert symbol not in gateway.__all__, symbol
     # The soak is shaped by the arm's ScenarioConfig and judged into its
     # ScenarioOutcome; it keeps no config or outcome type of its own.
     for symbol in ("SoakConfig", "SoakOutcome"):
