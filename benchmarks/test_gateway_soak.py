@@ -37,11 +37,11 @@ def _config(scale) -> ScenarioConfig:
     )
 
 
-def _pipelines(config: ScenarioConfig, clock) -> dict:
+def _pipelines(config: ScenarioConfig, clock, heads) -> dict:
     """tenant -> serving pipeline, exactly as the soak builds them."""
     return {
-        f"tenant{index}": build_tenant_pipeline(config, index, clock.now)
-        for index in range(config.num_tenants)
+        tenant: build_tenant_pipeline(config, index, clock.now, head)
+        for index, (tenant, head) in enumerate(heads.items())
     }
 
 
@@ -54,7 +54,7 @@ def test_drain_mid_soak_loses_nothing(scale):
     clients' own accounting of 200s received.
     """
     config = _config(scale)
-    items, _ = build_workload(config)
+    items, heads = build_workload(config)
 
     async def interrupted():
         clock = WallClock()
@@ -63,7 +63,7 @@ def test_drain_mid_soak_loses_nothing(scale):
         served_200 = 0
         draining_503 = 0
         async with Gateway(
-            _pipelines(config, clock), gateway_config, clock=clock
+            _pipelines(config, clock, heads), gateway_config, clock=clock
         ) as gateway:
             client = MiniClient(gateway.config.host, gateway.port)
             drainer = MiniClient(gateway.config.host, gateway.port)
@@ -122,7 +122,7 @@ def test_micro_batched_gateway_conserves_work(scale):
     hold is exact work conservation and zero error responses.
     """
     config = _config(scale)
-    items, _ = build_workload(config)
+    items, heads = build_workload(config)
 
     async def batched():
         clock = WallClock()
@@ -134,7 +134,7 @@ def test_micro_batched_gateway_conserves_work(scale):
             pump_interval_seconds=0.002,
         )
         async with Gateway(
-            _pipelines(config, clock), gateway_config, clock=clock
+            _pipelines(config, clock, heads), gateway_config, clock=clock
         ) as gateway:
             lanes = [items[offset::4] for offset in range(4)]
 

@@ -33,10 +33,12 @@ Exported symbols:
   per-request outcome record (with its latency).
   ``ServingPipeline.counters()`` adds the cache and cluster gauges, read
   from their owners; :func:`sum_counters` totals those dicts.
-* :class:`LMRewriter` / :class:`LMRewriterConfig` /
-  :func:`build_lm_sequences` — the Section V decoder-only LM exploration
-  over the special language ``query <sep1> title <sep2> query2``.  It has
-  no batch entry: ``serve_batch`` serves such a rewriter per query.
+
+The Section V decoder-only LM exploration (``LMRewriter``,
+``LMRewriterConfig``, ``build_lm_sequences``) is imported from
+:mod:`repro.core.lm_rewriter`, so a server that imports this package
+does not load its model and optimizer code.  It has no batch entry:
+``serve_batch`` serves such a rewriter per query.
 """
 
 from repro.core.rewriter import CyclicRewriter, DirectRewriter, RewriteResult, RewriterConfig
@@ -49,7 +51,6 @@ from repro.core.serving import (
     ServingStats,
     sum_counters,
 )
-from repro.core.lm_rewriter import LMRewriter, LMRewriterConfig, build_lm_sequences
 
 __all__ = [
     "CyclicRewriter",
@@ -64,7 +65,4 @@ __all__ = [
     "ServedRewrite",
     "ServedSearch",
     "sum_counters",
-    "LMRewriter",
-    "LMRewriterConfig",
-    "build_lm_sequences",
 ]

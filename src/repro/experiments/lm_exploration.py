@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import LMRewriter, LMRewriterConfig, build_lm_sequences
+from repro.core.lm_rewriter import LMRewriter, LMRewriterConfig, build_lm_sequences
 from repro.experiments.rendering import ascii_table
 from repro.experiments.result import ExperimentResult
 from repro.experiments.scale import ExperimentScale, SMALL

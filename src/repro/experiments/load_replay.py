@@ -142,8 +142,6 @@ def _run_arm(
     replay: TrafficReplay,
     scale: ExperimentScale,
     policy: SchedulerConfig,
-    *,
-    arm: str,
 ) -> tuple[ReplayReport, dict[str, int]]:
     """A fresh serving stack replaying the shared trace under one policy.
 
@@ -197,7 +195,7 @@ def _run_arm(
         search_engine=engine,
     )
     try:
-        return replay.run_scheduled(pipeline, clock, policy, arm=arm), decodes
+        return replay.run_scheduled(pipeline, clock, policy), decodes
     finally:
         engine.close()
 
@@ -210,9 +208,7 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
     reports: dict[str, ReplayReport] = {}
     decodes: dict[str, dict[str, int]] = {}
     for key, _, policy in POLICIES:
-        reports[key], decodes[key] = _run_arm(
-            market, generator, replay, scale, policy, arm=key
-        )
+        reports[key], decodes[key] = _run_arm(market, generator, replay, scale, policy)
 
     # Determinism: a second replay of the micro-32 arm on a fresh stack
     # must reproduce every deterministic counter byte for byte.
@@ -222,14 +218,12 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
         replay,
         scale,
         next(p for k, _, p in POLICIES if k == "micro32"),
-        arm="micro32-rerun",
     )
     first = reports["micro32"]
-    deterministic = (
-        rerun.scheduler.fingerprint() == first.scheduler.fingerprint()
-        and rerun.cache_served == first.cache_served
-        and rerun.model_served == first.model_served
-        and rerun.unserved == first.unserved
+    deterministic = rerun.scheduler.fingerprint() == first.scheduler.fingerprint()
+    deterministic = deterministic and all(
+        rerun.counters[key] == first.counters[key]
+        for key in ("cache_served", "model_served", "unserved")
     )
 
     measured: dict[str, object] = {

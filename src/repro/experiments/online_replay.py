@@ -13,8 +13,10 @@ stacks (bounded TTL cache + rule-dictionary fallback + sharded retrieval):
   event, sweeps expired entries out of capacity, and refresh-ahead
   re-populates entries close to expiry.
 
-Both arms replay the *same* precomputed schedule on their own catalog
-copies under a virtual clock, so the only difference is policy.  The
+Both arms replay the *same* precomputed arrival trace on their own
+catalog copies under a virtual clock, through the serving tier's
+micro-batch scheduler (default ``SchedulerConfig``), so the only
+difference is policy.  The
 claim under test: the controller cuts the stale-or-empty serve rate
 while its own work stays small — freshness is close to free because
 invalidation is targeted (only churned categories) and re-population
@@ -60,9 +62,8 @@ def _build_arm(
     rewriter: RuleBasedRewriter,
     *,
     with_freshness: bool,
-    arm: str,
 ) -> ReplayReport:
-    """One serving stack on its own catalog copy, replayed over the schedule."""
+    """One serving stack on its own catalog copy, replayed over the trace."""
     catalog = generator.generate()
     # Serial fan-out: at this catalog size thread scheduling costs more
     # than it saves.  The sharded churn/merge semantics are identical
@@ -99,7 +100,7 @@ def _build_arm(
         else None
     )
     try:
-        return replay.run(pipeline, clock, controller, arm=arm)
+        return replay.run_scheduled(pipeline, clock, controller=controller)
     finally:
         engine.close()
 
@@ -128,12 +129,8 @@ def run(
     replay = TrafficReplay(click_log, generator, cfg)
     rewriter = RuleBasedRewriter(alias_to_canonical())
 
-    baseline = _build_arm(
-        replay, generator, rewriter, with_freshness=False, arm="baseline"
-    )
-    fresh = _build_arm(
-        replay, generator, rewriter, with_freshness=True, arm="freshness"
-    )
+    baseline = _build_arm(replay, generator, rewriter, with_freshness=False)
+    fresh = _build_arm(replay, generator, rewriter, with_freshness=True)
     freshness = fresh.freshness
 
     measured = {
@@ -142,20 +139,20 @@ def run(
         "head_queries": len(replay.head_queries()),
         "baseline_hit_rate": baseline.stats.lifetime_hit_rate,
         "freshness_hit_rate": fresh.stats.lifetime_hit_rate,
-        "baseline_stale_rate": baseline.stale_rate,
-        "freshness_stale_rate": fresh.stale_rate,
-        "baseline_empty_rate": baseline.empty_rate,
-        "freshness_empty_rate": fresh.empty_rate,
-        "baseline_stale_or_empty_rate": baseline.stale_or_empty_rate,
-        "freshness_stale_or_empty_rate": fresh.stale_or_empty_rate,
+        "baseline_stale_rate": baseline.stats.lifetime_stale_rate,
+        "freshness_stale_rate": fresh.stats.lifetime_stale_rate,
+        "baseline_empty_rate": baseline.stats.lifetime_empty_rate,
+        "freshness_empty_rate": fresh.stats.lifetime_empty_rate,
+        "baseline_stale_or_empty_rate": baseline.stats.lifetime_stale_or_empty_rate,
+        "freshness_stale_or_empty_rate": fresh.stats.lifetime_stale_or_empty_rate,
         "controller_rewrite_rate": (
             freshness.refreshed + freshness.proactive_refreshed
         )
         / max(1, fresh.requests),
-        "baseline_expirations": baseline.cache_expirations,
-        "freshness_expirations": fresh.cache_expirations,
-        "baseline_evictions": baseline.cache_evictions,
-        "freshness_evictions": fresh.cache_evictions,
+        "baseline_expirations": baseline.counters["cache_expirations"],
+        "freshness_expirations": fresh.counters["cache_expirations"],
+        "baseline_evictions": baseline.counters["cache_evictions"],
+        "freshness_evictions": fresh.counters["cache_evictions"],
         "baseline_searches": baseline.searches,
         "freshness_searches": fresh.searches,
         "baseline_dead_doc_hits": baseline.dead_doc_hits,
@@ -184,8 +181,8 @@ def run(
         ],
         [
             "expirations / evictions",
-            f"{baseline.cache_expirations} / {baseline.cache_evictions}",
-            f"{fresh.cache_expirations} / {fresh.cache_evictions}",
+            f"{measured['baseline_expirations']} / {measured['baseline_evictions']}",
+            f"{measured['freshness_expirations']} / {measured['freshness_evictions']}",
         ],
         [
             "controller activity",

@@ -47,7 +47,7 @@ from repro.gateway.schemas import (
     SearchResponse,
 )
 from repro.online.clock import VirtualClock, WallClock
-from repro.online.replay import ReplayConfig, TrafficReplay
+from repro.online.replay import ReplayConfig, ReplayTenant, TrafficReplay, replay_traces
 from repro.online.scenarios import (
     _SEARCH_EVERY,
     InvariantResult,
@@ -55,11 +55,7 @@ from repro.online.scenarios import (
     ScenarioOutcome,
     _zero_bar,
 )
-from repro.online.scheduler import (
-    MicroBatchScheduler,
-    ScheduledRequest,
-    SchedulerConfig,
-)
+from repro.online.scheduler import MicroBatchScheduler, SchedulerConfig
 from repro.search import SearchConfig, ShardedSearchEngine
 
 #: the order-independent scheduler policy both arms share (see module doc)
@@ -99,35 +95,29 @@ def build_workload(config: ScenarioConfig):
 
     Returns ``(items, heads)``: ``items`` interleaves the tenants
     round-robin (the global submit order of the twin), and ``heads`` maps
-    tenant -> head-query set (cache pre-population).  Churn is disabled
-    by construction — the churn cadence is pushed past the trace length —
-    so the trace is pure traffic.
+    tenant -> its click-ranked head queries (query -> category), which
+    both arms pre-populate.  Churn is disabled by construction — the
+    churn cadence is pushed past the trace length — so every arrival is
+    a request, kind and lane set by the rule of
+    :func:`~repro.online.replay.replay_traces`.
     """
-    per_tenant = config.requests_per_tenant
-    tenants = _tenants(config)
-    traces = {}
     heads = {}
-    for index, tenant in enumerate(tenants):
+    traces = []
+    for index, tenant in enumerate(_tenants(config)):
         replay = _build_replay(config, index)
-        heads[tenant] = set(replay.head_queries())
-        requests = [
-            payload
-            for kind, _, payload in replay.arrival_trace()
-            if kind == "request"
-        ][:per_tenant]
-        traces[tenant] = [
-            SoakItem(
-                tenant=tenant,
-                kind="search" if seq % _SEARCH_EVERY == 0 else "rewrite",
-                query=request.query,
-                lane=0 if request.query in heads[tenant] else 1,
-            )
-            for seq, request in enumerate(requests)
-        ]
-    items = []
-    for seq in range(per_tenant):
-        for tenant in tenants:
-            items.append(traces[tenant][seq])
+        heads[tenant] = replay.head_queries()
+        traces.append(
+            [
+                SoakItem(
+                    tenant=tenant,
+                    kind="search" if seq % _SEARCH_EVERY == 0 else "rewrite",
+                    query=request.query,
+                    lane=0 if request.query in heads[tenant] else 1,
+                )
+                for seq, (_, _, request) in enumerate(replay.arrival_trace())
+            ]
+        )
+    items = [item for step in zip(*traces) for item in step]
     return items, heads
 
 
@@ -157,14 +147,15 @@ def _build_replay(config: ScenarioConfig, index: int) -> TrafficReplay:
 
 
 def build_tenant_pipeline(
-    config: ScenarioConfig, index: int, clock
+    config: ScenarioConfig, index: int, clock, head
 ) -> ServingPipeline:
     """Tenant ``index``'s serving stack, identical in both arms.
 
     ``clock`` is the zero-argument time source for the cache TTL (the
-    arm's WallClock.now or VirtualClock.now).  The TTL is effectively
-    infinite and model results are not written back, so the counters
-    cannot depend on which clock drives them.
+    arm's WallClock.now or VirtualClock.now) and ``head`` the tenant's
+    head queries from :func:`build_workload`, pre-populated in order.
+    The TTL is effectively infinite and model results are not written
+    back, so the counters cannot depend on which clock drives them.
     """
     seed = config.seed + 11 * index
     generator = CatalogGenerator(
@@ -176,8 +167,7 @@ def build_tenant_pipeline(
     )
     cache = RewriteCache(ttl_seconds=1e9, clock=clock)
     rewriter = RuleBasedRewriter(alias_to_canonical())
-    replay = _build_replay(config, index)
-    cache.populate(rewriter, list(replay.head_queries()), k=3)
+    cache.populate(rewriter, list(head), k=3)
     return ServingPipeline(
         cache,
         rewriter,
@@ -288,9 +278,12 @@ def item_path(item: SoakItem) -> str:
 
 
 # -- the two arms ------------------------------------------------------------
-async def run_gateway_arm(config: ScenarioConfig, items, *, clients: int = 4):
+async def run_gateway_arm(
+    config: ScenarioConfig, items, heads, *, clients: int = 4
+):
     """Drive the trace through a live gateway over real sockets.
 
+    ``items`` and ``heads`` come from :func:`build_workload`.
     ``clients`` concurrent connections each post every ``clients``-th
     item; the gateway is drained at the end.  Returns
     ``(per_tenant_counters, responses_by_status, schema_failures,
@@ -300,7 +293,7 @@ async def run_gateway_arm(config: ScenarioConfig, items, *, clients: int = 4):
         raise ValueError(f"clients must be >= 1, got {clients}")
     clock = WallClock()
     pipelines = {
-        tenant: build_tenant_pipeline(config, index, clock.now)
+        tenant: build_tenant_pipeline(config, index, clock.now, heads[tenant])
         for index, tenant in enumerate(_tenants(config))
     }
     gateway_config = GatewayConfig(
@@ -352,38 +345,31 @@ async def run_gateway_arm(config: ScenarioConfig, items, *, clients: int = 4):
     )
 
 
-def run_twin_arm(config: ScenarioConfig, items) -> dict:
+def run_twin_arm(config: ScenarioConfig, items, heads) -> dict:
     """Replay the same trace in process on a virtual clock.
 
     One shared :class:`VirtualClock`, one scheduler per tenant (exactly
-    the gateway's shape), arrivals spaced a virtual millisecond apart in
-    the global round-robin order.  Returns tenant -> counters.
+    the gateway's shape), each tenant's items arriving at a virtual
+    millisecond per position in the global round-robin order, walked by
+    :func:`~repro.online.replay.replay_traces`.  Returns tenant ->
+    counters.
     """
     clock = VirtualClock()
-    tenants = _tenants(config)
-    pipelines = {
-        tenant: build_tenant_pipeline(config, index, clock.now)
-        for index, tenant in enumerate(tenants)
-    }
-    schedulers = {
-        tenant: MicroBatchScheduler(pipelines[tenant], clock, SOAK_SCHEDULER)
-        for tenant in tenants
-    }
-    for seq, item in enumerate(items):
-        schedulers[item.tenant].submit(
-            ScheduledRequest(
-                query=item.query,
-                arrival_seconds=seq * 0.001,
-                lane=item.lane,
-                kind=item.kind,
-            )
-        )
-    for tenant in tenants:
-        schedulers[tenant].drain()
-        pipelines[tenant].close()
-    return {
-        tenant: pipelines[tenant].counters() for tenant in sorted(pipelines)
-    }
+    tenants = {}
+    for index, name in enumerate(_tenants(config)):
+        pipeline = build_tenant_pipeline(config, index, clock.now, heads[name])
+        trace = [
+            ("request", position * 0.001, item)
+            for position, item in enumerate(items)
+            if item.tenant == name
+        ]
+        tenant = ReplayTenant(pipeline=pipeline, trace=trace, head=heads[name])
+        tenant.scheduler = MicroBatchScheduler(pipeline, clock, SOAK_SCHEDULER)
+        tenants[name] = tenant
+    replay_traces(list(tenants.values()), _SEARCH_EVERY)
+    for tenant in tenants.values():
+        tenant.pipeline.close()
+    return {name: tenants[name].pipeline.counters() for name in sorted(tenants)}
 
 
 def run_soak(
@@ -397,11 +383,11 @@ def run_soak(
     ``/v1/stats`` and the drain receipt.
     """
     config = config or ScenarioConfig()
-    items, _ = build_workload(config)
+    items, heads = build_workload(config)
     gateway_counters, by_status, schema_failures, receipt, gateway_stats = (
-        asyncio.run(run_gateway_arm(config, items, clients=clients))
+        asyncio.run(run_gateway_arm(config, items, heads, clients=clients))
     )
-    twin_counters = run_twin_arm(config, items)
+    twin_counters = run_twin_arm(config, items, heads)
     identical = _canonical(gateway_counters) == _canonical(twin_counters)
     http_500s = sum(
         count for status, count in by_status.items() if int(status) >= 500

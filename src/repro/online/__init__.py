@@ -30,7 +30,8 @@ that imports this package does not load them:
 * :mod:`repro.online.replay` — :class:`~repro.online.replay.TrafficReplay`
   / ``ReplayConfig`` / ``ReplayReport`` / ``Request`` / ``ChurnEvent``:
   the precomputed head/tail request stream interleaved with catalog
-  churn, replayable identically through multiple serving stacks.
+  churn, replayed through the scheduler by the one loop
+  ``replay_traces``, identically through multiple serving stacks.
 * :mod:`repro.online.freshness` —
   :class:`~repro.online.freshness.FreshnessController` /
   ``FreshnessReport``: churn-driven invalidation + re-population,

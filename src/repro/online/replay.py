@@ -4,13 +4,16 @@
 paper's serving tier actually faces: a head-skewed request stream (head
 queries dominate, a long tail trickles) interleaved with **catalog churn
 events** — products listed and delisted while traffic is in flight.  The
-schedule (request batches, churn payloads, removal targets) is
+schedule (request draws, churn payloads, removal targets) is
 precomputed once from a seed, so two serving stacks can replay the *same*
 stream and differ only in policy — e.g. a no-freshness baseline versus a
 :class:`~repro.online.freshness.FreshnessController` arm.
 
-Per request the driver records, into a
-:class:`~repro.online.stats.WindowedStats`:
+:func:`replay_traces` is the one loop that drives traces into serving
+stacks, one request at a time through a
+:class:`~repro.online.scheduler.MicroBatchScheduler` per tenant, as every
+deployment serves.  Per completion, a :class:`ReplayTenant` records into
+a :class:`~repro.online.stats.WindowedStats`:
 
 * **hit** — served from the cache tier;
 * **stale** — served from cache by an entry written *before* the last
@@ -21,23 +24,25 @@ Per request the driver records, into a
 Churn is applied through
 :meth:`~repro.search.sharded.ShardedSearchEngine.add_product` /
 ``remove_product``, so the catalog and the live sharded index move in
-lockstep; periodic end-to-end probes (``search_batch``) verify that
-retrieval never surfaces a delisted product.
+lockstep; every ``search_every``-th request goes end to end through
+retrieval, verifying that it never surfaces a delisted product.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.serving import ServedSearch, ServingPipeline
+from repro.core.serving import ServedRewrite, ServedSearch, ServingPipeline
 from repro.data.catalog import CATEGORY_SPECS, CatalogGenerator
 from repro.data.clicklog import ClickLog
 from repro.data.domain import Product
 from repro.online.clock import VirtualClock
 from repro.online.freshness import FreshnessController, FreshnessReport
 from repro.online.scheduler import (
+    CompletedRequest,
     MicroBatchScheduler,
     ScheduledRequest,
     SchedulerConfig,
@@ -51,7 +56,8 @@ class ReplayConfig:
     """Shape of the replayed stream."""
 
     num_requests: int = 10_000
-    #: requests per serving batch (misses share one stacked decode)
+    #: requests per draw of the schedule; churn is due only between
+    #: draws (the scheduler, not this, forms the serving batches)
     batch_size: int = 32
     #: a churn event lands after every this-many requests
     churn_every: int = 1_000
@@ -62,7 +68,7 @@ class ReplayConfig:
     head_fraction: float = 0.5
     #: virtual seconds the clock advances per request
     seconds_per_request: float = 0.05
-    #: every Nth batch goes end-to-end through retrieval (search_batch)
+    #: requests 0, N, 2N, ... go end to end through retrieval (search_batch)
     search_every: int = 8
     #: sliding-window size for the streaming gauges
     window: int = 2048
@@ -97,40 +103,152 @@ class ChurnEvent:
 class ReplayReport:
     """Outcome of one replay arm."""
 
-    arm: str
     requests: int
     churn_events: int
+    #: hit/stale/empty gauges (``stats.lifetime_stale_rate``, ...)
     stats: WindowedStats
-    #: tier counters read from the pipeline at end of run
-    cache_served: int = 0
-    model_served: int = 0
-    unserved: int = 0
-    cache_expirations: int = 0
-    cache_evictions: int = 0
+    #: :meth:`~repro.core.serving.ServingPipeline.counters` at end of run
+    counters: dict
     #: end-to-end retrieval probes and delisted products they surfaced
+    searches: int
+    dead_doc_hits: int
+    #: the scheduler's micro-batching and admission accounting
+    scheduler: SchedulerReport
+    freshness: FreshnessReport | None = None
+
+
+@dataclass(kw_only=True)
+class ReplayTenant:
+    """One tenant of a replay: its serving stack, its trace and what its
+    completions counted (a scheduler built with
+    ``on_batch=tenant.on_batch`` tallies each one through :meth:`record`).
+    """
+
+    pipeline: ServingPipeline
+    #: ``(kind, at, payload)`` events, times non-decreasing: ``"request"``
+    #: (the payload has a ``query``), ``"churn"`` (a :class:`ChurnEvent`),
+    #: or a kind the replay's ``on_event`` handles
+    trace: list
+    #: queries that ride lane 0; the rest ride the lowest-priority lane
+    head: Container[str]
+    scheduler: MicroBatchScheduler | None = None
+    controller: FreshnessController | None = None
+    #: query -> category for the stale test (empty: nothing is stale)
+    categories: Mapping[str, str] = field(default_factory=dict)
+    stats: WindowedStats = field(default_factory=WindowedStats)
+    #: category -> virtual time of the last churn touching it
+    last_churn: dict[str, float] = field(default_factory=dict)
+    #: document ids delisted so far (dead-document detection)
+    removed_ids: set[int] = field(default_factory=set)
+    churn_events: int = 0
     searches: int = 0
     dead_doc_hits: int = 0
-    freshness: FreshnessReport | None = None
-    #: micro-batching/admission accounting when the arm ran through
-    #: :meth:`TrafficReplay.run_scheduled` (None for pre-batched arms)
-    scheduler: SchedulerReport | None = None
-    #: retained for introspection/rendering
-    notes: dict = field(default_factory=dict)
+    #: requests submitted so far: the next request's sequence number
+    submitted: int = 0
+    #: arrival time -> sequence number of each submitted request
+    seq_of: dict[float, int] = field(default_factory=dict)
 
-    @property
-    def stale_rate(self) -> float:
-        """Lifetime stale-serve fraction (see :class:`WindowedStats`)."""
-        return self.stats.lifetime_stale_rate
+    def on_batch(self, completions: list[CompletedRequest]) -> None:
+        """The scheduler's ``on_batch``: one controller tick per
+        dispatched batch, then :meth:`record` per completion."""
+        if self.controller is not None:
+            self.controller.tick()
+        for completion in completions:
+            self.record(completion)
 
-    @property
-    def empty_rate(self) -> float:
-        """Lifetime empty-serve fraction."""
-        return self.stats.lifetime_empty_rate
+    def record(self, completion: CompletedRequest) -> ServedRewrite:
+        """Tally one completion (a search and each delisted document it
+        retrieved, then the gauges) and return its served rewrite.  A
+        *stale* serve is a cache hit whose entry was written before the
+        last churn touching the query's category, or has vanished since.
+        """
+        served = completion.outcome
+        if isinstance(served, ServedSearch):
+            self.searches += 1
+            self.dead_doc_hits += sum(
+                doc_id in self.removed_ids for doc_id in served.doc_ids
+            )
+            served = served.served
+        query = completion.request.query
+        hit = served.source == "cache"
+        stale = False
+        if hit:
+            churned_at = self.last_churn.get(self.categories.get(query))
+            if churned_at is not None:
+                written_at = self.pipeline.cache.stored_at(query)
+                stale = written_at is None or written_at < churned_at
+        self.stats.record(
+            served.latency_ms, hit=hit, stale=stale, empty=not served.rewrites
+        )
+        return served
 
-    @property
-    def stale_or_empty_rate(self) -> float:
-        """Lifetime degraded-serve fraction (stale OR empty counts once)."""
-        return self.stats.lifetime_stale_or_empty_rate
+    def churn(self, event: ChurnEvent) -> None:
+        """Apply one churn event to the catalog and the live index in
+        lockstep, stamp the categories it touched with the scheduler's
+        clock, and notify the controller."""
+        engine = self.pipeline.search_engine
+        for product in event.added:
+            engine.add_product(product)
+        for doc_id, _ in event.removed:
+            engine.remove_product(doc_id)
+            self.removed_ids.add(doc_id)
+        now = self.scheduler.clock.now()
+        for category in event.categories:
+            self.last_churn[category] = now
+        if self.controller is not None:
+            self.controller.on_churn(event.categories)
+        self.churn_events += 1
+
+
+def replay_traces(
+    tenants: Sequence[ReplayTenant], search_every: int, on_event=None
+) -> None:
+    """The one replay loop: every tenant's trace through its scheduler.
+
+    The traces merge in ``(at, tenant, position)`` order.  Before each
+    event every scheduler serves what is due, in tenant order, so batches
+    dispatch at their own trigger times whichever tenant's traffic moves
+    the shared clock, and the interleaving is deterministic.  Request
+    ``seq`` of a tenant (counting from 0) rides lane 0 when its query is
+    in the tenant's head set, else the scheduler's lowest-priority lane,
+    and goes end to end through retrieval when ``seq % search_every ==
+    0``.  A churn event goes to :meth:`ReplayTenant.churn`, any other
+    event to ``on_event(tenant, kind, payload)``.  Every scheduler drains
+    at the end.
+    """
+    merged = sorted(
+        (
+            (at, index, position, kind, payload)
+            for index, tenant in enumerate(tenants)
+            for position, (kind, at, payload) in enumerate(tenant.trace)
+        ),
+        key=lambda event: event[:3],
+    )
+    for at, index, _, kind, payload in merged:
+        for tenant in tenants:
+            tenant.scheduler.advance_to(at)
+        tenant = tenants[index]
+        if kind == "request":
+            seq = tenant.submitted
+            tenant.submitted += 1
+            tenant.seq_of[at] = seq
+            scheduler = tenant.scheduler
+            scheduler.submit(
+                ScheduledRequest(
+                    query=payload.query,
+                    arrival_seconds=at,
+                    lane=0
+                    if payload.query in tenant.head
+                    else scheduler.config.num_lanes - 1,
+                    kind="search" if seq % search_every == 0 else "rewrite",
+                )
+            )
+        elif kind == "churn":
+            tenant.churn(payload)
+        else:
+            on_event(tenant, kind, payload)
+    for tenant in tenants:
+        tenant.scheduler.drain()
 
 
 class TrafficReplay:
@@ -165,12 +283,13 @@ class TrafficReplay:
         if not traffic:
             raise ValueError("click log has no queries to replay")
         self._texts = [text for text, _, _ in traffic]
-        self._categories = {text: category for text, category, _ in traffic}
+        #: query text -> ground-truth category, over the request universe
+        self.categories = {text: category for text, category, _ in traffic}
         clicks = np.array([max(c, 1) for _, _, c in traffic], dtype=float)
         self._weights = clicks / clicks.sum()
 
         head_count = max(1, int(len(traffic) * cfg.head_fraction))
-        self._head = {text: self._categories[text] for text in self._texts[:head_count]}
+        self._head = {text: self.categories[text] for text in self._texts[:head_count]}
 
         self._schedule = self._build_schedule(click_log, generator)
 
@@ -209,8 +328,8 @@ class TrafficReplay:
             size = min(cfg.batch_size, cfg.num_requests - emitted)
             picks = rng.choice(len(self._texts), size=size, p=self._weights)
             batch = [
-                Request(query=self._texts[int(i)], category=self._categories[self._texts[int(i)]])
-                for i in picks
+                Request(query=text, category=self.categories[text])
+                for text in (self._texts[int(i)] for i in picks)
             ]
             schedule.append(("batch", batch))
             emitted += size
@@ -235,143 +354,16 @@ class TrafficReplay:
                 )
         return schedule
 
-    # -- shared replay mechanics ----------------------------------------------
-    def apply_churn(
-        self,
-        engine,
-        event: ChurnEvent,
-        clock: VirtualClock,
-        last_churn: dict[str, float],
-        removed_ids: set[int],
-        controller: FreshnessController | None,
-    ) -> None:
-        """Apply one churn event to catalog + live index in lockstep, stamp
-        the affected categories, and notify the controller.  Shared by the
-        pre-batched and scheduled replay paths — and by the scenario
-        library's drivers (:mod:`repro.online.scenarios`) — so churn (and
-        thus staleness) semantics can never diverge between harnesses."""
-        for product in event.added:
-            engine.add_product(product)
-        for doc_id, _ in event.removed:
-            engine.remove_product(doc_id)
-            removed_ids.add(doc_id)
-        now = clock.now()
-        for category in event.categories:
-            last_churn[category] = now
-        if controller is not None:
-            controller.on_churn(event.categories)
-
-    def record_serve(
-        self,
-        pipeline: ServingPipeline,
-        stats: WindowedStats,
-        served,
-        query: str,
-        last_churn: dict[str, float],
-    ) -> None:
-        """Record one served request's hit/stale/empty gauges.
-
-        A *stale* serve is a cache hit whose entry was written before the
-        last churn event touching the query's category (an entry that
-        vanished since — ``stored_at`` None — also counts).  One
-        definition, used by both replay paths and by the scenario
-        drivers."""
-        hit = served.source == "cache"
-        empty = not served.rewrites
-        stale = False
-        if hit:
-            category = self._categories.get(query)
-            churned_at = last_churn.get(category) if category is not None else None
-            if churned_at is not None:
-                written_at = pipeline.cache.stored_at(query)
-                stale = written_at is None or written_at < churned_at
-        stats.record(served.latency_ms, hit=hit, stale=stale, empty=empty)
-
     # -- replay --------------------------------------------------------------
-    def run(
-        self,
-        pipeline: ServingPipeline,
-        clock: VirtualClock,
-        controller: FreshnessController | None = None,
-        *,
-        arm: str = "",
-    ) -> ReplayReport:
-        """Replay the schedule through one serving stack.
-
-        ``pipeline`` must be constructed with a churn-capable search
-        engine (``ShardedSearchEngine``) and a cache whose clock is
-        ``clock.now``; ``controller`` is optional — omit it for the
-        no-freshness baseline.  The controller's own work is counted in
-        its :class:`~repro.online.freshness.FreshnessReport`.
-        """
-        engine = pipeline.search_engine
-        if engine is None or not hasattr(engine, "add_product"):
-            raise ValueError(
-                "replay needs a churn-capable engine on the pipeline "
-                "(ShardedSearchEngine with add_product/remove_product)"
-            )
-        cfg = self.config
-        stats = WindowedStats(cfg.window)
-        last_churn: dict[str, float] = {}
-        removed_ids: set[int] = set()
-        churn_events = 0
-        searches = 0
-        dead_doc_hits = 0
-        batch_index = 0
-
-        for kind, payload in self._schedule:
-            if kind == "churn":
-                self.apply_churn(
-                    engine, payload, clock, last_churn, removed_ids, controller
-                )
-                churn_events += 1
-                continue
-
-            clock.advance(len(payload) * cfg.seconds_per_request)
-            if controller is not None:
-                controller.tick()
-            queries = [request.query for request in payload]
-            if batch_index % cfg.search_every == 0:
-                outcomes = pipeline.search_batch(queries)
-                served_batch = [outcome.served for outcome in outcomes]
-                searches += len(outcomes)
-                for outcome in outcomes:
-                    dead_doc_hits += sum(
-                        1 for doc_id in outcome.doc_ids if doc_id in removed_ids
-                    )
-            else:
-                served_batch = pipeline.serve_batch(queries)
-            batch_index += 1
-
-            for request, served in zip(payload, served_batch):
-                self.record_serve(pipeline, stats, served, request.query, last_churn)
-
-        serving = pipeline.counters()
-        return ReplayReport(
-            arm=arm,
-            requests=stats.total_requests,
-            churn_events=churn_events,
-            stats=stats,
-            cache_served=serving["cache_served"],
-            model_served=serving["model_served"],
-            unserved=serving["unserved"],
-            cache_expirations=serving["cache_expirations"],
-            cache_evictions=serving["cache_evictions"],
-            searches=searches,
-            dead_doc_hits=dead_doc_hits,
-            freshness=controller.report if controller is not None else None,
-        )
-
-    # -- scheduled replay ------------------------------------------------------
     def arrival_trace(self) -> list[tuple[str, float, object]]:
         """The schedule as timed single-request arrivals, oldest first.
 
-        Flattens the precomputed request batches into ``("request", t,
+        Flattens the precomputed request draws into ``("request", t,
         Request)`` events with exponential (Poisson-process) inter-arrival
         gaps of mean ``seconds_per_request``, drawn from their own seeded
-        stream so the request *content* is identical to the pre-batched
-        schedule.  Churn events become ``("churn", t, ChurnEvent)`` pinned
-        at the arrival time of the request they followed.  This is the
+        stream so the gaps never perturb the request content.  Churn
+        events become ``("churn", t, ChurnEvent)`` pinned at the arrival
+        time of the request they followed.  This is the
         workload shape a :class:`~repro.online.scheduler.MicroBatchScheduler`
         faces: nobody hands it batches, traffic just arrives.
         """
@@ -395,96 +387,43 @@ class TrafficReplay:
         clock: VirtualClock,
         scheduler_config: SchedulerConfig | None = None,
         controller: FreshnessController | None = None,
-        *,
-        arm: str = "",
     ) -> ReplayReport:
-        """Replay the arrival trace through a micro-batch scheduler.
+        """Replay the arrival trace through one serving stack.
 
-        Same serving-stack requirements as :meth:`run`, but requests
-        enter one at a time through a
-        :class:`~repro.online.scheduler.MicroBatchScheduler` that forms
-        batches under ``scheduler_config``'s policy.  Head queries ride
-        lane 0, tail queries the lowest-priority lane; a deterministic
-        ``1/search_every`` fraction of requests goes end-to-end through
-        retrieval (``kind="search"``), mirroring :meth:`run`'s probe
-        cadence.  Staleness/hit accounting happens per dispatched batch,
-        at the virtual time each request is actually served, and the
-        returned report carries the scheduler's own
-        :class:`~repro.online.scheduler.SchedulerReport` (queue delays,
-        batch sizes, admission counters).
+        ``pipeline`` must be constructed with a churn-capable search
+        engine (``ShardedSearchEngine``) and a cache whose clock is
+        ``clock.now``; ``controller`` is optional — omit it for the
+        no-freshness baseline (its work is counted in its
+        :class:`~repro.online.freshness.FreshnessReport`).
+        :func:`replay_traces` submits the requests to a
+        :class:`~repro.online.scheduler.MicroBatchScheduler` batching
+        under ``scheduler_config`` (default ``SchedulerConfig()``), and
+        each is accounted at the virtual time it is actually served.
         """
-        engine = pipeline.search_engine
-        if engine is None or not hasattr(engine, "add_product"):
+        if not hasattr(pipeline.search_engine, "add_product"):
             raise ValueError(
                 "replay needs a churn-capable engine on the pipeline "
                 "(ShardedSearchEngine with add_product/remove_product)"
             )
-        cfg = self.config
-        sched_cfg = scheduler_config or SchedulerConfig()
-        stats = WindowedStats(cfg.window)
-        last_churn: dict[str, float] = {}
-        removed_ids: set[int] = set()
-        churn_events = 0
-        searches = 0
-        dead_doc_hits = 0
-        tail_lane = min(1, sched_cfg.num_lanes - 1)
-
-        def on_batch(completions) -> None:
-            nonlocal searches, dead_doc_hits
-            if controller is not None:
-                controller.tick()
-            for completion in completions:
-                outcome = completion.outcome
-                if isinstance(outcome, ServedSearch):
-                    served = outcome.served
-                    searches += 1
-                    dead_doc_hits += sum(
-                        1 for doc_id in outcome.doc_ids if doc_id in removed_ids
-                    )
-                else:
-                    served = outcome
-                self.record_serve(
-                    pipeline, stats, served, completion.request.query, last_churn
-                )
-
-        scheduler = MicroBatchScheduler(pipeline, clock, sched_cfg, on_batch=on_batch)
-        # Its own stream: the end-to-end probe picks must not perturb the
-        # arrival-gap draws (or the schedule's), so replays stay comparable.
-        probe_rng = np.random.default_rng(cfg.seed + 2)
-        for kind, at, payload in self.arrival_trace():
-            if kind == "churn":
-                # Serve everything due strictly before the churn lands,
-                # then apply it to catalog + index in lockstep.
-                scheduler.advance_to(at)
-                self.apply_churn(
-                    engine, payload, clock, last_churn, removed_ids, controller
-                )
-                churn_events += 1
-                continue
-            probe = probe_rng.random() < 1.0 / cfg.search_every
-            scheduler.submit(
-                ScheduledRequest(
-                    query=payload.query,
-                    arrival_seconds=at,
-                    lane=0 if payload.query in self._head else tail_lane,
-                    kind="search" if probe else "rewrite",
-                )
-            )
-        scheduler_report = scheduler.drain()
-
-        serving = pipeline.counters()
+        tenant = ReplayTenant(
+            pipeline=pipeline,
+            trace=self.arrival_trace(),
+            head=self._head,
+            controller=controller,
+            categories=self.categories,
+            stats=WindowedStats(self.config.window),
+        )
+        tenant.scheduler = MicroBatchScheduler(
+            pipeline, clock, scheduler_config, on_batch=tenant.on_batch
+        )
+        replay_traces([tenant], self.config.search_every)
         return ReplayReport(
-            arm=arm,
-            requests=stats.total_requests,
-            churn_events=churn_events,
-            stats=stats,
-            cache_served=serving["cache_served"],
-            model_served=serving["model_served"],
-            unserved=serving["unserved"],
-            cache_expirations=serving["cache_expirations"],
-            cache_evictions=serving["cache_evictions"],
-            searches=searches,
-            dead_doc_hits=dead_doc_hits,
+            requests=tenant.stats.total_requests,
+            churn_events=tenant.churn_events,
+            stats=tenant.stats,
+            counters=pipeline.counters(),
+            searches=tenant.searches,
+            dead_doc_hits=tenant.dead_doc_hits,
+            scheduler=tenant.scheduler.report,
             freshness=controller.report if controller is not None else None,
-            scheduler=scheduler_report,
         )

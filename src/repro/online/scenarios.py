@@ -15,7 +15,9 @@ TrafficReplay` builds each tenant's schedule, a per-tenant
 :class:`~repro.online.scheduler.MicroBatchScheduler` forms batches over
 one shared :class:`~repro.online.clock.VirtualClock`, and a per-tenant
 :class:`~repro.online.freshness.FreshnessController` keeps head entries
-fresh — so scenario semantics (churn lockstep, staleness definition)
+fresh — through the one replay loop,
+:func:`~repro.online.replay.replay_traces`, and its per-tenant tally, so
+scenario semantics (churn lockstep, staleness definition, probe rule)
 can never diverge from the single-arm harnesses.
 
 An arm is a declaration the one :class:`ScenarioRunner` reads — how
@@ -47,6 +49,7 @@ from repro.baselines.rule_based import RuleBasedRewriter
 from repro.cluster import ReplicaRouter
 from repro.core.cache import RewriteCache
 from repro.core.serving import (
+    ServedRewrite,
     ServedSearch,
     ServingConfig,
     ServingPipeline,
@@ -59,12 +62,15 @@ from repro.data.marketplace import MarketplaceConfig, generate_marketplace
 from repro.data.synonyms import build_rule_dictionary
 from repro.online.clock import VirtualClock
 from repro.online.freshness import FreshnessController
-from repro.online.replay import ChurnEvent, ReplayConfig, Request, TrafficReplay
-from repro.online.scheduler import (
-    MicroBatchScheduler,
-    ScheduledRequest,
-    SchedulerConfig,
+from repro.online.replay import (
+    ChurnEvent,
+    ReplayConfig,
+    ReplayTenant,
+    Request,
+    TrafficReplay,
+    replay_traces,
 )
+from repro.online.scheduler import MicroBatchScheduler, SchedulerConfig
 from repro.online.stats import WindowedStats
 from repro.search.engine import SearchConfig
 from repro.search.sharded import ShardedIndex, ShardedSearchEngine, resolve_backend
@@ -253,9 +259,11 @@ class ScenarioOutcome:
         return totals
 
 
-@dataclass
-class TenantState:
-    """Everything one marketplace tenant owns during a scenario run."""
+@dataclass(kw_only=True)
+class TenantState(ReplayTenant):
+    """Everything one marketplace tenant owns during a scenario run: the
+    replay's per-tenant tally plus the isolation checks and logs the
+    arms' invariants read."""
 
     index: int
     #: tenant label (cache namespace, pipeline telemetry tag)
@@ -263,32 +271,14 @@ class TenantState:
     #: first document id of this tenant's disjoint id range
     id_base: int
     market: object
-    engine: object
-    cache: RewriteCache
-    pipeline: ServingPipeline
-    controller: FreshnessController
-    replay: TrafficReplay
-    scheduler: MicroBatchScheduler
-    stats: WindowedStats
-    #: head query -> category (pre-populated + freshness-managed set)
-    head: dict[str, str]
     #: normalized queries THIS tenant has written into its cache view
     wrote: set[str]
-    #: category -> virtual time of the last churn touching it
-    last_churn: dict = field(default_factory=dict)
-    #: document ids delisted so far (dead-document detection)
-    removed_ids: set = field(default_factory=set)
-    churn_events: int = 0
     adds_applied: int = 0
     removes_applied: int = 0
-    searches: int = 0
-    dead_doc_hits: int = 0
     #: cache serves of queries this tenant never wrote (leaks, live)
     cross_tenant_cache_hits: int = 0
     #: retrieved documents outside this tenant's id range
     cross_tenant_doc_serves: int = 0
-    #: requests submitted to the scheduler so far
-    submitted: int = 0
     #: (request sequence, served-from-cache, query) per completion,
     #: dispatch order
     serve_log: list = field(default_factory=list)
@@ -297,13 +287,47 @@ class TenantState:
     search_log: list = field(default_factory=list)
     #: ``len(serve_log)`` as each churn event landed, in trace order
     serve_log_at_churn: list = field(default_factory=list)
-    #: arrival time -> request sequence number (for window analyses)
-    seq_of: dict = field(default_factory=dict)
     initial_products: int = 0
     #: request sequence at which the cache node restarted (cold_restart)
     restarted_at: int | None = None
     #: scenario-specific scratch (drift queries, hot keys, ...)
     notes: dict = field(default_factory=dict)
+
+    def record(self, completion) -> ServedRewrite:
+        """The replay's tally, then this tenant's isolation checks."""
+        served = super().record(completion)
+        outcome = completion.outcome
+        if isinstance(outcome, ServedSearch):
+            self.search_log.append((outcome.query, tuple(outcome.doc_ids)))
+            upper = self.id_base + _TENANT_ID_STRIDE
+            self.cross_tenant_doc_serves += sum(
+                not self.id_base <= doc_id < upper for doc_id in outcome.doc_ids
+            )
+        query = completion.request.query
+        key = normalize(query)
+        if served.source == "cache":
+            # Head entries are legitimately (re)written by the tenant's
+            # own freshness controller at any time (e.g. after a cold
+            # restart), so only non-head hits that this tenant never
+            # wrote count as foreign.
+            if key not in self.wrote and query not in self.head:
+                self.cross_tenant_cache_hits += 1
+        elif (
+            served.source == "model"
+            and served.rewrites
+            and self.pipeline.config.cache_model_results
+        ):
+            self.wrote.add(key)
+        seq = self.seq_of.get(completion.request.arrival_seconds)
+        self.serve_log.append((seq, 1 if served.source == "cache" else 0, query))
+        return served
+
+    def churn(self, event: ChurnEvent) -> None:
+        """The replay's churn, logged where it landed in dispatch order."""
+        self.serve_log_at_churn.append(len(self.serve_log))
+        super().churn(event)
+        self.adds_applied += len(event.added)
+        self.removes_applied += len(event.removed)
 
 
 class Scenario:
@@ -446,16 +470,13 @@ class ScenarioRunner:
     """Drives one trace arm: builds tenants, replays the merged trace,
     judges the invariants, and returns a :class:`ScenarioOutcome`.
 
-    Per-tenant schedulers share ONE virtual clock; the runner advances
-    every scheduler to each merged-event time (fixed tenant order) so
-    batches dispatch at their exact trigger times regardless of which
-    tenant's traffic is driving the clock — the property that makes the
-    interleaved replay deterministic.  Trace events are ``"request"``,
-    ``"churn"`` and ``"incident"`` (an arm's declared action).
+    Per-tenant schedulers share ONE virtual clock, and
+    :func:`~repro.online.replay.replay_traces` walks the merged trace,
+    advancing every scheduler to each event's time in fixed tenant order
+    — the property that makes the interleaved replay deterministic.
+    Trace events are ``"request"``, ``"churn"`` and ``"incident"`` (an
+    arm's declared action, run as ``action(runner, tenant)``).
     """
-
-    #: tail queries ride the lowest-priority lane of a 2-lane scheduler
-    NUM_LANES = 2
 
     def __init__(self, scenario: Scenario, config: ScenarioConfig | None = None):
         """``config`` is the caller's base; the scenario may pin knobs
@@ -516,8 +537,6 @@ class ScenarioRunner:
                 churn_removes=cfg.churn_removes,
                 head_fraction=_HEAD_FRACTION,
                 seconds_per_request=_SECONDS_PER_REQUEST,
-                search_every=_SEARCH_EVERY,
-                window=_WINDOW,
                 seed=cfg.seed + 7 + index,
             ),
         )
@@ -538,12 +557,10 @@ class ScenarioRunner:
             name=name,
             id_base=id_base,
             market=market,
-            engine=engine,
-            cache=cache,
             pipeline=pipeline,
+            trace=replay.arrival_trace(),
             controller=controller,
-            replay=replay,
-            scheduler=None,  # set below (needs the tenant for its hook)
+            categories=replay.categories,
             stats=WindowedStats(_WINDOW),
             head=head,
             wrote=wrote,
@@ -556,11 +573,8 @@ class ScenarioRunner:
                 max_batch_size=cfg.max_batch_size,
                 max_wait_seconds=_MAX_WAIT_SECONDS,
                 max_queue_depth=_MAX_QUEUE_DEPTH,
-                num_lanes=self.NUM_LANES,
             ),
-            on_batch=lambda completions, tenant=tenant: self._on_batch(
-                tenant, completions
-            ),
+            on_batch=tenant.on_batch,
         )
         return tenant
 
@@ -571,67 +585,13 @@ class ScenarioRunner:
         for fraction, action in self.scenario.incidents:
             inserts.setdefault(int(n * fraction), []).append(("incident", action))
         return _walk_trace(
-            tenant.replay.arrival_trace(),
+            tenant.trace,
             inserts,
             self.scenario.request_window(tenant, self.config),
             after_churn=self.scenario.incidents_after_churn,
         )
 
-    # -- per-batch accounting ------------------------------------------------
-    def _on_batch(self, tenant: TenantState, completions) -> None:
-        tenant.controller.tick()
-        for completion in completions:
-            outcome = completion.outcome
-            if isinstance(outcome, ServedSearch):
-                served = outcome.served
-                tenant.searches += 1
-                tenant.search_log.append((outcome.query, tuple(outcome.doc_ids)))
-                upper = tenant.id_base + _TENANT_ID_STRIDE
-                for doc_id in outcome.doc_ids:
-                    if doc_id in tenant.removed_ids:
-                        tenant.dead_doc_hits += 1
-                    if not tenant.id_base <= doc_id < upper:
-                        tenant.cross_tenant_doc_serves += 1
-            else:
-                served = outcome
-            query = completion.request.query
-            key = normalize(query)
-            if served.source == "cache":
-                # Head entries are legitimately (re)written by the
-                # tenant's own freshness controller at any time (e.g.
-                # after a cold restart), so only non-head hits that this
-                # tenant never wrote count as foreign.
-                if key not in tenant.wrote and query not in tenant.head:
-                    tenant.cross_tenant_cache_hits += 1
-            elif (
-                served.source == "model"
-                and served.rewrites
-                and tenant.pipeline.config.cache_model_results
-            ):
-                tenant.wrote.add(key)
-            tenant.replay.record_serve(
-                tenant.pipeline, tenant.stats, served, query, tenant.last_churn
-            )
-            seq = tenant.seq_of.get(completion.request.arrival_seconds)
-            tenant.serve_log.append(
-                (seq, 1 if served.source == "cache" else 0, query)
-            )
-
     # -- events --------------------------------------------------------------
-    def _apply_churn(self, tenant: TenantState, event: ChurnEvent) -> None:
-        tenant.serve_log_at_churn.append(len(tenant.serve_log))
-        tenant.replay.apply_churn(
-            tenant.engine,
-            event,
-            self.clock,
-            tenant.last_churn,
-            tenant.removed_ids,
-            tenant.controller,
-        )
-        tenant.churn_events += 1
-        tenant.adds_applied += len(event.added)
-        tenant.removes_applied += len(event.removed)
-
     def swap_cache(self, tenant: TenantState) -> None:
         """Swap the tenant onto a fresh, empty cache (a node restart).
 
@@ -640,7 +600,6 @@ class ScenarioRunner:
         """
         root = self._new_cache()
         fresh = root.tenant_view(tenant.name) if self.config.namespace_cache else root
-        tenant.cache = fresh
         tenant.pipeline.cache = fresh
         tenant.controller.cache = fresh
         tenant.wrote = set()
@@ -666,39 +625,11 @@ class ScenarioRunner:
         self.tenants = [
             self._build_tenant(index, physical) for index in range(cfg.num_tenants)
         ]
-        merged: list[tuple[float, int, int, str, object]] = []
         for tenant in self.tenants:
-            for position, (kind, at, payload) in enumerate(self._trace(tenant)):
-                merged.append((at, tenant.index, position, kind, payload))
-        merged.sort(key=lambda event: (event[0], event[1], event[2]))
-
-        for at, index, _, kind, payload in merged:
-            # Every scheduler serves what is due before the event lands,
-            # in fixed tenant order — the interleaving is deterministic.
-            for tenant in self.tenants:
-                tenant.scheduler.advance_to(at)
-            tenant = self.tenants[index]
-            if kind == "churn":
-                self._apply_churn(tenant, payload)
-            elif kind == "incident":
-                payload(self, tenant)
-            else:
-                seq = tenant.submitted
-                tenant.submitted += 1
-                tenant.seq_of[at] = seq
-                tenant.scheduler.submit(
-                    ScheduledRequest(
-                        query=payload.query,
-                        arrival_seconds=at,
-                        lane=0 if payload.query in tenant.head else self.NUM_LANES - 1,
-                        # Deterministic, batch-size-independent probe pick
-                        # (the rng probe of run_scheduled would perturb
-                        # cross-batch-size comparisons).
-                        kind="search" if seq % _SEARCH_EVERY == 0 else "rewrite",
-                    )
-                )
-        for tenant in self.tenants:
-            tenant.scheduler.drain()
+            tenant.trace = self._trace(tenant)
+        replay_traces(
+            self.tenants, _SEARCH_EVERY, lambda tenant, _, action: action(self, tenant)
+        )
 
         invariants = self._common_invariants()
         invariants.extend(self.scenario.invariants(self))
@@ -742,7 +673,7 @@ class ScenarioRunner:
             for query in owner.head
             for other in self.tenants
             if other is not owner
-            and other.cache.stored_at(query) is not None
+            and other.pipeline.cache.stored_at(query) is not None
             and normalize(query) not in other.wrote
             and query not in other.head
         )
@@ -753,7 +684,7 @@ class ScenarioRunner:
         foreign_index = sum(
             1
             for tenant in self.tenants
-            for doc_id in _engine_doc_ids(tenant.engine)
+            for doc_id in _engine_doc_ids(tenant.pipeline.search_engine)
             if not tenant.id_base <= doc_id < tenant.id_base + _TENANT_ID_STRIDE
         )
         totals = sum_counters([t.pipeline.counters() for t in self.tenants])
@@ -936,7 +867,7 @@ class ChurnStormScenario(Scenario):
         expected = (
             tenant.initial_products + tenant.adds_applied - tenant.removes_applied
         )
-        observed = len(_engine_doc_ids(tenant.engine))
+        observed = len(_engine_doc_ids(tenant.pipeline.search_engine))
         return [
             InvariantResult(
                 name="index_size_lockstep",
@@ -1070,7 +1001,7 @@ class ColdRestartPersistentScenario(ColdRestartScenario):
         """
         arm = runner.scenario
         runner.swap_cache(tenant)
-        live = tenant.engine
+        live = tenant.pipeline.search_engine
         live_docs = _engine_doc_ids(live)
         probes = sorted(tenant.head)[: arm.PROBE_QUERIES]
         expected = {query: live.search(query) for query in probes}
@@ -1099,7 +1030,6 @@ class ColdRestartPersistentScenario(ColdRestartScenario):
             path.stat().st_size for path in segment_files
         )
         tenant.notes["persist_num_shards"] = restored.index.num_shards
-        tenant.engine = restored
         tenant.pipeline.search_engine = restored
 
     incidents = ((0.5, _restart_from_segments),)
@@ -1196,7 +1126,7 @@ class VocabDriftScenario(Scenario):
     def _list_brand(runner: ScenarioRunner, tenant: TenantState) -> None:
         """The ADD-only churn that lists the new brand's products."""
         products, _ = runner.scenario._drift_catalog(tenant)
-        runner._apply_churn(tenant, ChurnEvent(added=tuple(products), removed=()))
+        tenant.churn(ChurnEvent(added=tuple(products), removed=()))
 
     incidents = ((ADOPT_AT, _list_brand),)
 
@@ -1215,7 +1145,7 @@ class VocabDriftScenario(Scenario):
     def invariants(self, runner: ScenarioRunner) -> list[InvariantResult]:
         """Adoption + two-tier lockstep bars."""
         tenant = runner.tenants[0]
-        engine = tenant.engine
+        engine = tenant.pipeline.search_engine
         drift_queries = tenant.notes.get("drift_queries", [])
         drift_ids = tenant.notes.get("drift_ids", set())
         adopted = 0
@@ -1303,7 +1233,7 @@ class ShardFailoverScenario(Scenario):
     def _kill(runner: ScenarioRunner, tenant: TenantState) -> None:
         """Kill replica 0 without telling the router: the next request
         that touches it must discover the death and fail over."""
-        tenant.engine.index.backend.kill_replica(0)
+        tenant.pipeline.search_engine.index.backend.kill_replica(0)
 
     @staticmethod
     def _respawn(runner: ScenarioRunner, tenant: TenantState) -> None:
@@ -1316,9 +1246,9 @@ class ShardFailoverScenario(Scenario):
         evidence lands in ``tenant.notes`` (never in telemetry, which
         must stay fingerprint-identical run to run).
         """
-        router = tenant.engine.index.backend
+        router = tenant.pipeline.search_engine.index.backend
         save_dir = runner._scratch / "respawn-save"
-        saved = tenant.engine.save(save_dir)
+        saved = tenant.pipeline.search_engine.save(save_dir)
         shipped = SegmentStore(save_dir, "lexical").ship_snapshot(
             runner._scratch / "respawn-dest"
         )
@@ -1347,7 +1277,7 @@ class ShardFailoverScenario(Scenario):
         if not self.incidents:
             return []
         tenant = runner.tenants[0]
-        stats = tenant.engine.index.backend.stats()
+        stats = tenant.pipeline.search_engine.index.backend.stats()
         twin = ShardFailoverScenario()
         twin.incidents = ()
         twin_runner = ScenarioRunner(twin, runner.config)

@@ -21,6 +21,7 @@ import dataclasses
 
 import pytest
 
+from repro.data.clicklog import ClickLogSimulator
 from repro.gateway.soak import build_workload, run_soak, run_twin_arm
 from repro.online.scenarios import ScenarioConfig, run_scenario
 
@@ -77,8 +78,8 @@ class TestSoakConformance:
 
 class TestDeterminism:
     def test_twin_arm_is_deterministic(self):
-        items, _ = build_workload(SMALL)
-        assert run_twin_arm(SMALL, items) == run_twin_arm(SMALL, items)
+        items, heads = build_workload(SMALL)
+        assert run_twin_arm(SMALL, items, heads) == run_twin_arm(SMALL, items, heads)
 
     def test_workload_is_deterministic_and_interleaved(self):
         items, heads = build_workload(SMALL)
@@ -93,12 +94,26 @@ class TestDeterminism:
         kinds = {item.kind for item in items}
         assert kinds == {"rewrite", "search"}
 
+    def test_each_tenant_traffic_is_built_once(self, monkeypatch):
+        """Both arms reuse the heads of the one workload build: a soak
+        simulates each tenant's click log exactly once."""
+        simulated = []
+        simulate = ClickLogSimulator.simulate
+
+        def counted(simulator, *args, **kwargs):
+            simulated.append(simulator)
+            return simulate(simulator, *args, **kwargs)
+
+        monkeypatch.setattr(ClickLogSimulator, "simulate", counted)
+        run_soak(SMALL)
+        assert len(simulated) == SMALL.num_tenants
+
     def test_seed_changes_the_fingerprint(self):
-        items, _ = build_workload(SMALL)
+        items, heads = build_workload(SMALL)
         other_config = dataclasses.replace(SMALL, seed=SMALL.seed + 1)
-        other_items, _ = build_workload(other_config)
-        assert run_twin_arm(SMALL, items) != run_twin_arm(
-            other_config, other_items
+        other_items, other_heads = build_workload(other_config)
+        assert run_twin_arm(SMALL, items, heads) != run_twin_arm(
+            other_config, other_items, other_heads
         )
 
 

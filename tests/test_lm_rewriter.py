@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import LMRewriter, LMRewriterConfig, build_lm_sequences
+from repro.core.lm_rewriter import LMRewriter, LMRewriterConfig, build_lm_sequences
 from repro.models import DecoderOnlyLM, ModelConfig
 from repro.models.lm import SEP1, SEP2
 from repro.optim import Adam

@@ -15,6 +15,7 @@ from repro.core.rewriter import RewriteResult
 from repro.data.catalog import CatalogConfig, CatalogGenerator, alias_to_canonical
 from repro.data.clicklog import ClickLogConfig, ClickLogSimulator
 from repro.online import (
+    MicroBatchScheduler,
     SchedulerConfig,
     SchedulerReport,
     VirtualClock,
@@ -307,12 +308,12 @@ class TestTrafficReplay:
     def test_replay_end_to_end_baseline_vs_freshness(self):
         generator, _, replay = build_small_replay()
         engine, clock, pipeline, _ = build_stack(generator, replay)
-        baseline = replay.run(pipeline, clock, arm="baseline")
+        baseline = replay.run_scheduled(pipeline, clock)
         engine.close()
         engine, clock, pipeline, controller = build_stack(
             generator, replay, with_freshness=True
         )
-        fresh = replay.run(pipeline, clock, controller, arm="freshness")
+        fresh = replay.run_scheduled(pipeline, clock, controller=controller)
         engine.close()
 
         assert baseline.requests == fresh.requests == 400
@@ -322,10 +323,8 @@ class TestTrafficReplay:
         assert fresh.dead_doc_hits == 0
         assert baseline.searches > 0
         # Tier counters account every request exactly once.
-        assert (
-            baseline.cache_served + baseline.model_served + baseline.unserved
-            == baseline.requests
-        )
+        tiers = ("cache_served", "model_served", "unserved")
+        assert sum(baseline.counters[tier] for tier in tiers) == baseline.requests
         # The controller can only reduce stale serves on the same stream.
         assert fresh.stats.total_stale <= baseline.stats.total_stale
         assert fresh.freshness is not None
@@ -340,7 +339,7 @@ class TestTrafficReplay:
         kinds = [kind for kind, _, _ in trace]
         assert kinds.count("request") == replay.config.num_requests
         assert kinds.count("churn") == replay.num_churn_events
-        # Same request content as the pre-batched schedule, in order.
+        # Same request content as the schedule's draws, in order.
         batched = [
             request.query
             for kind, payload in replay._schedule
@@ -356,7 +355,6 @@ class TestTrafficReplay:
             pipeline,
             clock,
             SchedulerConfig(max_batch_size=16, max_wait_seconds=1.0),
-            arm="scheduled",
         )
         engine.close()
         assert report.requests == 400
@@ -373,10 +371,8 @@ class TestTrafficReplay:
         assert report.searches > 0
         assert report.dead_doc_hits == 0
         assert report.churn_events == replay.num_churn_events
-        assert (
-            report.cache_served + report.model_served + report.unserved
-            == report.requests
-        )
+        tiers = ("cache_served", "model_served", "unserved")
+        assert sum(report.counters[tier] for tier in tiers) == report.requests
         assert pipeline.stats.admitted == 400
         assert pipeline.stats.shed == 0
 
@@ -397,11 +393,37 @@ class TestTrafficReplay:
         assert first_fp == second_fp
         assert first_counters == second_counters
 
+    def test_scheduled_replay_probes_every_search_every_th_request(
+        self, monkeypatch
+    ):
+        """One probe rule: with nothing shed, request seq goes end to end
+        through retrieval exactly when ``seq % search_every == 0``."""
+        generator, _, replay = build_small_replay()
+        engine, clock, pipeline, _ = build_stack(generator, replay)
+        submitted = []
+        submit = MicroBatchScheduler.submit
+
+        def recorded(scheduler, request):
+            submitted.append(request)
+            return submit(scheduler, request)
+
+        monkeypatch.setattr(MicroBatchScheduler, "submit", recorded)
+        report = replay.run_scheduled(pipeline, clock)
+        engine.close()
+        cfg = replay.config
+        assert report.scheduler.shed == 0
+        assert len(submitted) == cfg.num_requests
+        assert report.searches == math.ceil(cfg.num_requests / cfg.search_every)
+        probes = [seq for seq, r in enumerate(submitted) if r.kind == "search"]
+        assert probes == list(range(0, cfg.num_requests, cfg.search_every))
+
     def test_replay_requires_churn_capable_engine(self):
         generator, _, replay = build_small_replay()
         pipeline = ServingPipeline(RewriteCache(), None)  # no engine at all
         with pytest.raises(ValueError):
-            replay.run(pipeline, VirtualClock())
+            replay.run_scheduled(pipeline, VirtualClock())
+        # An engine without add_product/remove_product cannot follow churn.
+        pipeline = ServingPipeline(RewriteCache(), None, search_engine=object())
         with pytest.raises(ValueError):
             replay.run_scheduled(pipeline, VirtualClock())
 
@@ -481,17 +503,19 @@ class TestFingerprintRegression:
     These digests were recorded when the ``WallClock`` front door landed
     and re-pinned once when cache hits stopped waiting on a batching
     deadline (hit delays went to 0, more and smaller batches; the tier
-    counts did not move); any change to scheduler batching, admission,
+    counts did not move), and once more when the replay's search probes
+    became every 8th request instead of a seeded coin flip (50 searches
+    instead of 54, 284 batches instead of 276); any change to scheduler batching, admission,
     serving tiers, replay trace generation or scenario accounting that
     shifts a single counter will break them.  If a change is
     *intentional*, re-pin the digests in the same commit that changes
     the behaviour."""
 
     SCHEDULER_DIGEST = (
-        "0a9bf3725b278298bfe190474ec5b2d3c0f632f119afd1e63f6bd7fabb4d9dfc"
+        "3a817785994f33363f8aeef00e8b5fb89450c45d9d9df3acdbf020affd411f32"
     )
     COUNTERS_DIGEST = (
-        "0e391b1685d0dc505c3f3d8f7aa8f73c809fadcb86130ac3f381e8e8be2cd91d"
+        "9c0b5f6eb6943b9d3474efb8955ebb70413b3d5ff18ebf5bd5355d1aec390feb"
     )
     SCENARIO_DIGEST = (
         "3b471a8a84f29b572e78aa2af72eda1261cffe7297d83282b77bfcd6afe80854"

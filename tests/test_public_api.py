@@ -72,7 +72,8 @@ HARNESS_MODULES = (
 
 def test_server_import_loads_no_harness():
     """What a serving process imports — the gateway and the scheduler —
-    loads no soak, scenario, replay or baseline module.  Runs in a fresh
+    loads no soak, scenario, replay or baseline module, and neither the
+    LM exploration nor the optimizers it trains with.  Runs in a fresh
     interpreter, since this one has imported everything already."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -90,6 +91,8 @@ def test_server_import_loads_no_harness():
     ).stdout.split()
     assert "repro.gateway.app" in listing
     assert [name for name in HARNESS_MODULES if name in listing] == []
+    assert "repro.core.lm_rewriter" not in listing
+    assert [name for name in listing if name.split(".")[:2] == ["repro", "optim"]] == []
 
 
 def test_version_string():
@@ -108,7 +111,7 @@ def test_one_figure4_sampler_surface():
     """The training-side and LM-side sampler copies are gone, not
     deprecated: ``repro.decoding`` is the only place that samples."""
     from repro import decoding, training
-    from repro.core import LMRewriter
+    from repro.core.lm_rewriter import LMRewriter
     from repro.models.lm import DecoderOnlyLM
 
     assert "batched_top_n_sampling" not in training.__all__
