@@ -132,9 +132,10 @@ def run(
     baseline = _build_arm(replay, generator, rewriter, with_freshness=False)
     fresh = _build_arm(replay, generator, rewriter, with_freshness=True)
     freshness = fresh.freshness
+    requests = baseline.stats.total_requests
 
     measured = {
-        "requests_per_arm": baseline.requests,
+        "requests_per_arm": requests,
         "churn_events": baseline.churn_events,
         "head_queries": len(replay.head_queries()),
         "baseline_hit_rate": baseline.stats.lifetime_hit_rate,
@@ -148,7 +149,7 @@ def run(
         "controller_rewrite_rate": (
             freshness.refreshed + freshness.proactive_refreshed
         )
-        / max(1, fresh.requests),
+        / max(1, fresh.stats.total_requests),
         "baseline_expirations": baseline.counters["cache_expirations"],
         "freshness_expirations": fresh.counters["cache_expirations"],
         "baseline_evictions": baseline.counters["cache_evictions"],
@@ -163,7 +164,7 @@ def run(
         "purged_expired": freshness.purged_expired,
     }
     rows = [
-        ["requests / churn events", f"{baseline.requests}", f"{baseline.churn_events} churns"],
+        ["requests / churn events", f"{requests}", f"{baseline.churn_events} churns"],
         [
             "stale serves",
             f"{baseline.stats.total_stale} ({measured['baseline_stale_rate']:.1%})",

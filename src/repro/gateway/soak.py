@@ -47,9 +47,14 @@ from repro.gateway.schemas import (
     SearchResponse,
 )
 from repro.online.clock import VirtualClock, WallClock
-from repro.online.replay import ReplayConfig, ReplayTenant, TrafficReplay, replay_traces
+from repro.online.replay import (
+    ReplayConfig,
+    ReplayTenant,
+    TrafficReplay,
+    replay_traces,
+    route,
+)
 from repro.online.scenarios import (
-    _SEARCH_EVERY,
     InvariantResult,
     ScenarioConfig,
     ScenarioOutcome,
@@ -98,25 +103,20 @@ def build_workload(config: ScenarioConfig):
     tenant -> its click-ranked head queries (query -> category), which
     both arms pre-populate.  Churn is disabled by construction — the
     churn cadence is pushed past the trace length — so every arrival is
-    a request, kind and lane set by the rule of
-    :func:`~repro.online.replay.replay_traces`.
+    a request, kind and lane set by :func:`~repro.online.replay.route`.
     """
     heads = {}
     traces = []
     for index, tenant in enumerate(_tenants(config)):
         replay = _build_replay(config, index)
-        heads[tenant] = replay.head_queries()
-        traces.append(
-            [
-                SoakItem(
-                    tenant=tenant,
-                    kind="search" if seq % _SEARCH_EVERY == 0 else "rewrite",
-                    query=request.query,
-                    lane=0 if request.query in heads[tenant] else 1,
-                )
-                for seq, (_, _, request) in enumerate(replay.arrival_trace())
-            ]
-        )
+        head = heads[tenant] = replay.head_queries()
+        trace = []
+        for seq, (_, _, request) in enumerate(replay.arrival_trace()):
+            kind, lane = route(seq, request.query, head, SOAK_SCHEDULER.num_lanes)
+            trace.append(
+                SoakItem(tenant=tenant, kind=kind, query=request.query, lane=lane)
+            )
+        traces.append(trace)
     items = [item for step in zip(*traces) for item in step]
     return items, heads
 
@@ -366,7 +366,7 @@ def run_twin_arm(config: ScenarioConfig, items, heads) -> dict:
         tenant = ReplayTenant(pipeline=pipeline, trace=trace, head=heads[name])
         tenant.scheduler = MicroBatchScheduler(pipeline, clock, SOAK_SCHEDULER)
         tenants[name] = tenant
-    replay_traces(list(tenants.values()), _SEARCH_EVERY)
+    replay_traces(list(tenants.values()))
     for tenant in tenants.values():
         tenant.pipeline.close()
     return {name: tenants[name].pipeline.counters() for name in sorted(tenants)}

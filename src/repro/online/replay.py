@@ -24,7 +24,7 @@ a :class:`~repro.online.stats.WindowedStats`:
 Churn is applied through
 :meth:`~repro.search.sharded.ShardedSearchEngine.add_product` /
 ``remove_product``, so the catalog and the live sharded index move in
-lockstep; every ``search_every``-th request goes end to end through
+lockstep; every :data:`SEARCH_EVERY`-th request goes end to end through
 retrieval, verifying that it never surfaces a delisted product.
 """
 
@@ -50,6 +50,9 @@ from repro.online.scheduler import (
 )
 from repro.online.stats import WindowedStats
 
+#: requests 0, N, 2N, ... of each tenant go end to end through retrieval
+SEARCH_EVERY = 8
+
 
 @dataclass(frozen=True)
 class ReplayConfig:
@@ -68,8 +71,6 @@ class ReplayConfig:
     head_fraction: float = 0.5
     #: virtual seconds the clock advances per request
     seconds_per_request: float = 0.05
-    #: requests 0, N, 2N, ... go end to end through retrieval (search_batch)
-    search_every: int = 8
     #: sliding-window size for the streaming gauges
     window: int = 2048
     seed: int = 0
@@ -103,9 +104,8 @@ class ChurnEvent:
 class ReplayReport:
     """Outcome of one replay arm."""
 
-    requests: int
     churn_events: int
-    #: hit/stale/empty gauges (``stats.lifetime_stale_rate``, ...)
+    #: request count and gauges (``stats.total_requests``, ``lifetime_*``)
     stats: WindowedStats
     #: :meth:`~repro.core.serving.ServingPipeline.counters` at end of run
     counters: dict
@@ -145,8 +145,6 @@ class ReplayTenant:
     dead_doc_hits: int = 0
     #: requests submitted so far: the next request's sequence number
     submitted: int = 0
-    #: arrival time -> sequence number of each submitted request
-    seq_of: dict[float, int] = field(default_factory=dict)
 
     def on_batch(self, completions: list[CompletedRequest]) -> None:
         """The scheduler's ``on_batch``: one controller tick per
@@ -155,6 +153,11 @@ class ReplayTenant:
             self.controller.tick()
         for completion in completions:
             self.record(completion)
+
+    def submit(self, request: ScheduledRequest) -> None:
+        """Hand request number ``submitted`` to the scheduler."""
+        self.submitted += 1
+        self.scheduler.submit(request)
 
     def record(self, completion: CompletedRequest) -> ServedRewrite:
         """Tally one completion (a search and each delisted document it
@@ -200,19 +203,24 @@ class ReplayTenant:
         self.churn_events += 1
 
 
-def replay_traces(
-    tenants: Sequence[ReplayTenant], search_every: int, on_event=None
-) -> None:
+def route(seq: int, query: str, head: Container[str], num_lanes: int):
+    """``(kind, lane)`` of a tenant's request ``seq`` (counting from 0):
+    a ``"search"`` end to end through retrieval when ``seq %``
+    :data:`SEARCH_EVERY` ``== 0``, else a ``"rewrite"``; lane 0 for a
+    head query, else the lowest-priority lane ``num_lanes - 1``."""
+    kind = "search" if seq % SEARCH_EVERY == 0 else "rewrite"
+    return kind, 0 if query in head else num_lanes - 1
+
+
+def replay_traces(tenants: Sequence[ReplayTenant], on_event=None) -> None:
     """The one replay loop: every tenant's trace through its scheduler.
 
     The traces merge in ``(at, tenant, position)`` order.  Before each
     event every scheduler serves what is due, in tenant order, so batches
     dispatch at their own trigger times whichever tenant's traffic moves
-    the shared clock, and the interleaving is deterministic.  Request
-    ``seq`` of a tenant (counting from 0) rides lane 0 when its query is
-    in the tenant's head set, else the scheduler's lowest-priority lane,
-    and goes end to end through retrieval when ``seq % search_every ==
-    0``.  A churn event goes to :meth:`ReplayTenant.churn`, any other
+    the shared clock, and the interleaving is deterministic.  A request
+    goes to :meth:`ReplayTenant.submit` with the kind and lane of
+    :func:`route`, a churn event to :meth:`ReplayTenant.churn`, any other
     event to ``on_event(tenant, kind, payload)``.  Every scheduler drains
     at the end.
     """
@@ -229,18 +237,18 @@ def replay_traces(
             tenant.scheduler.advance_to(at)
         tenant = tenants[index]
         if kind == "request":
-            seq = tenant.submitted
-            tenant.submitted += 1
-            tenant.seq_of[at] = seq
-            scheduler = tenant.scheduler
-            scheduler.submit(
+            request_kind, lane = route(
+                tenant.submitted,
+                payload.query,
+                tenant.head,
+                tenant.scheduler.config.num_lanes,
+            )
+            tenant.submit(
                 ScheduledRequest(
                     query=payload.query,
                     arrival_seconds=at,
-                    lane=0
-                    if payload.query in tenant.head
-                    else scheduler.config.num_lanes - 1,
-                    kind="search" if seq % search_every == 0 else "rewrite",
+                    lane=lane,
+                    kind=request_kind,
                 )
             )
         elif kind == "churn":
@@ -416,9 +424,8 @@ class TrafficReplay:
         tenant.scheduler = MicroBatchScheduler(
             pipeline, clock, scheduler_config, on_batch=tenant.on_batch
         )
-        replay_traces([tenant], self.config.search_every)
+        replay_traces([tenant])
         return ReplayReport(
-            requests=tenant.stats.total_requests,
             churn_events=tenant.churn_events,
             stats=tenant.stats,
             counters=pipeline.counters(),

@@ -92,9 +92,6 @@ _MAX_WAIT_SECONDS = 0.25
 _MAX_QUEUE_DEPTH = 256
 #: mean Poisson inter-arrival gap (virtual seconds)
 _SECONDS_PER_REQUEST = 0.02
-#: every ``_SEARCH_EVERY``-th request per tenant goes end to end through
-#: retrieval (deterministic, batch-size independent)
-_SEARCH_EVERY = 8
 #: sliding window of the streaming gauges
 _WINDOW = 512
 #: refresh-ahead margin of the per-tenant freshness controller
@@ -292,6 +289,13 @@ class TenantState(ReplayTenant):
     restarted_at: int | None = None
     #: scenario-specific scratch (drift queries, hot keys, ...)
     notes: dict = field(default_factory=dict)
+    #: arrival time -> sequence number of each submitted request
+    seq_of: dict[float, int] = field(default_factory=dict)
+
+    def submit(self, request) -> None:
+        """The replay's submit, noting the request's sequence number."""
+        self.seq_of[request.arrival_seconds] = self.submitted
+        super().submit(request)
 
     def record(self, completion) -> ServedRewrite:
         """The replay's tally, then this tenant's isolation checks."""
@@ -318,7 +322,7 @@ class TenantState(ReplayTenant):
             and self.pipeline.config.cache_model_results
         ):
             self.wrote.add(key)
-        seq = self.seq_of.get(completion.request.arrival_seconds)
+        seq = self.seq_of[completion.request.arrival_seconds]
         self.serve_log.append((seq, 1 if served.source == "cache" else 0, query))
         return served
 
@@ -460,9 +464,7 @@ def _stale_bar(
 
 def _window_rate(tenant: TenantState, lo: int, hi: int) -> float:
     """Cache-hit rate over the serves of requests ``lo <= seq < hi``."""
-    window = [
-        hit for seq, hit, _ in tenant.serve_log if seq is not None and lo <= seq < hi
-    ]
+    window = [hit for seq, hit, _ in tenant.serve_log if lo <= seq < hi]
     return sum(window) / len(window) if window else 0.0
 
 
@@ -627,9 +629,7 @@ class ScenarioRunner:
         ]
         for tenant in self.tenants:
             tenant.trace = self._trace(tenant)
-        replay_traces(
-            self.tenants, _SEARCH_EVERY, lambda tenant, _, action: action(self, tenant)
-        )
+        replay_traces(self.tenants, lambda tenant, _, action: action(self, tenant))
 
         invariants = self._common_invariants()
         invariants.extend(self.scenario.invariants(self))

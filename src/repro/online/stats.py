@@ -128,10 +128,6 @@ class WindowedStats:
         """Windowed median latency."""
         return self.percentile_latency_ms(0.50)
 
-    def p95_latency_ms(self) -> float:
-        """Windowed 95th-percentile latency."""
-        return self.percentile_latency_ms(0.95)
-
     def p99_latency_ms(self) -> float:
         """Windowed 99th-percentile latency."""
         return self.percentile_latency_ms(0.99)

@@ -23,7 +23,7 @@ from repro.online import (
     WindowedStats,
 )
 from repro.online.freshness import FreshnessController
-from repro.online.replay import ReplayConfig, TrafficReplay
+from repro.online.replay import SEARCH_EVERY, ReplayConfig, TrafficReplay
 from repro.search import SearchConfig, ShardedSearchEngine
 
 
@@ -316,7 +316,7 @@ class TestTrafficReplay:
         fresh = replay.run_scheduled(pipeline, clock, controller=controller)
         engine.close()
 
-        assert baseline.requests == fresh.requests == 400
+        assert baseline.stats.total_requests == fresh.stats.total_requests == 400
         assert baseline.churn_events == fresh.churn_events == replay.num_churn_events > 0
         # The sharded index followed churn: probes never surface delisted docs.
         assert baseline.dead_doc_hits == 0
@@ -324,7 +324,7 @@ class TestTrafficReplay:
         assert baseline.searches > 0
         # Tier counters account every request exactly once.
         tiers = ("cache_served", "model_served", "unserved")
-        assert sum(baseline.counters[tier] for tier in tiers) == baseline.requests
+        assert sum(baseline.counters[tier] for tier in tiers) == baseline.stats.total_requests
         # The controller can only reduce stale serves on the same stream.
         assert fresh.stats.total_stale <= baseline.stats.total_stale
         assert fresh.freshness is not None
@@ -357,7 +357,7 @@ class TestTrafficReplay:
             SchedulerConfig(max_batch_size=16, max_wait_seconds=1.0),
         )
         engine.close()
-        assert report.requests == 400
+        assert report.stats.total_requests == 400
         assert report.scheduler is not None
         assert report.scheduler.completed == 400
         assert report.scheduler.admitted == 400
@@ -372,7 +372,7 @@ class TestTrafficReplay:
         assert report.dead_doc_hits == 0
         assert report.churn_events == replay.num_churn_events
         tiers = ("cache_served", "model_served", "unserved")
-        assert sum(report.counters[tier] for tier in tiers) == report.requests
+        assert sum(report.counters[tier] for tier in tiers) == report.stats.total_requests
         assert pipeline.stats.admitted == 400
         assert pipeline.stats.shed == 0
 
@@ -397,7 +397,7 @@ class TestTrafficReplay:
         self, monkeypatch
     ):
         """One probe rule: with nothing shed, request seq goes end to end
-        through retrieval exactly when ``seq % search_every == 0``."""
+        through retrieval exactly when ``seq % SEARCH_EVERY == 0``."""
         generator, _, replay = build_small_replay()
         engine, clock, pipeline, _ = build_stack(generator, replay)
         submitted = []
@@ -413,9 +413,9 @@ class TestTrafficReplay:
         cfg = replay.config
         assert report.scheduler.shed == 0
         assert len(submitted) == cfg.num_requests
-        assert report.searches == math.ceil(cfg.num_requests / cfg.search_every)
+        assert report.searches == math.ceil(cfg.num_requests / SEARCH_EVERY)
         probes = [seq for seq, r in enumerate(submitted) if r.kind == "search"]
-        assert probes == list(range(0, cfg.num_requests, cfg.search_every))
+        assert probes == list(range(0, cfg.num_requests, SEARCH_EVERY))
 
     def test_replay_requires_churn_capable_engine(self):
         generator, _, replay = build_small_replay()
