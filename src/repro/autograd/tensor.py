@@ -89,6 +89,21 @@ def _operand(value) -> np.ndarray:
     return value.data if isinstance(value, Tensor) else _as_array(value)
 
 
+def sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """The forward of :meth:`Tensor.sigmoid` on an ndarray."""
+    # Stable piecewise form, 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x))
+    # below, on a single exp(-|x|) that cannot overflow.
+    positive = x >= 0
+    e = np.exp(np.where(positive, -x, x))
+    return np.where(positive, 1.0, e) / (1.0 + e)
+
+
+def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The forward of :meth:`Tensor.softmax` on an ndarray."""
+    exp = np.exp(x - x.max(axis=axis, keepdims=True))
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
 def _graph_free(data) -> "Tensor":
     """The result every op returns while grad is disabled: a plain
     :class:`Tensor` (never a subclass) cut from the graph, built without
@@ -441,13 +456,7 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable piecewise formulation, 1/(1+exp(-x)) for x >= 0
-        # and exp(x)/(1+exp(x)) below, on a single exp(-|x|) that cannot
-        # overflow.
-        x = self.data
-        positive = x >= 0
-        e = np.exp(np.where(positive, -x, x))
-        out_data = np.where(positive, 1.0, e) / (1.0 + e)
+        out_data = sigmoid_np(self.data)
         if not _MODE.enabled:
             return _graph_free(out_data)
 
@@ -628,9 +637,7 @@ class Tensor:
     # Softmax family (fused for numerical stability)
     # ------------------------------------------------------------------
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        out_data = exp / exp.sum(axis=axis, keepdims=True)
+        out_data = softmax_np(self.data, axis=axis)
         if not _MODE.enabled:
             return _graph_free(out_data)
 

@@ -235,26 +235,29 @@ class DirectRewriter:
         sources = [
             self.vocab.encode(token_lists[i], add_eos=True) for i in live
         ]
-        self.model.eval()
+        if self.model.training:
+            self.model.eval()
         grouped = top_n_sampling_batch(
             self.model, pad_sources(sources, self.vocab.pad_id),
             k=k, n=cfg.top_n, max_len=cfg.max_query_len,
             rng=self._rng, forbid_tokens=(self.vocab.unk_id,),
         )
+        names = self.vocab.tokens()
         for i, source, hyps in zip(live, sources, grouped):
-            results[i] = self._results_from_hyps(hyps, source, k)
+            results[i] = self._results_from_hyps(hyps, source, k, names)
         return results
 
     def _results_from_hyps(
-        self, hyps, source: list[int], k: int
+        self, hyps, source: list[int], k: int, names: list[str]
     ) -> list[RewriteResult]:
         """Best-first results; ``source`` is the query's encoded ids
-        (EOS last), whose echo is never a rewrite of itself."""
+        (EOS last), whose echo is never a rewrite of itself.  ``names`` maps
+        ids to tokens: a top-n hypothesis holds no PAD, SOS or EOS id."""
         original = tuple(source[:-1])
         results = [
-            RewriteResult(tokens=tuple(self.vocab.decode(list(h.tokens))), log_prob=h.log_prob)
+            RewriteResult(tokens=tuple([names[t] for t in h.tokens]), log_prob=h.log_prob)
             for h in sorted(hyps, key=lambda h: h.log_prob, reverse=True)
-            if h.tokens and tuple(h.tokens) != original
+            if h.tokens and h.tokens != original
         ]
         return results[:k]
 

@@ -152,13 +152,14 @@ def top_n_sampling_batch(
     logits, state = model.step(state, last)
     first_log_probs = log_softmax_np(logits)  # (batch, vocab)
 
-    # Step 1 per source: the k most likely unique first tokens.
+    # Step 1 per source: the k most likely unique first tokens.  k
+    # survivors sit within the best k + |not_first| ids of each row's
+    # order; one row-wise argsort sorts every row as a 1-D call would.
+    orders = np.argsort(-first_log_probs, axis=1)[:, : k + len(not_first)]
     owner: list[int] = []  # source index of each flat candidate slot
     first_tokens: list[int] = []
-    for s in range(batch):
-        # k survivors sit within the best k + |not_first| ids of the order.
-        order = np.argsort(-first_log_probs[s])[: k + len(not_first)]
-        firsts = [t for t in order.tolist() if t not in not_first][:k]
+    for s, order in enumerate(orders.tolist()):
+        firsts = [t for t in order if t not in not_first][:k]
         owner.extend([s] * len(firsts))
         first_tokens.extend(firsts)
     if not first_tokens:

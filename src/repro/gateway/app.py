@@ -418,7 +418,18 @@ class Gateway:
             for item in model.items
         ]
         bridge.advance()
-        settled = await asyncio.gather(*futures, return_exceptions=True)
+        # In order, not through gather: a resolved future (a cache hit) is
+        # read without a loop turn.  Cancelled, cancel the rest, as gather.
+        settled: list = []
+        try:
+            for future in futures:
+                try:
+                    settled.append(await future)
+                except Exception as error:
+                    settled.append(error)
+        finally:
+            for future in futures[len(settled):]:
+                future.cancel()
         outcomes = []
         for item, result in zip(model.items, settled):
             if isinstance(result, RequestShed):

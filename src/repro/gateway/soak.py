@@ -48,6 +48,7 @@ from repro.gateway.schemas import (
 )
 from repro.online.clock import VirtualClock, WallClock
 from repro.online.replay import (
+    DRAW_CHUNK,
     ReplayConfig,
     ReplayTenant,
     TrafficReplay,
@@ -139,7 +140,7 @@ def _build_replay(config: ScenarioConfig, index: int) -> TrafficReplay:
     per_tenant = config.requests_per_tenant
     replay_config = ReplayConfig(
         num_requests=per_tenant,
-        batch_size=16,
+        batch_size=DRAW_CHUNK,
         churn_every=per_tenant + 1,  # never fires: pure traffic
         seed=seed,
     )

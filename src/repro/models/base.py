@@ -136,3 +136,30 @@ class Seq2SeqModel(Module):
         mask = tgt_out != self.pad_id
         correct = ((predictions == tgt_out) & mask).sum()
         return float(correct) / max(1, int(mask.sum()))
+
+
+class RecurrentDecoderModel(Seq2SeqModel):
+    """The array decode step of ``HybridNMT`` and ``RecurrentNMT``: ``start``
+    leaves ``hidden``, ``memory``, ``mem_pad`` (and, cached, ``mem_keys``)
+    arrays, which :meth:`step` runs through the modules' ``infer``."""
+
+    def step(self, state: DecodeState, last_tokens: np.ndarray) -> tuple[np.ndarray, DecodeState]:
+        """One recurrent decode step (constant cost in the prefix length)."""
+        self._count_step(state.batch_size)
+        payload = state.payload
+        hidden = self.decoder.infer(
+            self.embedding.infer(np.asarray(last_tokens).reshape(-1)),
+            payload["hidden"],
+            payload["memory"],
+            payload["mem_pad"],
+            payload.get("mem_keys"),
+        )
+        new_payload = {**payload, "hidden": hidden}
+        return self.output_proj.infer(hidden), DecodeState(state.batch_size, new_payload)
+
+    def reorder_state(self, state: DecodeState, index: np.ndarray) -> DecodeState:
+        """Select/duplicate batch rows, cached attention keys included."""
+        return DecodeState(
+            batch_size=len(index),
+            payload={key: value[index] for key, value in state.payload.items()},
+        )

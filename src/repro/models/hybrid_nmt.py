@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad, stack
-from repro.models.base import DecodeState, Seq2SeqModel
+from repro.autograd import Tensor, stack
+from repro.models.base import DecodeState, RecurrentDecoderModel
 from repro.models.config import ModelConfig
 from repro.nn import (
     AdditiveAttention,
@@ -28,7 +28,7 @@ from repro.nn import (
 from repro.nn.attention import padding_mask
 
 
-class HybridNMT(Seq2SeqModel):
+class HybridNMT(RecurrentDecoderModel):
     """Transformer encoder + RNN/GRU decoder with additive attention."""
 
     def __init__(self, config: ModelConfig, pad_id: int = 0, sos_id: int = 1, eos_id: int = 2):
@@ -57,11 +57,12 @@ class HybridNMT(Seq2SeqModel):
         memory = self.encoder(embedded, mask=key_mask)
         return memory, src == self.pad_id, key_mask
 
-    def _initial_hidden(self, memory: Tensor, pad_mask: np.ndarray) -> Tensor:
-        """Mean-pool non-pad encoder states as the decoder's start state."""
+    def _initial_hidden(self, memory, pad_mask: np.ndarray):
+        """Mean-pool non-pad encoder states as the decoder's start state
+        (``memory`` a ``Tensor`` in training, an ndarray in :meth:`start`)."""
         keep = (~pad_mask).astype(np.float64)[:, :, None]
         denominator = np.maximum(keep.sum(axis=1), 1.0)
-        return (memory * Tensor(keep)).sum(axis=1) / Tensor(denominator)
+        return (memory * keep).sum(axis=1) / denominator
 
     # -- training view -------------------------------------------------------
     def forward(self, src: np.ndarray, tgt_in: np.ndarray) -> Tensor:
@@ -79,53 +80,22 @@ class HybridNMT(Seq2SeqModel):
 
     # -- decoding view ----------------------------------------------------------
     def start(self, src: np.ndarray, use_cache: bool = True) -> DecodeState:
-        """Encode ``src`` once; optionally precompute attention keys.
-
-        The transformer half (the encoder) runs exactly once either way.
-        With ``use_cache=True`` the additive attention's key projection of
-        the memory — the only per-step quantity that does not depend on
-        the decode prefix — is computed here and reused every step,
-        byte-identically.  ``use_cache=False`` re-projects per step (the
-        seed cost profile, kept as the measured baseline).
+        """Encode ``src`` once, on plain arrays through the modules'
+        ``infer`` methods (:meth:`encode`'s bytes).  With ``use_cache=True``
+        the additive attention's key projection of the memory, the only
+        per-step quantity that does not depend on the prefix, is computed
+        here and reused every step; ``use_cache=False`` re-projects per
+        step (the seed cost profile, kept as the measured baseline).
         """
         src = np.asarray(src)
-        with no_grad():
-            memory, pad_mask, _ = self.encode(src)
-            hidden = self._initial_hidden(memory, pad_mask)
-            payload = {
-                "hidden": hidden.data,
-                "memory": memory.data,
-                "mem_pad": pad_mask,
-            }
-            if use_cache:
-                payload["mem_keys"] = self.decoder.attention.project_keys(memory)
+        pad_mask = src == self.pad_id
+        embedded = self.positional.infer(self.embedding.infer(src) * self._embed_scale)
+        memory = self.encoder.infer(embedded, mask=padding_mask(src, self.pad_id))
+        payload = {
+            "hidden": self._initial_hidden(memory, pad_mask),
+            "memory": memory,
+            "mem_pad": pad_mask,
+        }
+        if use_cache:
+            payload["mem_keys"] = self.decoder.attention.k_proj.infer(memory)
         return DecodeState(batch_size=src.shape[0], payload=payload)
-
-    def step(self, state: DecodeState, last_tokens: np.ndarray) -> tuple[np.ndarray, DecodeState]:
-        """One recurrent decode step (constant cost in the prefix length).
-
-        Reuses the cached attention key projection when the state carries
-        one; outputs are byte-identical with or without the cache.
-        """
-        self._count_step(state.batch_size)
-        with no_grad():
-            embedded = self.embedding(np.asarray(last_tokens).reshape(-1))
-            output, hidden = self.decoder.step(
-                embedded,
-                Tensor(state.payload["hidden"]),
-                memory=Tensor(state.payload["memory"]),
-                memory_pad_mask=state.payload["mem_pad"],
-                projected_keys=state.payload.get("mem_keys"),
-            )
-            logits = self.output_proj(output)
-        new_payload = dict(state.payload)
-        new_payload["hidden"] = hidden.data
-        new_state = DecodeState(batch_size=state.batch_size, payload=new_payload)
-        return logits.data, new_state
-
-    def reorder_state(self, state: DecodeState, index: np.ndarray) -> DecodeState:
-        """Select/duplicate batch rows, cached attention keys included."""
-        return DecodeState(
-            batch_size=len(index),
-            payload={key: value[index] for key, value in state.payload.items()},
-        )

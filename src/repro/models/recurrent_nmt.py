@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import Tensor, no_grad, stack
-from repro.models.base import DecodeState, Seq2SeqModel
+from repro.models.base import DecodeState, RecurrentDecoderModel
 from repro.models.config import ModelConfig
 from repro.nn import (
     AdditiveAttention,
@@ -34,7 +34,7 @@ def _make_cell(cell_type: str, input_size: int, hidden_size: int, rng) -> GRUCel
     raise ValueError(f"unknown cell type {cell_type!r} (expected 'rnn' or 'gru')")
 
 
-class RecurrentNMT(Seq2SeqModel):
+class RecurrentNMT(RecurrentDecoderModel):
     """RNN/GRU encoder-decoder, optionally with Bahdanau attention.
 
     Parameters
@@ -111,35 +111,8 @@ class RecurrentNMT(Seq2SeqModel):
                 "mem_pad": pad_mask,
             }
             if use_cache and self.use_attention:
-                payload["mem_keys"] = self.decoder.attention.project_keys(memory)
+                payload["mem_keys"] = self.decoder.attention.k_proj.infer(memory.data)
         return DecodeState(batch_size=src.shape[0], payload=payload)
-
-    def step(self, state: DecodeState, last_tokens: np.ndarray) -> tuple[np.ndarray, DecodeState]:
-        """One recurrent decode step (constant cost in the prefix length)."""
-        self._count_step(state.batch_size)
-        with no_grad():
-            embedded = self.embedding(np.asarray(last_tokens).reshape(-1))
-            output, hidden = self.decoder.step(
-                embedded,
-                Tensor(state.payload["hidden"]),
-                memory=Tensor(state.payload["memory"]) if self.use_attention else None,
-                memory_pad_mask=state.payload["mem_pad"] if self.use_attention else None,
-                projected_keys=(
-                    state.payload.get("mem_keys") if self.use_attention else None
-                ),
-            )
-            logits = self.output_proj(output)
-        new_payload = dict(state.payload)
-        new_payload["hidden"] = hidden.data
-        new_state = DecodeState(batch_size=state.batch_size, payload=new_payload)
-        return logits.data, new_state
-
-    def reorder_state(self, state: DecodeState, index: np.ndarray) -> DecodeState:
-        """Select/duplicate batch rows, cached attention keys included."""
-        return DecodeState(
-            batch_size=len(index),
-            payload={key: value[index] for key, value in state.payload.items()},
-        )
 
     # -- introspection ------------------------------------------------------------
     def attention_map(self) -> np.ndarray | None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import Tensor
+from repro.autograd.tensor import softmax_np
 from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
 from repro.nn.module import Module
@@ -50,11 +51,11 @@ class MultiHeadAttention(Module):
         self.attn_dropout = Dropout(dropout, rng=rng)
         self.last_weights: np.ndarray | None = None
 
-    def _split_heads(self, x: Tensor) -> Tensor:
+    def _split_heads(self, x):
         batch, seq, _ = x.shape
         return x.reshape(batch, seq, self.num_heads, self.d_head).transpose(0, 2, 1, 3)
 
-    def _merge_heads(self, x: Tensor) -> Tensor:
+    def _merge_heads(self, x):
         batch, heads, seq, d_head = x.shape
         return x.transpose(0, 2, 1, 3).reshape(batch, seq, heads * d_head)
 
@@ -126,6 +127,21 @@ class MultiHeadAttention(Module):
         weights = self.attn_dropout(weights)
         context = self._merge_heads(weights @ v)
         return self.out_proj(context)
+
+    def infer(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """Self-attention :meth:`forward` (``x`` as query, key and value)
+        on plain arrays, for decoding."""
+        q, k, v = (
+            self._split_heads(proj.infer(x)) for proj in (self.q_proj, self.k_proj, self.v_proj)
+        )
+        scores = (q @ k.swapaxes(-1, -2)) * (self.d_head**-0.5)
+        if mask is not None:
+            scores = np.where(mask, _NEG_INF, scores)
+        weights = softmax_np(scores, axis=-1)
+        self.last_weights = weights
+        weights = self.attn_dropout.infer(weights)
+        context = self._merge_heads(weights @ v)
+        return self.out_proj.infer(context)
 
 
 def padding_mask(token_ids: np.ndarray, pad_id: int) -> np.ndarray:

@@ -28,3 +28,11 @@ class Dropout(Module):
         keep = 1.0 - self.p
         mask = self.rng.random(x.shape) < keep
         return x.masked_fill(~mask, 0.0) * (1.0 / keep)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on plain arrays, for decoding."""
+        if not self.training or self.p == 0.0:
+            return x
+        keep = 1.0 - self.p
+        mask = self.rng.random(x.shape) < keep
+        return np.where(~mask, 0.0, x) * (1.0 / keep)

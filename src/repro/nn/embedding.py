@@ -40,17 +40,29 @@ class Embedding(Module):
             table[padding_idx] = 0.0
         self.weight = Parameter(table)
 
-    def forward(self, token_ids: np.ndarray) -> Tensor:
+    def _checked(self, token_ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(token_ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise IndexError(
                 f"token id out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()} max={ids.max()}"
             )
+        return ids
+
+    def forward(self, token_ids: np.ndarray) -> Tensor:
+        ids = self._checked(token_ids)
         out = self.weight.take_rows(ids)
         if self.padding_idx is not None:
             # Zero out padded positions so they contribute nothing downstream;
             # the masked_fill also blocks gradient flow back into the table row.
             pad_mask = (ids == self.padding_idx)[..., None]
             out = out.masked_fill(pad_mask, 0.0)
+        return out
+
+    def infer(self, token_ids: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on plain arrays, for decoding."""
+        ids = self._checked(token_ids)
+        out = self.weight.data[ids]
+        if self.padding_idx is not None:
+            out = np.where((ids == self.padding_idx)[..., None], 0.0, out)
         return out

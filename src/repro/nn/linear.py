@@ -41,3 +41,10 @@ class Linear(Module):
         if self.bias is not None:
             out = out + self.bias
         return out
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on plain arrays, for decoding."""
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out

@@ -23,3 +23,11 @@ class LayerNorm(Module):
         var = (centered * centered).mean(axis=-1, keepdims=True)
         normed = centered / (var + self.eps).sqrt()
         return normed * self.gamma + self.beta
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on plain arrays, for decoding."""
+        mean = x.mean(axis=-1, keepdims=True)
+        centered = x - mean
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        normed = centered / np.sqrt(var + self.eps)
+        return normed * self.gamma.data + self.beta.data

@@ -27,12 +27,18 @@ class PositionalEncoding(Module):
         self.max_len = max_len
         self.table = sinusoidal_table(max_len, d_model)
 
-    def forward(self, x: Tensor, offset: int = 0) -> Tensor:
-        """``x`` has shape (batch, seq, d_model); ``offset`` supports
-        incremental decoding where positions continue from a cache."""
-        seq_len = x.shape[1]
+    def _rows(self, offset: int, seq_len: int) -> np.ndarray:
         if offset + seq_len > self.max_len:
             raise ValueError(
                 f"sequence length {offset + seq_len} exceeds max_len {self.max_len}"
             )
-        return x + Tensor(self.table[offset : offset + seq_len])
+        return self.table[offset : offset + seq_len]
+
+    def forward(self, x: Tensor, offset: int = 0) -> Tensor:
+        """``x`` has shape (batch, seq, d_model); ``offset`` supports
+        incremental decoding where positions continue from a cache."""
+        return x + Tensor(self._rows(offset, x.shape[1]))
+
+    def infer(self, x: np.ndarray, offset: int = 0) -> np.ndarray:
+        """:meth:`forward` on plain arrays, for decoding."""
+        return x + self._rows(offset, x.shape[1])

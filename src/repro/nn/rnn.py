@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import Tensor, concat, stack, where
+from repro.autograd.tensor import sigmoid_np, softmax_np
 from repro.nn import init
 from repro.nn.linear import Linear
 from repro.nn.module import Module, Parameter
@@ -29,6 +30,10 @@ class RNNCell(Module):
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         return (x @ self.w_x + h @ self.w_h + self.bias).tanh()
+
+    def infer(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on plain arrays, for decoding."""
+        return np.tanh(x @ self.w_x.data + h @ self.w_h.data + self.bias.data)
 
     def initial_state(self, batch_size: int) -> Tensor:
         return Tensor(np.zeros((batch_size, self.hidden_size)))
@@ -60,6 +65,16 @@ class GRUCell(Module):
         zr = (gates_x[:, : 2 * hs] + gates_h[:, : 2 * hs]).sigmoid()
         z, r = zr[:, :hs], zr[:, hs:]
         n = (gates_x[:, 2 * hs :] + r * gates_h[:, 2 * hs :]).tanh()
+        return (1.0 - z) * n + z * h
+
+    def infer(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on plain arrays, for decoding."""
+        hs = self.hidden_size
+        gates_x = x @ self.w_x.data + self.bias.data
+        gates_h = h @ self.w_h.data
+        zr = sigmoid_np(gates_x[:, : 2 * hs] + gates_h[:, : 2 * hs])
+        z, r = zr[:, :hs], zr[:, hs:]
+        n = np.tanh(gates_x[:, 2 * hs :] + r * gates_h[:, 2 * hs :])
         return (1.0 - z) * n + z * h
 
     def initial_state(self, batch_size: int) -> Tensor:
@@ -119,26 +134,32 @@ class RecurrentDecoderCell(Module):
         hidden: Tensor,
         memory: Tensor | None = None,
         memory_pad_mask: np.ndarray | None = None,
-        projected_keys: np.ndarray | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """Advance one step; returns ``(output, new_hidden)``.
-
-        ``projected_keys`` optionally carries the attention's
-        once-per-decode key projection of ``memory`` (see
-        :meth:`AdditiveAttention.project_keys`); omitting it re-projects
-        the memory this step, byte-identically.
-        """
+        """Advance one step; returns ``(output, new_hidden)``."""
         if self.attention is not None:
             if memory is None:
                 raise ValueError("attention decoder requires encoder memory")
-            context, _ = self.attention(
-                hidden, memory, memory_pad_mask, projected_keys=projected_keys
-            )
+            context, _ = self.attention(hidden, memory, memory_pad_mask)
             x = concat([embedded_token, context], axis=-1)
         else:
             x = embedded_token
         new_hidden = self.cell(x, hidden)
         return new_hidden, new_hidden
+
+    def infer(
+        self, embedded_token: np.ndarray, hidden: np.ndarray, memory: np.ndarray,
+        memory_pad_mask: np.ndarray, projected_keys: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """:meth:`step` on plain arrays, for decoding; returns the new
+        hidden state, which is also the step's output."""
+        if self.attention is not None:
+            context, _ = self.attention.infer(
+                hidden, memory, memory_pad_mask, projected_keys=projected_keys
+            )
+            x = np.concatenate([embedded_token, context], axis=-1)
+        else:
+            x = embedded_token
+        return self.cell.infer(x, hidden)
 
     def initial_state(self, batch_size: int) -> Tensor:
         return self.cell.initial_state(batch_size)
@@ -160,39 +181,38 @@ class AdditiveAttention(Module):
         self.v = Parameter(init.xavier_uniform((attn_size, 1), rng))
         self.last_weights: np.ndarray | None = None
 
-    def project_keys(self, memory: Tensor) -> np.ndarray:
-        """Project ``memory`` through the key head once, for reuse.
-
-        The key projection depends only on the (fixed) encoder memory, so
-        incremental decoders compute it once in ``start()`` and pass it
-        back through :meth:`forward` every step — the additive-attention
-        analogue of transformer cross-attention K/V caching.  Returns a
-        plain ``(batch, seq, attn)`` array.
-        """
-        return self.k_proj(memory).data
-
     def forward(
         self,
         query: Tensor,
         memory: Tensor,
         memory_pad_mask: np.ndarray | None = None,
-        projected_keys: np.ndarray | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """``query`` is ``(batch, q)``; ``memory`` is ``(batch, seq, k)``.
-
-        ``projected_keys``, when given, must be
-        :meth:`project_keys`'s output for this memory; the scores it
-        yields are byte-identical to re-projecting in place.
-        """
+        """``query`` is ``(batch, q)``; ``memory`` is ``(batch, seq, k)``."""
         q = self.q_proj(query)[:, None, :]  # (batch, 1, attn)
-        if projected_keys is not None:
-            k = Tensor(projected_keys)  # (batch, seq, attn), cached
-        else:
-            k = self.k_proj(memory)  # (batch, seq, attn)
+        k = self.k_proj(memory)  # (batch, seq, attn)
         scores = ((q + k).tanh() @ self.v)[:, :, 0]  # (batch, seq)
         if memory_pad_mask is not None:
             scores = scores.masked_fill(memory_pad_mask, -1e9)
         weights = scores.softmax(axis=-1)
         self.last_weights = weights.data
+        context = (weights[:, None, :] @ memory)[:, 0, :]
+        return context, weights
+
+    def infer(
+        self,
+        query: np.ndarray,
+        memory: np.ndarray,
+        memory_pad_mask: np.ndarray | None = None,
+        projected_keys: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`forward` on plain arrays, for decoding.  ``projected_keys``
+        is ``k_proj.infer(memory)`` when a decoder cached it at ``start()``."""
+        q = self.q_proj.infer(query)[:, None, :]
+        k = self.k_proj.infer(memory) if projected_keys is None else projected_keys
+        scores = (np.tanh(q + k) @ self.v.data)[:, :, 0]
+        if memory_pad_mask is not None:
+            scores = np.where(memory_pad_mask, -1e9, scores)
+        weights = softmax_np(scores, axis=-1)
+        self.last_weights = weights
         context = (weights[:, None, :] @ memory)[:, 0, :]
         return context, weights

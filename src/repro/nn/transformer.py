@@ -38,6 +38,12 @@ class FeedForward(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.fc2(self.dropout(self.fc1(x).relu()))
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on plain arrays, for decoding."""
+        hidden = self.fc1.infer(x)
+        hidden = hidden * (hidden > 0)
+        return self.fc2.infer(self.dropout.infer(hidden))
+
 
 class TransformerEncoderLayer(Module):
     """Self-attention + feed-forward block with pre-norm residuals."""
@@ -62,6 +68,13 @@ class TransformerEncoderLayer(Module):
         normed = self.norm1(x)
         x = x + self.dropout(self.self_attn(normed, normed, normed, mask=mask))
         x = x + self.dropout(self.ff(self.norm2(x)))
+        return x
+
+    def infer(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`forward` on plain arrays, for decoding."""
+        normed = self.norm1.infer(x)
+        x = x + self.dropout.infer(self.self_attn.infer(normed, mask=mask))
+        x = x + self.dropout.infer(self.ff.infer(self.norm2.infer(x)))
         return x
 
     def forward_and_cache(
@@ -199,6 +212,12 @@ class TransformerEncoder(Module):
         for layer in self.layers:
             x = layer(x, mask=mask)
         return self.final_norm(x)
+
+    def infer(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`forward` on plain arrays, for decoding."""
+        for layer in self.layers:
+            x = layer.infer(x, mask=mask)
+        return self.final_norm.infer(x)
 
     def forward_and_cache(
         self, x: Tensor, mask: np.ndarray | None = None

@@ -53,6 +53,10 @@ from repro.online.stats import WindowedStats
 #: requests 0, N, 2N, ... of each tenant go end to end through retrieval
 SEARCH_EVERY = 8
 
+#: ``ReplayConfig.batch_size`` of the scenario and soak traces: fixed, so
+#: a trace does not change with the scheduler's ``max_batch_size``
+DRAW_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class ReplayConfig:

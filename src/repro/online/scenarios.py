@@ -63,6 +63,7 @@ from repro.data.synonyms import build_rule_dictionary
 from repro.online.clock import VirtualClock
 from repro.online.freshness import FreshnessController
 from repro.online.replay import (
+    DRAW_CHUNK,
     ChurnEvent,
     ReplayConfig,
     ReplayTenant,
@@ -533,7 +534,7 @@ class ScenarioRunner:
             CatalogGenerator(market.config.catalog),
             ReplayConfig(
                 num_requests=cfg.requests_per_tenant,
-                batch_size=cfg.max_batch_size,
+                batch_size=DRAW_CHUNK,
                 churn_every=cfg.churn_every,
                 churn_adds=cfg.churn_adds,
                 churn_removes=cfg.churn_removes,

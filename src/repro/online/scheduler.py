@@ -347,8 +347,11 @@ class MicroBatchScheduler:
         self.pipeline.stats.admitted += 1
         if request.kind == "rewrite" and self.pipeline.cache is not None:
             self._open_instant = request.arrival_seconds
-        # The arrival itself may complete a batch: dispatch immediately.
-        self._run_due(self.clock.now())
+        # Everything due by now has gone; the append can make only this
+        # kind due at once, by filling a batch or by a zero wait.
+        config = self.config
+        if self._pending[request.kind] >= config.max_batch_size or config.max_wait_seconds == 0:
+            self._run_due(self.clock.now())
         return True
 
     def advance_to(self, t: float) -> None:

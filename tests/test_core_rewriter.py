@@ -150,6 +150,8 @@ class TestDirectRewriter:
                     max_len=config.max_query_len, rng=single._rng,
                     forbid_tokens=(tiny_market.vocab.unk_id,),
                 )
-                expected = single._results_from_hyps(hyps, source, config.k)
+                expected = single._results_from_hyps(
+                    hyps, source, config.k, tiny_market.vocab.tokens()
+                )
             assert digest(batched.rewrite(query)) == digest(expected)
 

@@ -4,7 +4,9 @@ Pins the three contracts of the KV-cached rework (``docs/DECODING.md``):
 
 * **step ≡ forward** — cached incremental step logits match the
   teacher-forced full forward (and the uncached step path) to 1e-6 for
-  every model, so the fast path is the slow path, reassociated;
+  the transformer, so the fast path is the slow path, reassociated, and
+  bit for bit for the recurrent-decoder models, whose array ``start`` /
+  ``step`` run the Tensor forward's NumPy expressions in its order;
 * **reorder invariance** — permuting/duplicating/compacting a cached
   state mid-decode and continuing is exact, so beam shuffles and
   active-row compaction never change results;
@@ -15,10 +17,13 @@ Pins the three contracts of the KV-cached rework (``docs/DECODING.md``):
   pre-fix behaviour by construction: the frozen reference exhibits it).
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
-from repro.autograd import no_grad
+from repro.autograd import Tensor, no_grad
+from repro.core.rewriter import DirectRewriter, RewriterConfig
 from repro.decoding import (
     beam_search,
     beam_search_batch,
@@ -30,7 +35,8 @@ from repro.decoding import (
 )
 from repro.decoding import reference
 from repro.models import HybridNMT, ModelConfig, RecurrentNMT, TransformerNMT
-from repro.models.base import DecodeState, Seq2SeqModel
+from repro.models.base import DecodeState, RecurrentDecoderModel, Seq2SeqModel
+from repro.text import Vocabulary
 
 VOCAB = 48
 LOGIT_TOL = 1e-6  # float-reassociation gate for the cached transformer path
@@ -43,14 +49,18 @@ def _config(seed: int = 3) -> ModelConfig:
     )
 
 
-@pytest.fixture(scope="module", params=["transformer", "hybrid", "recurrent"])
+MODELS = {
+    "transformer": lambda: TransformerNMT(_config()),
+    "hybrid": lambda: HybridNMT(_config()),
+    "hybrid-rnn": lambda: HybridNMT(_config().scaled(cell_type="rnn")),
+    "recurrent": lambda: RecurrentNMT(_config()),
+    "recurrent-plain": lambda: RecurrentNMT(_config(), use_attention=False),
+}
+
+
+@pytest.fixture(scope="module", params=list(MODELS))
 def model(request):
-    cls = {
-        "transformer": TransformerNMT,
-        "hybrid": HybridNMT,
-        "recurrent": RecurrentNMT,
-    }[request.param]
-    m = cls(_config())
+    m = MODELS[request.param]()
     m.eval()
     return m
 
@@ -90,7 +100,10 @@ def test_cached_steps_match_teacher_forced_forward(model, src):
     state = model.start(src)
     for t in range(tgt.shape[1]):
         logits, state = model.step(state, tgt[:, t])
-        np.testing.assert_allclose(logits, full[:, t, :], atol=LOGIT_TOL, rtol=0)
+        if isinstance(model, RecurrentDecoderModel):
+            np.testing.assert_array_equal(logits, full[:, t, :])
+        else:
+            np.testing.assert_allclose(logits, full[:, t, :], atol=LOGIT_TOL, rtol=0)
 
 
 def test_cached_and_uncached_step_logits_match(model, src):
@@ -105,6 +118,42 @@ def test_cached_and_uncached_step_logits_match(model, src):
         logits_u, uncached = model.step(uncached, tokens)
         np.testing.assert_allclose(logits_c, logits_u, atol=LOGIT_TOL, rtol=0)
         tokens = logits_c.argmax(axis=1)
+
+
+def test_served_rewrite_batch_constructs_no_tensor(monkeypatch):
+    """The served decode (``DirectRewriter.rewrite_batch`` over the
+    bench's ``HybridNMT`` shape) runs on plain arrays: it builds no
+    ``Tensor``, graph-free or full, anywhere between the query strings
+    and the rewrites."""
+    vocab = Vocabulary([f"w{i}" for i in range(40)])
+    model = HybridNMT(
+        ModelConfig(
+            vocab_size=len(vocab), d_model=32, num_heads=4, d_ff=64,
+            encoder_layers=1, decoder_layers=1, dropout=0.0, seed=0,
+        )
+    )
+    rewriter = DirectRewriter(
+        model, vocab, RewriterConfig(k=3, top_n=5, max_query_len=10, seed=0)
+    )
+    queries = [f"w{i} w{(7 * i) % 40}" for i in range(16)]
+    # the module, not ``repro.autograd.tensor``, the constructor function
+    tensor_module = importlib.import_module("repro.autograd.tensor")
+    built = {"Tensor": 0, "graph-free": 0}
+    init, graph_free = Tensor.__init__, tensor_module._graph_free
+
+    def counting_init(self, *args, **kwargs):
+        built["Tensor"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_graph_free(data):
+        built["graph-free"] += 1
+        return graph_free(data)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    monkeypatch.setattr(tensor_module, "_graph_free", counting_graph_free)
+    results = rewriter.rewrite_batch(queries)
+    assert model.decode_steps > 1 and any(results)
+    assert built == {"Tensor": 0, "graph-free": 0}
 
 
 # -- reorder invariance ------------------------------------------------------

@@ -25,11 +25,15 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import json
+
+import pytest
 
 from repro.core import RewriteCache, ServingConfig, ServingPipeline
 from repro.core.rewriter import RewriteResult
 from repro.core.serving import ServedRewrite
 from repro.gateway import Gateway, GatewayConfig, SchedulerBridge
+from repro.gateway.http import HttpRequest
 from repro.gateway.soak import MiniClient
 from repro.gateway.ratelimit import RateLimitConfig
 from repro.gateway.schemas import (
@@ -931,6 +935,33 @@ class TestArrivalInstants:
                 assert [r["source"] for r in body["results"]] == ["cache"] * 3
                 report = gateway.bridges["acme"].scheduler.report
                 assert report.batch_sizes == [3]
+
+        asyncio.run(run())
+
+    def test_a_batch_of_cached_queries_finishes_without_yielding(self):
+        """Every item of a batch of cache hits is answered inside the call
+        itself, so the handler completes on its first step and never
+        hands the event loop a turn."""
+
+        async def run():
+            clock = JumpingClock()
+            pipelines = make_pipelines(clock, tenants=("acme",))
+            heads = ["head a", "head b", "head c"]
+            for head in heads:
+                pipelines["acme"].cache.put(head, [f"{head} cached"])
+            gateway = Gateway(pipelines, make_config(scheduler=HELD), clock=clock)
+            items = [{"kind": "rewrite", "query": head} for head in heads]
+            body = json.dumps({"items": items, "tenant": "acme"}).encode()
+            route = gateway._route(HttpRequest("POST", "/v1/batch", {}, body))
+            try:
+                with pytest.raises(StopIteration) as finished:
+                    route.send(None)
+            finally:
+                route.close()
+                await gateway.close()
+            status, payload, _ = finished.value.value
+            assert status == 200
+            assert [r["source"] for r in payload["results"]] == ["cache"] * 3
 
         asyncio.run(run())
 

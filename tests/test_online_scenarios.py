@@ -221,6 +221,32 @@ class TestWalkTrace:
         assert _walk_trace(events) == events
 
 
+class TestTraceShape:
+    def test_trace_is_the_same_at_every_max_batch_size(self):
+        """The scheduler forms the serving batches; the trace is drawn in
+        fixed chunks, so a ``max_batch_size`` sweep replays one trace:
+        the same requests, with churn at the same positions.  A churn
+        cadence of 36 is a multiple of none of the swept sizes, so a
+        trace drawn in batch-sized chunks would place churn differently
+        at each."""
+
+        def shape(event):
+            kind, at, payload = event
+            if kind == "request":
+                return kind, at, payload.query
+            return kind, at, [p.product_id for p in payload.added], payload.removed
+
+        traces = []
+        for batch_size in (8, 16, 32):
+            config = dataclasses.replace(SMOKE, max_batch_size=batch_size, churn_every=36)
+            runner = ScenarioRunner(get_scenario("multi_tenant"), config)
+            tenant = runner._build_tenant(0, runner._new_cache())
+            traces.append([shape(event) for event in tenant.trace])
+        assert sum(event[0] == "churn" for event in traces[0]) >= 2
+        assert traces[1] == traces[0]
+        assert traces[2] == traces[0]
+
+
 class TestScratchCleanup:
     def test_raising_incident_leaves_no_scratch_directory(self, tmp_path, monkeypatch):
         """A run that raises mid-trace still removes its segment stores."""
