@@ -1,7 +1,7 @@
-"""Retrieval engine at catalog scale — galloping + heap vs the seed path.
+"""Retrieval engine at catalog scale — slot masks + heap vs the seed path.
 
 Acceptance bars for the sharded retrieval engine: on a ≥50k-document
-catalog the merged-tree galloping + bounded-heap path must return
+catalog the merged-tree slot-mask + bounded-heap path must return
 *identical* top-k lists to the seed set-intersect/full-sort path, the
 sharded fan-out must merge to the exact unsharded top-k, and the Section
 III-H invariant (merged-tree postings cost ≤ separate trees) must still

@@ -368,6 +368,8 @@ class ProcessBackend(ShardBackend):
             self.num_shards = SegmentStore(store_root, tier).manifest().num_shards
         self._workers: list[_Worker | None] = [None] * self.num_shards
         self._dead = False
+        # Every worker boots at once; handshakes are then read in shard
+        # order, so a failure raises the lowest failing shard's error.
         try:
             for shard_id in range(self.num_shards):
                 boot = (
@@ -375,14 +377,16 @@ class ProcessBackend(ShardBackend):
                     if indexes is not None
                     else ("store", self._store_root, shard_id)
                 )
-                self._spawn(shard_id, boot)
+                self._start(shard_id, boot)
+            for shard_id in range(self.num_shards):
+                self._await_ready(shard_id)
         except BaseException:
             self.close()
             raise
 
     # -- lifecycle -----------------------------------------------------------
-    def _spawn(self, shard_id: int, boot: tuple) -> None:
-        """Start one worker and wait for its ready handshake."""
+    def _start(self, shard_id: int, boot: tuple) -> None:
+        """Start one worker; it boots while the caller goes on."""
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
@@ -392,8 +396,10 @@ class ProcessBackend(ShardBackend):
         )
         process.start()
         child_conn.close()
-        worker = _Worker(process, parent_conn)
-        self._workers[shard_id] = worker
+        self._workers[shard_id] = _Worker(process, parent_conn)
+
+    def _await_ready(self, shard_id: int) -> None:
+        """Wait for one started worker's ready handshake."""
         status, payload = self._recv(shard_id, "boot", deadline_seconds=BOOT_TIMEOUT)
         if status != "ok":
             raise _rebuild_error(shard_id, "boot", payload)
@@ -411,7 +417,8 @@ class ProcessBackend(ShardBackend):
                 "respawn requires a store-backed ProcessBackend"
             )
         self.kill_worker(shard_id)
-        self._spawn(shard_id, ("store", self._store_root, shard_id))
+        self._start(shard_id, ("store", self._store_root, shard_id))
+        self._await_ready(shard_id)
 
     def kill_worker(self, shard_id: int) -> None:
         """Hard-kill one worker (failure injection; idempotent)."""

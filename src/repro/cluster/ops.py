@@ -103,11 +103,7 @@ def lexical_stats_raw(index) -> tuple:
     statistics after a cold start — the same integers an unsharded
     index would hold, so BM25 stays bit-identical.
     """
-    return (
-        len(index),
-        index.total_doc_length,
-        {token: len(postings) for token, postings in index._postings.items()},
-    )
+    return (len(index), index.total_doc_length, index.stats().document_frequencies)
 
 
 def lexical_search(index, requests, ranker, k: int) -> list:
@@ -115,27 +111,20 @@ def lexical_search(index, requests, ranker, k: int) -> list:
 
     ``requests`` is ``[(trees, query_tokens), ...]`` — a lone search is a
     batch of one.  The trees are :class:`~repro.search.syntax_tree.
-    PackedTree` node tables, evaluated straight from the table (any
-    object with ``evaluate_postings`` works).  Each request evaluates
-    its trees against the local postings, unions the branch candidates,
-    and ranks the local top-``k`` with the pinned ranker (global
-    statistics travel inside it, once for the batch).  Returns one
-    ``(top, cost, num_candidates)`` per request, in order, exactly as
-    the thread fan-out always has per query.
+    PackedTree` node tables, evaluated straight from the table into
+    masks over the shard's document slots.  Each request unions its
+    trees' masks into candidate slots and ranks the local top-``k`` with
+    the pinned ranker (global statistics travel inside it, once for the
+    batch).  Returns one ``(top, cost, num_candidates)`` per request, in
+    order, exactly as the thread fan-out always has per query.
     """
     # Imported here, like the digest codecs: repro.search itself imports
     # this package, so a module-level import would be circular.
-    from repro.search.postings import union_sorted
+    from repro.search.syntax_tree import evaluate_trees
 
     results = []
     for trees, query_tokens in requests:
-        branches = []
-        cost = 0
-        for tree in trees:
-            docs, tree_cost = tree.evaluate_postings(index)
-            branches.append(docs)
-            cost += tree_cost
-        candidates = union_sorted(branches)
+        candidates, cost = evaluate_trees(trees, index)
         top = ranker.rank_scored(index, query_tokens, candidates, k)
         results.append((top, cost, int(candidates.size)))
     return results

@@ -16,18 +16,43 @@ Typical use::
     market.corpus                   # tokenized/encoded parallel corpus
 """
 
+import importlib
+
 from repro.data.domain import Intent, Product, ClickEvent, QueryStyle
 from repro.data.catalog import CatalogConfig, CatalogGenerator, CATEGORY_SPECS
-from repro.data.queries import QueryGenerator, QueryRealization
-from repro.data.clicklog import ClickLogConfig, ClickLogSimulator, ClickLog
 from repro.data.dataset import (
     ParallelCorpus,
     BatchIterator,
     pad_batch,
     train_eval_split,
 )
-from repro.data.marketplace import Marketplace, MarketplaceConfig, generate_marketplace
-from repro.data.synonyms import extract_synonym_pairs, build_rule_dictionary
+
+#: names imported on first use (PEP 562): a serving process reads the
+#: catalog and the corpus types only, so it never loads these modules
+_LAZY = {
+    "QueryGenerator": "repro.data.queries",
+    "QueryRealization": "repro.data.queries",
+    "ClickLogConfig": "repro.data.clicklog",
+    "ClickLogSimulator": "repro.data.clicklog",
+    "ClickLog": "repro.data.clicklog",
+    "Marketplace": "repro.data.marketplace",
+    "MarketplaceConfig": "repro.data.marketplace",
+    "generate_marketplace": "repro.data.marketplace",
+    "extract_synonym_pairs": "repro.data.synonyms",
+    "build_rule_dictionary": "repro.data.synonyms",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "Intent",

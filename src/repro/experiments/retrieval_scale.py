@@ -3,8 +3,8 @@
 The paper's system-cost claims (Figure 5, Table V) assume the retrieval
 layer itself can keep up with production traffic.  This experiment builds
 a ≥50k-document synthetic catalog and checks the current ``repro.search``
-engine — one merged syntax tree (Section III-H), galloping
-sorted-postings intersection, vectorized BM25 scoring and a bounded-heap
+engine — one merged syntax tree (Section III-H) evaluated as masks over
+slot-indexed term vectors, vectorized BM25 scoring and a bounded-heap
 top-k — against the pre-rewrite **seed path**, reproduced verbatim here
 (one hash set materialized per term, set-AND per query, set-union across
 rewrites, then a full O(n log n) sort of every candidate).

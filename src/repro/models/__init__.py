@@ -12,13 +12,33 @@ All models implement the :class:`Seq2SeqModel` interface (teacher-forcing
   compromise of Section III-G (Figure 9, Table V).
 """
 
+import importlib
+
 from repro.models.base import Seq2SeqModel, DecodeState
 from repro.models.config import ModelConfig, paper_hyperparameters
-from repro.models.transformer_nmt import TransformerNMT
-from repro.models.recurrent_nmt import RecurrentNMT, AttentionNMT
 from repro.models.hybrid_nmt import HybridNMT
-from repro.models.lm import DecoderOnlyLM
 from repro.models.io import save_weights, load_weights
+
+#: names imported on first use (PEP 562): a serving process runs only
+#: the hybrid model, so it never loads these modules
+_LAZY = {
+    "TransformerNMT": "repro.models.transformer_nmt",
+    "RecurrentNMT": "repro.models.recurrent_nmt",
+    "AttentionNMT": "repro.models.recurrent_nmt",
+    "DecoderOnlyLM": "repro.models.lm",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "DecoderOnlyLM",

@@ -6,8 +6,9 @@ Section III-H optimization that merges the original query and all rewritten
 queries into a *single* tree (Figure 5) — and scales it into a
 production-shaped engine:
 
-* sorted postings with **galloping intersection**
-  (:mod:`repro.search.postings`), no intermediate set materialization;
+* **slot-indexed term-frequency vectors**: syntax trees evaluate to
+  boolean masks over document slots and rankers gather by slot
+  (:mod:`repro.search.inverted_index`);
 * pluggable **top-k ranking** behind the :class:`Ranker` protocol —
   term-overlap baseline and BM25, both heap-bounded
   (:mod:`repro.search.ranking`);
@@ -26,7 +27,6 @@ model, and how Section III-H maps onto all of this;
 """
 
 from repro.search.inverted_index import IndexStats, InvertedIndex, RetrievalResult
-from repro.search.postings import intersect_sorted, union_sorted
 from repro.search.ranking import (
     BM25Ranker,
     Ranker,
@@ -66,8 +66,6 @@ __all__ = [
     "InvertedIndex",
     "IndexStats",
     "RetrievalResult",
-    "intersect_sorted",
-    "union_sorted",
     "Ranker",
     "TermOverlapRanker",
     "BM25Ranker",

@@ -1,7 +1,7 @@
 """Rewrite-aware search engine over the synthetic catalog.
 
 Wires together tokenization, syntax-tree construction (optionally merged
-per Section III-H), galloping inverted-index retrieval, and pluggable
+per Section III-H), slot-mask inverted-index retrieval, and pluggable
 top-k ranking (term-overlap baseline or BM25, both heap-bounded) — enough
 substrate to measure both the retrieval-cost claims (Figure 5 /
 Table-level CPU cost) and the recall gains that drive the paper's online
@@ -17,9 +17,8 @@ from dataclasses import dataclass, field, replace
 
 from repro.data.catalog import Catalog
 from repro.search.inverted_index import InvertedIndex
-from repro.search.postings import union_sorted
 from repro.search.ranking import Ranker, make_ranker
-from repro.search.syntax_tree import build_tree, merge_queries, tree_size
+from repro.search.syntax_tree import build_tree, evaluate_trees, merge_queries, pack, tree_size
 from repro.text import tokenize
 
 
@@ -95,33 +94,21 @@ class SearchEngine:
             raise ValueError("search received an empty query")
 
         if self.config.merge_trees:
-            tree = merge_queries(queries)
-            docs, cost = tree.evaluate_postings(self.index)
-            nodes = tree_size(tree)
-            num_trees = 1
+            trees = [merge_queries(queries)]
         else:
-            branches = []
-            cost = 0
-            nodes = 0
-            for q in queries:
-                tree = build_tree(q)
-                branch, branch_cost = tree.evaluate_postings(self.index)
-                branches.append(branch)
-                cost += branch_cost
-                nodes += tree_size(tree)
-            docs = union_sorted(branches)
-            num_trees = len(queries)
+            trees = [build_tree(q) for q in queries]
+        candidates, cost = evaluate_trees([pack(tree) for tree in trees], self.index)
 
         ranked = self.ranker.rank_scored(
-            self.index, queries[0], docs, self.config.max_candidates
+            self.index, queries[0], candidates, self.config.max_candidates
         )
         return SearchOutcome(
             query=query,
             rewrites=list(rewrites),
             doc_ids=[doc_id for _, doc_id in ranked],
             postings_accessed=cost,
-            tree_nodes=nodes,
-            num_trees=num_trees,
+            tree_nodes=sum(tree_size(tree) for tree in trees),
+            num_trees=len(trees),
             scores=[score for score, _ in ranked],
         )
 

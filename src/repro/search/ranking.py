@@ -14,10 +14,15 @@ Two rankers ship:
   bit-for-bit the same ordering as before (scores are integers; ties break
   by doc id).
 * :class:`BM25Ranker` — Okapi BM25 with idf and document-length
-  normalization.  Scoring is vectorized over the candidate vector (one
-  :func:`numpy.searchsorted` gather per query term); ``score_doc`` is the
-  scalar reference implementation, kept operation-for-operation identical
-  to the vectorized path so both produce the same IEEE doubles.
+  normalization.  Scoring is vectorized over the candidate slots (one
+  gather of each query term's slot-indexed tf vector); ``score_doc`` is
+  the scalar reference implementation, kept operation-for-operation
+  identical to the vectorized path so both produce the same IEEE doubles.
+
+Candidates are slots of the ranked index
+(:mod:`repro.search.inverted_index`), as
+:func:`~repro.search.syntax_tree.evaluate_trees` returns them; results
+name doc ids.
 
 Both rankers take the corpus statistics from the index by default; a
 :class:`~repro.search.inverted_index.IndexStats` override lets a sharded
@@ -47,6 +52,9 @@ class Ranker(Protocol):
     Invariants every implementation must hold (the engines, the shard
     fan-out merge, and the hybrid fusion all lean on them):
 
+    ``candidates`` is an int array of slots in ``index`` (see
+    :meth:`~repro.search.inverted_index.InvertedIndex.all_slots`).
+
     1. **Determinism** — ``rank`` equals a full sort of the candidates by
        ``(-score, doc_id)`` truncated to ``k``; ties always break by
        ascending doc id (use :func:`top_k_by_score` to get this for
@@ -54,7 +62,7 @@ class Ranker(Protocol):
     2. **Agreement** — ``rank(...) == [d for _, d in rank_scored(...)]``,
        and ``score_doc`` reproduces the vectorized score of the same
        document bit for bit (IEEE-identical operation order).
-    3. **Candidate-bounded** — only doc ids from ``candidates`` may
+    3. **Candidate-bounded** — only the doc ids of ``candidates`` may
        appear in the result; the ranker retrieves nothing on its own.
     4. **Statistics pinning** — ``with_stats`` returns a copy scoring
        against the given corpus statistics and leaves ``self``
@@ -135,20 +143,15 @@ class TermOverlapRanker:
         return [doc_id for _, doc_id in self.rank_scored(index, query_tokens, candidates, k)]
 
     def rank_scored(self, index, query_tokens, candidates, k) -> list[tuple[float, int]]:
-        """Vectorized overlap scoring: one searchsorted gather per term."""
+        """Vectorized overlap scoring: one tf gather per term."""
         if candidates.size == 0 or k <= 0:
             return []
         scores = np.zeros(candidates.size, dtype=np.int64)
         for token in sorted(set(query_tokens)):
-            postings = index.postings_array(token)
-            if postings.size == 0:
-                continue
-            positions = np.minimum(
-                np.searchsorted(postings, candidates), postings.size - 1
-            )
-            hit = postings[positions] == candidates
-            scores[hit] += index.tf_array(token)[positions[hit]]
-        return top_k_by_score(candidates, scores, k)
+            tfs = index.tf_vector(token)
+            if tfs is not None:
+                scores += tfs[candidates]
+        return top_k_by_score(index.slot_doc_ids[candidates], scores, k)
 
     def score_doc(self, index, query_tokens, doc_id) -> float:
         """Scalar mirror of :meth:`rank_scored` for one document."""
@@ -191,9 +194,9 @@ class BM25Ranker:
         return [doc_id for _, doc_id in self.rank_scored(index, query_tokens, candidates, k)]
 
     def rank_scored(self, index, query_tokens, candidates, k) -> list[tuple[float, int]]:
-        """Vectorized BM25 over the candidate vector.
+        """Vectorized BM25 over the candidate slots.
 
-        One searchsorted gather per distinct query term, O(candidates)
+        One tf gather per distinct query term, O(candidates)
         arithmetic per term, then the shared bounded top-k selection.
         """
         if candidates.size == 0 or k <= 0:
@@ -201,23 +204,21 @@ class BM25Ranker:
         num_docs, avgdl = self._corpus(index)
         if num_docs == 0 or avgdl == 0.0:
             return []
-        lengths = index.doc_length_array(candidates)
+        # the length norm, elementwise as score_doc computes it per term
+        norm = self.k1 * (1.0 - self.b + self.b * index.slot_lengths[candidates] / avgdl)
         scores = np.zeros(candidates.size, dtype=np.float64)
         for token in sorted(set(query_tokens)):
-            postings = index.postings_array(token)
-            if postings.size == 0:
+            tfs = index.tf_vector(token)
+            if tfs is None:
                 continue
-            positions = np.minimum(
-                np.searchsorted(postings, candidates), postings.size - 1
-            )
-            hit = postings[positions] == candidates
-            if not hit.any():
+            tf = tfs[candidates]
+            hit = np.flatnonzero(tf)
+            if hit.size == 0:
                 continue
-            tf = index.tf_array(token)[positions[hit]].astype(np.float64)
+            tf = tf[hit].astype(np.float64)
             idf = self._idf(index, token)
-            denom = tf + self.k1 * (1.0 - self.b + self.b * lengths[hit] / avgdl)
-            scores[hit] += idf * (tf * (self.k1 + 1.0)) / denom
-        return top_k_by_score(candidates, scores, k)
+            scores[hit] += idf * (tf * (self.k1 + 1.0)) / (tf + norm[hit])
+        return top_k_by_score(index.slot_doc_ids[candidates], scores, k)
 
     def score_doc(self, index, query_tokens, doc_id) -> float:
         """Scalar mirror of :meth:`rank`'s vectorized scoring.

@@ -22,16 +22,16 @@ because rewritten queries share most tokens with the original.
 Two forms of one tree:
 
 * **Objects** — :class:`TermNode` / :class:`AndNode` / :class:`OrNode`,
-  what :func:`build_tree` and :func:`merge_queries` construct.  The
-  unsharded :class:`~repro.search.engine.SearchEngine` evaluates them,
-  which makes them the reference the other form is tested against.
+  what :func:`build_tree` and :func:`merge_queries` construct, merge and
+  measure (:func:`tree_size`).
 * **Packed** — :func:`pack` flattens a tree into a :class:`PackedTree`,
   a post-order node table with ``start``/``count`` ranges into one flat
-  children tuple.  It is what the sharded fan-out compiles once per
-  request and ships to the shards: a handful of tuples to pickle instead
-  of one object per node, evaluated straight from the table with the
-  same child order, cost estimates and early exits — so the same doc ids
-  at the same postings cost.
+  children tuple.  It is the one form that evaluates: the sharded
+  fan-out compiles it once per request and ships it to the shards (a
+  handful of tuples to pickle instead of one object per node), and the
+  unsharded engine and :meth:`SyntaxNode.evaluate` pack before they
+  evaluate.  Evaluation yields a boolean mask over the index's document
+  slots (:mod:`repro.search.inverted_index`) and the postings cost.
 """
 
 from __future__ import annotations
@@ -42,30 +42,16 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.search.inverted_index import InvertedIndex, RetrievalResult
-from repro.search.postings import EMPTY_POSTINGS, intersect_sorted, union_sorted
 
 
 class SyntaxNode:
-    """Base class: a boolean retrieval expression.
-
-    Evaluation runs over **sorted postings vectors** — AND nodes gallop-
-    intersect, OR nodes merge-union — so no intermediate hash set is ever
-    materialized.  :meth:`evaluate` wraps the final vector in the
-    set-based :class:`RetrievalResult` for callers that want membership
-    semantics; the engine's ranking path consumes
-    :meth:`evaluate_postings` directly.
-    """
+    """Base class: a boolean retrieval expression."""
 
     def evaluate(self, index: InvertedIndex) -> RetrievalResult:
-        """Set-semantics wrapper over :meth:`evaluate_postings`."""
-        doc_ids, cost = self.evaluate_postings(index)
-        return RetrievalResult(doc_ids=set(doc_ids.tolist()), postings_accessed=cost)
-
-    def evaluate_postings(
-        self, index: InvertedIndex
-    ) -> tuple[np.ndarray, int]:  # pragma: no cover
-        """Sorted doc-id vector plus the postings-access cost to get it."""
-        raise NotImplementedError
+        """Set semantics over the packed evaluation of this tree."""
+        mask, cost = pack(self).evaluate(index)
+        doc_ids = set() if mask is None else set(index.slot_doc_ids[mask].tolist())
+        return RetrievalResult(doc_ids=doc_ids, postings_accessed=cost)
 
     def size(self) -> int:  # pragma: no cover
         """Node count of this subtree (the tree-construction cost proxy)."""
@@ -75,23 +61,12 @@ class SyntaxNode:
         """Distinct tokens mentioned anywhere in this subtree."""
         raise NotImplementedError
 
-    def cost_estimate(self, index: InvertedIndex) -> int:  # pragma: no cover
-        """Optimistic postings-access estimate, used to order AND children
-        so cheap/selective children run first and empty intersections break
-        early."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class TermNode(SyntaxNode):
-    """Leaf: one term's postings."""
+    """Leaf: one term."""
 
     token: str
-
-    def evaluate_postings(self, index: InvertedIndex) -> tuple[np.ndarray, int]:
-        """Read the term's postings vector; charges its full length."""
-        postings = index.postings_array(self.token)
-        return postings, postings.size
 
     def size(self) -> int:
         """A leaf counts as one node."""
@@ -101,36 +76,15 @@ class TermNode(SyntaxNode):
         """Just this leaf's token."""
         return {self.token}
 
-    def cost_estimate(self, index: InvertedIndex) -> int:
-        """Exactly the postings length — a leaf's cost is not an estimate."""
-        return index.postings_length(self.token)
-
     def __repr__(self) -> str:
         return self.token
 
 
 @dataclass(frozen=True)
 class AndNode(SyntaxNode):
-    """Conjunction: galloping intersection of its children, cheapest first."""
+    """Conjunction of its children."""
 
     children: tuple[SyntaxNode, ...]
-
-    def evaluate_postings(self, index: InvertedIndex) -> tuple[np.ndarray, int]:
-        """Intersect children cheapest-first; stops charging when empty."""
-        if not self.children:
-            return EMPTY_POSTINGS, 0
-        docs: np.ndarray | None = None
-        cost = 0
-        # Evaluate cheap/selective children first, so an empty intersection
-        # breaks before touching expensive postings.
-        ordered = sorted(self.children, key=lambda c: c.cost_estimate(index))
-        for child in ordered:
-            child_docs, child_cost = child.evaluate_postings(index)
-            cost += child_cost
-            docs = child_docs if docs is None else intersect_sorted(docs, child_docs)
-            if docs.size == 0:
-                break
-        return (docs if docs is not None else EMPTY_POSTINGS), cost
 
     def size(self) -> int:
         """One plus the sizes of all children."""
@@ -139,10 +93,6 @@ class AndNode(SyntaxNode):
     def terms(self) -> set[str]:
         """Union of the children's token sets."""
         return set().union(*(c.terms() for c in self.children)) if self.children else set()
-
-    def cost_estimate(self, index: InvertedIndex) -> int:
-        """Optimistic: an AND may break after its cheapest child."""
-        return min((c.cost_estimate(index) for c in self.children), default=0)
 
     def __repr__(self) -> str:
         return "(" + " & ".join(repr(c) for c in self.children) + ")"
@@ -150,19 +100,9 @@ class AndNode(SyntaxNode):
 
 @dataclass(frozen=True)
 class OrNode(SyntaxNode):
-    """Disjunction: sorted k-way union of its children."""
+    """Disjunction of its children."""
 
     children: tuple[SyntaxNode, ...]
-
-    def evaluate_postings(self, index: InvertedIndex) -> tuple[np.ndarray, int]:
-        """Evaluate every branch (an OR cannot early-exit) and union."""
-        branches: list[np.ndarray] = []
-        cost = 0
-        for child in self.children:
-            child_docs, child_cost = child.evaluate_postings(index)
-            cost += child_cost
-            branches.append(child_docs)
-        return union_sorted(branches), cost
 
     def size(self) -> int:
         """One plus the sizes of all children."""
@@ -171,10 +111,6 @@ class OrNode(SyntaxNode):
     def terms(self) -> set[str]:
         """Union of the children's token sets."""
         return set().union(*(c.terms() for c in self.children)) if self.children else set()
-
-    def cost_estimate(self, index: InvertedIndex) -> int:
-        """Sum over branches: an OR must evaluate every one."""
-        return sum(c.cost_estimate(index) for c in self.children)
 
     def __repr__(self) -> str:
         return "(" + " | ".join(repr(c) for c in self.children) + ")"
@@ -301,16 +237,23 @@ class PackedTree(NamedTuple):
     counts: tuple[int, ...]
     children: tuple[int, ...]
 
-    def evaluate_postings(self, index: InvertedIndex) -> tuple[np.ndarray, int]:
-        """Sorted doc-id vector plus postings cost, as the object tree has.
+    def evaluate(self, index: InvertedIndex) -> tuple[np.ndarray | None, int]:
+        """A boolean mask over ``index``'s slots, or None when nothing
+        matches, plus the postings cost.
 
-        An AND orders its children by the same optimistic estimates
-        (stable sort, computed on demand) and stops at an empty
-        intersection; an OR evaluates every child and unions.  A node
-        whose estimate is 0 evaluates to nothing at no cost (a term with
-        no postings; an AND with such a child; an OR of such children),
-        and the stable sort would run it first — so an AND returns empty
-        as soon as one child estimates 0, without estimating the rest.
+        A term's mask is its tf vector's nonzero slots, charged at its
+        document frequency (the postings it stands for).  An AND orders
+        its children by optimistic estimates (a term's frequency, an
+        AND's cheapest child, an OR's sum; stable sort, computed on
+        demand) and stops at an empty intersection; an OR evaluates
+        every child.  A node whose estimate is 0 evaluates to nothing at
+        no cost (a term with no postings; an AND with such a child; an
+        OR of such children), and the stable sort would run it first —
+        so an AND returns empty as soon as one child estimates 0,
+        without estimating the rest.  A child estimated above 0 can
+        still come back empty (an OR of empty ANDs), which empties its
+        AND too.  Every mask returned is freshly allocated and has at
+        least one slot set.
         """
         tokens, kinds, args, counts, children = self
 
@@ -322,37 +265,59 @@ class PackedTree(NamedTuple):
             costs = [estimate(child) for child in children[start : start + counts[node]]]
             return min(costs, default=0) if kind == AND else sum(costs)
 
-        def evaluate(node: int) -> tuple[np.ndarray, int]:
+        def evaluate(node: int) -> tuple[np.ndarray | None, int]:
             kind = kinds[node]
             if kind == TERM:
-                postings = index.postings_array(tokens[args[node]])
-                return postings, postings.size
+                token = tokens[args[node]]
+                tfs = index.tf_vector(token)
+                mask = None if tfs is None else tfs.astype(bool)
+                return mask, index.postings_length(token)
             start = args[node]
             below = children[start : start + counts[node]]
+            docs: np.ndarray | None = None
             cost = 0
             if kind == OR:
-                branches = []
                 for child in below:
                     child_docs, child_cost = evaluate(child)
                     cost += child_cost
-                    branches.append(child_docs)
-                return union_sorted(branches), cost
+                    if docs is None:
+                        docs = child_docs
+                    elif child_docs is not None:
+                        np.logical_or(docs, child_docs, out=docs)
+                return docs, cost
             estimates = []
             for child in below:
                 expected = estimate(child)
                 if expected == 0:
-                    return EMPTY_POSTINGS, 0
+                    return None, 0
                 estimates.append(expected)
-            docs: np.ndarray | None = None
             for at in sorted(range(len(below)), key=estimates.__getitem__):
                 child_docs, child_cost = evaluate(below[at])
                 cost += child_cost
-                docs = child_docs if docs is None else intersect_sorted(docs, child_docs)
-                if docs.size == 0:
-                    break
-            return (docs if docs is not None else EMPTY_POSTINGS), cost
+                if child_docs is None:
+                    return None, cost
+                if docs is None:
+                    docs = child_docs
+                elif not np.logical_and(docs, child_docs, out=docs).any():
+                    return None, cost
+            return docs, cost
 
         return evaluate(len(kinds) - 1)
+
+
+def evaluate_trees(trees, index: InvertedIndex) -> tuple[np.ndarray, int]:
+    """The slots any of ``trees`` (packed) matches, ascending, plus the
+    postings cost of evaluating every tree — one request's candidates."""
+    union: np.ndarray | None = None
+    cost = 0
+    for tree in trees:
+        docs, tree_cost = tree.evaluate(index)
+        cost += tree_cost
+        if union is None:
+            union = docs
+        elif docs is not None:
+            np.logical_or(union, docs, out=union)
+    return (np.empty(0, dtype=np.int64) if union is None else np.flatnonzero(union)), cost
 
 
 def pack(root: SyntaxNode) -> PackedTree:

@@ -96,9 +96,8 @@ class _Cell:
     """One IVF cell: member ids + a contiguous, growable vector matrix.
 
     The id vector consumed by searches is cached as an ndarray and
-    invalidated by writes, the same discipline as
-    :meth:`InvertedIndex.postings_array` — converting a Python id list
-    per probe would dominate small-probe searches.
+    invalidated by writes — converting a Python id list per probe would
+    dominate small-probe searches.
     """
 
     __slots__ = ("ids", "pos", "matrix", "size", "_ids_cache")

@@ -141,13 +141,8 @@ def _decode_docs(
 # ---------------------------------------------------------------------------
 def encode_postings_segment(index: InvertedIndex) -> bytes:
     """Serialize one :class:`InvertedIndex` into a full postings segment."""
-    tokens = sorted(index._postings)
+    tokens, lengths, post_ids, post_tfs = index.postings_table()
     token_ids = {token: at for at, token in enumerate(tokens)}
-    lengths = np.asarray([len(index._postings[t]) for t in tokens], dtype=np.int64)
-    post_ids = np.asarray(
-        [d for t in tokens for d in index._postings[t]], dtype=np.int64
-    )
-    post_tfs = np.asarray([f for t in tokens for f in index._tfs[t]], dtype=np.int64)
     doc_ids, doc_lengths, flat = _encode_docs(index._docs, token_ids)
     header = _POSTINGS_HEADER.pack(
         len(index._docs), len(tokens), post_ids.size, flat.size
@@ -224,18 +219,16 @@ def decode_postings_segment(
 
     docs = _decode_docs(tokens, doc_ids, doc_lengths, flat, "postings segment")
 
-    index = InvertedIndex()
-    offsets = [0] + np.cumsum(lengths).tolist()
-    id_list = post_ids.tolist()
-    tf_list = post_tfs.tolist()
-    for at, token in enumerate(tokens):
-        lo, hi = offsets[at], offsets[at + 1]
-        index._postings[token] = id_list[lo:hi]
-        index._tfs[token] = tf_list[lo:hi]
-    index._docs = docs
-    index._doc_lengths = dict(zip(doc_ids.tolist(), doc_lengths.tolist()))
-    index._total_length = int(doc_lengths.sum())
-    return index
+    # The index's slots are the doc ids in ascending order.
+    post_slots = np.searchsorted(doc_ids, post_ids)
+    if num_postings and (
+        int(post_slots.max()) >= doc_ids.size
+        or np.any(doc_ids[post_slots] != post_ids)
+    ):
+        raise SegmentCorruptError("a posting names a document the segment lacks")
+    return InvertedIndex._from_columns(
+        docs, doc_lengths, tokens, np.cumsum(lengths).tolist(), post_slots, post_tfs
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ broadcast writes, and the snapshot-ship path
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 
 import pytest
@@ -31,7 +32,7 @@ from repro.cluster import (
 from repro.search.inverted_index import InvertedIndex
 from repro.search.ranking import BM25Ranker
 from repro.search.sharded import ShardedIndex
-from repro.search.syntax_tree import build_tree
+from repro.search.syntax_tree import build_tree, pack
 from repro.store import MANIFEST_NAME, ManifestError, SegmentCorruptError, SegmentStore
 
 NUM_DOCS = 20
@@ -180,6 +181,21 @@ class TestProcessBackend:
         with pytest.raises(ManifestError):
             ProcessBackend("lexical", store_root=tmp_path / "nowhere")
 
+    def test_corrupt_shard_fails_the_concurrent_boot_and_leaves_no_worker(self, tmp_path):
+        # Both workers boot at once; shard 1's segment is corrupt, so its
+        # handshake carries the typed error, and shard 0's worker, which
+        # booted fine, is shut down with it.
+        root = tmp_path / "store"
+        SegmentStore(root, "lexical").save(lexical_indexes())
+        (segment,) = root.glob("lexical-s001-*.seg")
+        data = bytearray(segment.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        segment.write_bytes(bytes(data))
+        before = set(multiprocessing.active_children())
+        with pytest.raises(SegmentCorruptError, match="shard 1"):
+            ShardedIndex.load(root, backend="process")
+        assert set(multiprocessing.active_children()) <= before
+
 
 # -- the micro-batched search op ------------------------------------------------
 @pytest.mark.parametrize("make_backend", [InprocBackend, ProcessBackend])
@@ -190,9 +206,9 @@ def test_malformed_request_mid_batch_fails_the_fanout_and_nothing_else(make_back
     index = ShardedIndex(backend=backend)
     try:
         ranker = BM25Ranker().with_stats(index.stats())
-        good = ([build_tree(["common"])], ["common"])
+        good = ([pack(build_tree(["common"]))], ["common"])
         not_a_tree = (["common"], ["common"])
-        with pytest.raises(AttributeError, match="evaluate_postings") as excinfo:
+        with pytest.raises(AttributeError, match="evaluate") as excinfo:
             backend.fanout("search", [good, not_a_tree, good], ranker, 5)
         assert "shard 0" in notes_of(excinfo.value)
         # a reply left unread would come back here in place of this one

@@ -68,13 +68,25 @@ HARNESS_MODULES = (
     "repro.online.replay",
     "repro.baselines",
 )
+#: model architectures and training-data generators the server never runs
+UNSERVED_MODULES = (
+    "repro.models.lm",
+    "repro.models.recurrent_nmt",
+    "repro.models.transformer_nmt",
+    "repro.data.marketplace",
+    "repro.data.clicklog",
+    "repro.data.queries",
+    "repro.data.synonyms",
+)
 
 
 def test_server_import_loads_no_harness():
     """What a serving process imports — the gateway and the scheduler —
-    loads no soak, scenario, replay or baseline module, and neither the
-    LM exploration nor the optimizers it trains with.  Runs in a fresh
-    interpreter, since this one has imported everything already."""
+    loads no soak, scenario, replay or baseline module, neither the LM
+    exploration nor the optimizers it trains with, and no model
+    architecture or data generator beyond the hybrid model and the
+    catalog.  Runs in a fresh interpreter, since this one has imported
+    everything already."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     listing = subprocess.run(
@@ -91,6 +103,7 @@ def test_server_import_loads_no_harness():
     ).stdout.split()
     assert "repro.gateway.app" in listing
     assert [name for name in HARNESS_MODULES if name in listing] == []
+    assert [name for name in UNSERVED_MODULES if name in listing] == []
     assert "repro.core.lm_rewriter" not in listing
     assert [name for name in listing if name.split(".")[:2] == ["repro", "optim"]] == []
 

@@ -282,10 +282,10 @@ class TestRankers:
 
     def test_overlap_rank_matches_scalar_scores(self, index):
         ranker = TermOverlapRanker()
-        candidates = index.all_doc_ids()
+        candidates = index.all_slots()
         ranked = ranker.rank(index, ["red", "men"], candidates, k=5)
         resorted = sorted(
-            candidates.tolist(),
+            index.document_ids(),
             key=lambda d: (-ranker.score_doc(index, ["red", "men"], d), d),
         )
         assert ranked == resorted[:5]
@@ -295,7 +295,7 @@ class TestRankers:
         idx.add_document(0, ["phone", "case"])
         idx.add_document(1, ["phone", "phone", "case"])
         ranker = TermOverlapRanker()
-        assert ranker.rank(idx, ["phone"], idx.all_doc_ids(), k=2) == [1, 0]
+        assert ranker.rank(idx, ["phone"], idx.all_slots(), k=2) == [1, 0]
 
     def test_bm25_vectorized_equals_scalar(self, market_engine):
         """The vectorized scoring path and the scalar mirror must agree."""
@@ -315,7 +315,7 @@ class TestRankers:
             idx.add_document(doc_id, ["common", "filler"])
         idx.add_document(10, ["common", "rare"])
         ranker = BM25Ranker()
-        ranked = ranker.rank(idx, ["common", "rare"], idx.all_doc_ids(), k=3)
+        ranked = ranker.rank(idx, ["common", "rare"], idx.all_slots(), k=3)
         assert ranked[0] == 10
 
     def test_bm25_bounded_k(self, market_engine):
@@ -351,7 +351,20 @@ class TestIncrementalIndex:
         for doc_id in (5, 1, 9, 3):
             idx.add_document(doc_id, ["tok"])
         assert idx.postings("tok") == [1, 3, 5, 9]
-        assert idx.postings_array("tok").tolist() == [1, 3, 5, 9]
+        assert idx.slot_doc_ids[idx.all_slots()].tolist() == [5, 1, 9, 3]
+
+    def test_removed_slot_is_reused_and_capacity_doubles(self):
+        idx = InvertedIndex()
+        for doc_id in range(17):
+            idx.add_document(doc_id, ["tok"])
+        assert idx.slot_doc_ids.size == 32
+        idx.remove_document(3)
+        assert idx.term_frequency(3, "tok") == 0
+        idx.add_document(40, ["tok", "tok", "new"])
+        assert idx.slot_doc_ids[3] == 40
+        assert idx.term_frequency(40, "tok") == 2
+        assert idx.tf_vector("new").size == 32
+        assert idx.postings("tok") == [d for d in range(17) if d != 3] + [40]
 
     def test_add_after_remove_roundtrip(self, index):
         index.remove_document(2)
@@ -369,11 +382,3 @@ class TestIncrementalIndex:
         assert stats.num_docs == 1
         assert stats.document_frequency("c") == 0
         assert idx.avg_doc_length == 2.0
-
-    def test_array_cache_invalidated_on_write(self):
-        idx = InvertedIndex()
-        idx.add_document(0, ["x"])
-        before = idx.postings_array("x")
-        idx.add_document(1, ["x"])
-        assert idx.postings_array("x").tolist() == [0, 1]
-        assert before.tolist() == [0]  # old snapshot untouched

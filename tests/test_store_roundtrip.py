@@ -155,10 +155,16 @@ class TestInvertedIndexSingleFile:
         path = tmp_path / "one.seg"
         index.save(path)
         loaded = InvertedIndex.load(path)
-        assert loaded._postings == index._postings
-        assert loaded._tfs == index._tfs
+        for got, want in zip(loaded.postings_table(), index.postings_table()):
+            np.testing.assert_array_equal(got, want)
+        assert {t: v.dtype for t, v in loaded._tfs.items()} == {
+            t: v.dtype for t, v in index._tfs.items()
+        }
+        assert loaded._dfs == index._dfs
         assert loaded._docs == index._docs
-        assert loaded._doc_lengths == index._doc_lengths
+        assert [loaded.doc_length(d) for d in loaded.document_ids()] == [
+            index.doc_length(d) for d in index.document_ids()
+        ]
         assert loaded.total_doc_length == index.total_doc_length
         assert loaded.avg_doc_length == index.avg_doc_length
 
