@@ -478,24 +478,6 @@ class Tensor:
         out = self._make_child(out_data, (self,), backward)
         return out
 
-    def gelu(self) -> "Tensor":
-        """Gaussian error linear unit (tanh approximation)."""
-        x = self.data
-        c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            dinner = c * (1.0 + 3 * 0.044715 * x**2)
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
-            out._acc(self, grad * local)
-
-        out = self._make_child(out_data, (self,), backward)
-        return out
-
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------

@@ -73,13 +73,15 @@ class LMRewriter:
         model_config: ModelConfig | None = None,
         config: LMRewriterConfig | None = None,
     ):
-        self.vocab = vocab
+        # A private copy with the same ids (``tokens()[4:]`` skips the
+        # four specials the constructor re-adds) grows by the separators;
+        # the vocabulary passed in may be shared and stays as it is.
+        self.vocab = Vocabulary(vocab.tokens()[4:])
         self.config = config or LMRewriterConfig()
-        self.sep1 = vocab.add_token(SEP1)
-        self.sep2 = vocab.add_token(SEP2)
+        self.sep1 = self.vocab.add_token(SEP1)
+        self.sep2 = self.vocab.add_token(SEP2)
         model_config = model_config or ModelConfig()
-        # The vocab may have grown by the separator tokens.
-        model_config = model_config.scaled(vocab_size=len(vocab), max_len=96)
+        model_config = model_config.scaled(vocab_size=len(self.vocab), max_len=96)
         self.model = DecoderOnlyLM(model_config, pad_id=vocab.pad_id)
         self._rng = np.random.default_rng(self.config.seed)
 

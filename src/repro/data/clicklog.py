@@ -70,14 +70,6 @@ class ClickLog:
         )
         return [(r.text, r.intent.category, r.total_clicks) for r in records]
 
-    def query_product_clicks(self) -> dict[tuple[str, int], int]:
-        """(query text, product id) -> click count, for click-graph methods."""
-        counts: dict[tuple[str, int], int] = {}
-        for record in self.queries.values():
-            for product_id, clicks in record.clicked_products.items():
-                counts[(record.text, product_id)] = clicks
-        return counts
-
     def statistics(self) -> dict[str, float]:
         """Dataset statistics in the shape of the paper's Table I."""
         query_lengths = [len(q) for q, _, _ in self.pairs]

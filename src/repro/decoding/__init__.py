@@ -34,8 +34,8 @@ list of variable-length id lists, and cost the same number of model calls
 as a single source; ``greedy_decode``, ``beam_search`` and
 ``top_n_sampling`` are their batch-of-one call.  All decoders drop
 finished rows from the decode batch as they go (active-row compaction);
-``repro.decoding.reference`` keeps frozen pre-optimization
-implementations as equivalence oracles and benchmark baselines.
+``tests/decode_oracle.py`` keeps the seed decoders, fed by each model's
+teacher-forced ``forward``, as the equivalence oracle.
 ``docs/DECODING.md`` documents the cache layout, compaction semantics,
 who runs the Figure-4 sampler and the determinism contract.
 """

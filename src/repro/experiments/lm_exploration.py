@@ -44,7 +44,7 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
         ),
     )
     sequences = build_lm_sequences(
-        marketplace.train_pairs, marketplace.synonym_pairs, vocab
+        marketplace.train_pairs, marketplace.synonym_pairs, lm.vocab
     )
     losses = lm.fit(sequences)
 

@@ -21,13 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import DirectRewriter, RewriteCache, RewriterConfig, ServingConfig, ServingPipeline
-from repro.decoding import top_n_sampling_batch
-from repro.decoding.reference import top_n_sampling_batch_reference
 from repro.experiments.rendering import ascii_table
 from repro.experiments.result import ExperimentResult
 from repro.experiments.scale import ExperimentScale, SMALL
 from repro.experiments.shared import build_context
-from repro.models import HybridNMT, ModelConfig, TransformerNMT
+from repro.models import HybridNMT, ModelConfig
 
 #: requests per serving batch on the batched path
 BATCH_SIZE = 16
@@ -59,64 +57,6 @@ def _build_pipeline(context, scale: ExperimentScale, capacity: int) -> ServingPi
     return ServingPipeline(
         cache, fallback, ServingConfig(max_rewrites=3, cache_model_results=True)
     )
-
-
-def _decode_work(scale: ExperimentScale, vocab_size: int) -> dict:
-    """Run the optimized transformer decode beside the frozen reference.
-
-    Both paths run :func:`top_n_sampling_batch` semantics over the same
-    untrained :class:`TransformerNMT`, the same sources and the same RNG
-    seeds — the reference from ``repro.decoding.reference`` keeps the seed
-    behaviour (full-prefix re-decode, no compaction, per-row sampling).
-    The verdict: hypotheses identical and no more rows stepped than the
-    reference.  Decode speed is ``bench/``'s ``tail_decode`` workload.
-    """
-    model = TransformerNMT(
-        ModelConfig(
-            vocab_size=vocab_size,
-            d_model=scale.d_model,
-            num_heads=scale.num_heads,
-            d_ff=scale.d_ff,
-            encoder_layers=2,
-            decoder_layers=2,
-            max_len=80,
-            dropout=0.0,
-            seed=scale.seed,
-        )
-    )
-    model.eval()
-    rng = np.random.default_rng(scale.seed)
-    n_sources = scale.scaled(8, 2)
-    src = rng.integers(3, vocab_size, size=(n_sources, 9))
-    src[:, 7:] = np.where(rng.random((n_sources, 2)) < 0.5, 0, src[:, 7:])
-    max_len = scale.scaled(32, 6)
-
-    outputs = {}
-    rows_stepped = {}
-    for name, decode in (
-        ("new", top_n_sampling_batch),
-        ("reference", top_n_sampling_batch_reference),
-    ):
-        model.reset_decode_counters()
-        outputs[name] = decode(
-            model, src, k=3, n=scale.top_n, max_len=max_len,
-            rng=np.random.default_rng(scale.seed + 1),
-        )
-        rows_stepped[name] = model.decode_rows
-
-    identical = [
-        [(h.tokens, h.finished) for h in group] for group in outputs["new"]
-    ] == [
-        [(h.tokens, h.finished) for h in group] for group in outputs["reference"]
-    ]
-    no_more_rows = rows_stepped["new"] <= rows_stepped["reference"]
-    verdict = "PASS" if identical and no_more_rows else "FAIL"
-    return {
-        "decode_outputs_identical": identical,
-        "decode_rows_new": rows_stepped["new"],
-        "decode_rows_reference": rows_stepped["reference"],
-        "decode_verdict": verdict,
-    }
 
 
 def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
@@ -156,14 +96,11 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
         batched.serve_batch(requests[start : start + BATCH_SIZE])
         max_occupancy = max(max_occupancy, len(batched.cache))
 
-    decode = _decode_work(scale, len(context.vocab))
-
     # Each pipeline owns a fresh model, so its counters hold exactly the
     # decoder steps its replay took.
     per_query_steps = per_query.fallback.model.decode_steps
     batched_steps = batched.fallback.model.decode_steps
     measured = {
-        **decode,
         "requests": n_requests,
         "batch_size": BATCH_SIZE,
         "per_query_decode_steps": per_query_steps,
@@ -192,22 +129,6 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
             f"cap {capacity}",
             f"max occupancy {max_occupancy}, {measured['cache_evictions']} evictions",
         ],
-        [
-            "decode: cached+compacted",
-            f"{decode['decode_rows_new']} rows stepped",
-            "-",
-        ],
-        [
-            "decode: frozen reference",
-            f"{decode['decode_rows_reference']} rows stepped",
-            "-",
-        ],
-        [
-            "decode verdict",
-            decode["decode_verdict"],
-            f"outputs identical={decode['decode_outputs_identical']}, rows stepped "
-            f"{decode['decode_rows_new']} vs reference {decode['decode_rows_reference']}",
-        ],
     ]
     rendered = ascii_table(["path", "work", "detail"], rows, float_format="{:.3f}")
     return ExperimentResult(
@@ -220,9 +141,6 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentResult:
             "Same workload, same untrained hybrid fallback; the batched path "
             "stacks all cache misses of a batch into one decode, so it takes "
             "a fraction of the per-query loop's decoder steps.  Write-backs "
-            "exercise LRU eviction; occupancy never exceeds capacity.  The "
-            "decode phase runs the KV-cached, row-compacted transformer "
-            "decode beside the frozen full-prefix reference on identical "
-            "seeds; outputs must match token-for-token."
+            "exercise LRU eviction; occupancy never exceeds capacity."
         ),
     )

@@ -128,20 +128,12 @@ class Seq2SeqModel(Module):
         mask = labels != self.pad_id
         return (picked * mask).sum(axis=1)
 
-    def token_accuracy(self, src: np.ndarray, tgt_in: np.ndarray, tgt_out: np.ndarray) -> float:
-        """Fraction of non-pad positions predicted correctly (paper Fig 7c)."""
-        with no_grad():
-            logits = self.forward(src, tgt_in)
-        predictions = logits.data.argmax(axis=-1)
-        mask = tgt_out != self.pad_id
-        correct = ((predictions == tgt_out) & mask).sum()
-        return float(correct) / max(1, int(mask.sum()))
-
 
 class RecurrentDecoderModel(Seq2SeqModel):
-    """The array decode step of ``HybridNMT`` and ``RecurrentNMT``: ``start``
-    leaves ``hidden``, ``memory``, ``mem_pad`` (and, cached, ``mem_keys``)
-    arrays, which :meth:`step` runs through the modules' ``infer``."""
+    """The array decode step of ``HybridNMT`` and ``RecurrentNMT``:
+    ``start`` leaves ``hidden``, ``memory``, ``mem_pad`` (and, with
+    attention, ``mem_keys``) arrays, which :meth:`step` runs through the
+    modules' ``infer``."""
 
     def step(self, state: DecodeState, last_tokens: np.ndarray) -> tuple[np.ndarray, DecodeState]:
         """One recurrent decode step (constant cost in the prefix length)."""

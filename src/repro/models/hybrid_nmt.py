@@ -79,13 +79,12 @@ class HybridNMT(RecurrentDecoderModel):
         return stack(step_logits, axis=1)
 
     # -- decoding view ----------------------------------------------------------
-    def start(self, src: np.ndarray, use_cache: bool = True) -> DecodeState:
+    def start(self, src: np.ndarray) -> DecodeState:
         """Encode ``src`` once, on plain arrays through the modules'
-        ``infer`` methods (:meth:`encode`'s bytes).  With ``use_cache=True``
-        the additive attention's key projection of the memory, the only
-        per-step quantity that does not depend on the prefix, is computed
-        here and reused every step; ``use_cache=False`` re-projects per
-        step (the seed cost profile, kept as the measured baseline).
+        ``infer`` methods (:meth:`encode`'s bytes).  The additive
+        attention's key projection of the memory, the only per-step
+        quantity that does not depend on the prefix, is computed here and
+        reused every step.
         """
         src = np.asarray(src)
         pad_mask = src == self.pad_id
@@ -95,7 +94,6 @@ class HybridNMT(RecurrentDecoderModel):
             "hidden": self._initial_hidden(memory, pad_mask),
             "memory": memory,
             "mem_pad": pad_mask,
+            "mem_keys": self.decoder.attention.k_proj.infer(memory),
         }
-        if use_cache:
-            payload["mem_keys"] = self.decoder.attention.k_proj.infer(memory)
         return DecodeState(batch_size=src.shape[0], payload=payload)

@@ -96,30 +96,17 @@ class RecurrentNMT(RecurrentDecoderModel):
         return stack(step_logits, axis=1)
 
     # -- decoding view ---------------------------------------------------------------
-    def start(self, src: np.ndarray, use_cache: bool = True) -> DecodeState:
-        """Encode ``src``; with ``use_cache=True``, precompute the
-        additive attention's key projection of the memory so each decode
-        step skips the one sub-computation that never changes
-        (byte-identical outputs either way; no-op without attention).
-        """
+    def start(self, src: np.ndarray) -> DecodeState:
+        """Encode ``src``; with attention, precompute the additive
+        attention's key projection of the memory, the one per-step
+        sub-computation that never changes."""
         src = np.asarray(src)
         with no_grad():
             memory, final, pad_mask = self.encode(src)
-            payload = {
-                "hidden": final.data,
-                "memory": memory.data,
-                "mem_pad": pad_mask,
-            }
-            if use_cache and self.use_attention:
-                payload["mem_keys"] = self.decoder.attention.k_proj.infer(memory.data)
+        payload = {"hidden": final.data, "memory": memory.data, "mem_pad": pad_mask}
+        if self.use_attention:
+            payload["mem_keys"] = self.decoder.attention.k_proj.infer(memory.data)
         return DecodeState(batch_size=src.shape[0], payload=payload)
-
-    # -- introspection ------------------------------------------------------------
-    def attention_map(self) -> np.ndarray | None:
-        """Attention weights of the most recent decode step (if attending)."""
-        if self.decoder.attention is None:
-            return None
-        return self.decoder.attention.last_weights
 
 
 def AttentionNMT(config: ModelConfig, **kwargs) -> RecurrentNMT:

@@ -77,30 +77,18 @@ class TransformerNMT(Seq2SeqModel):
         return self.output_proj(decoded)
 
     # -- decoding view ------------------------------------------------------------
-    def start(self, src: np.ndarray, use_cache: bool = True) -> DecodeState:
+    def start(self, src: np.ndarray) -> DecodeState:
         """Encode ``src`` and build the initial decode state.
 
-        With ``use_cache=True`` (the default) the state carries per-layer
-        K/V caches: the cross-attention projections of the encoder memory
-        are computed here, once, and each :meth:`step` appends one
-        position to the self-attention caches — O(prefix) per step.
-        ``use_cache=False`` keeps the original full-prefix re-decode
-        (O(prefix²) per step); it exists as the measured baseline and as
-        the equivalence oracle for the cached path.
+        The state carries per-layer K/V caches: the cross-attention
+        projections of the encoder memory are computed here, once, and
+        each :meth:`step` appends one position to the self-attention
+        caches — O(prefix) per step.
         """
         src = np.asarray(src)
         batch = src.shape[0]
         with no_grad():
             memory, src_mask = self.encode(src)
-            if not use_cache:
-                return DecodeState(
-                    batch_size=batch,
-                    payload={
-                        "memory": memory.data,
-                        "src_mask": src_mask,
-                        "prefix": np.zeros((batch, 0), dtype=np.int64),
-                    },
-                )
             cross_kv = self.decoder.project_memory(memory)
         heads = self.config.num_heads
         empty = np.zeros((batch, heads, 0, self.config.d_model // heads))
@@ -115,18 +103,14 @@ class TransformerNMT(Seq2SeqModel):
         )
 
     def step(self, state: DecodeState, last_tokens: np.ndarray) -> tuple[np.ndarray, DecodeState]:
-        """Advance one position; cached states pay O(prefix), not O(prefix²).
+        """Advance one position; O(prefix), not O(prefix²).
 
-        The cached path embeds and attends over only the newest token,
-        reusing per-layer self-attention K/V and the precomputed
-        cross-attention projections; its logits match the full-prefix
-        re-decode to float-reassociation tolerance (gated at 1e-6 by
-        ``tests/test_decode_equivalence.py``).  States built with
-        ``start(..., use_cache=False)`` take the original full re-decode
-        branch — the paper's Section III-G cost profile.
+        Embeds and attends over only the newest token, reusing per-layer
+        self-attention K/V and the precomputed cross-attention
+        projections; its logits match the teacher-forced forward to
+        float-reassociation tolerance (gated at 1e-6 by
+        ``tests/test_decode_equivalence.py``).
         """
-        if "self_kv" not in state.payload:
-            return self._step_full_prefix(state, last_tokens)
         payload = state.payload
         self._count_step(state.batch_size)
         last = np.asarray(last_tokens).reshape(-1, 1)
@@ -134,7 +118,7 @@ class TransformerNMT(Seq2SeqModel):
         # Keys are maskable prefix positions: the causal structure is
         # implicit (the newest query sees exactly the cached past plus
         # itself), so only pad columns need blocking — same semantics as
-        # the full path's causal_mask | padding_mask at its last row.
+        # forward's causal_mask | padding_mask at its last row.
         self_key_mask = (prefix == self.pad_id)[:, None, None, :]
         with no_grad():
             x = self._embed(last, offset=payload["prefix"].shape[1])
@@ -157,34 +141,6 @@ class TransformerNMT(Seq2SeqModel):
         )
         return logits.data, new_state
 
-    def _step_full_prefix(
-        self, state: DecodeState, last_tokens: np.ndarray
-    ) -> tuple[np.ndarray, DecodeState]:
-        """The seed decode path: re-decode the entire prefix every step.
-
-        Per-step cost grows with the prefix length — the latency
-        bottleneck the paper's Section III-G attributes to transformer
-        decoders, kept as the benchmark baseline and equivalence oracle.
-        """
-        self._count_step(state.batch_size)
-        prefix = np.concatenate(
-            [state.payload["prefix"], np.asarray(last_tokens).reshape(-1, 1)], axis=1
-        )
-        memory = Tensor(state.payload["memory"])
-        src_mask = state.payload["src_mask"]
-        tgt_len = prefix.shape[1]
-        self_mask = causal_mask(tgt_len) | padding_mask(prefix, self.pad_id)
-        with no_grad():
-            decoded = self.decoder(
-                self._embed(prefix), memory, self_mask=self_mask, memory_mask=src_mask
-            )
-            logits = self.output_proj(decoded[:, -1, :])
-        new_state = DecodeState(
-            batch_size=state.batch_size,
-            payload={"memory": memory.data, "src_mask": src_mask, "prefix": prefix},
-        )
-        return logits.data, new_state
-
     def reorder_state(self, state: DecodeState, index: np.ndarray) -> DecodeState:
         """Select/duplicate batch rows, K/V caches included.
 
@@ -195,16 +151,9 @@ class TransformerNMT(Seq2SeqModel):
         ``tests/test_decode_equivalence.py``).
         """
         payload = state.payload
-        reordered = {
-            key: payload[key][index]
-            for key in ("memory", "src_mask", "prefix")
-            if key in payload
-        }
+        reordered = {key: payload[key][index] for key in ("src_mask", "prefix")}
         for cache_key in ("cross_kv", "self_kv"):
-            if cache_key in payload:
-                reordered[cache_key] = [
-                    (k[index], v[index]) for k, v in payload[cache_key]
-                ]
+            reordered[cache_key] = [(k[index], v[index]) for k, v in payload[cache_key]]
         return DecodeState(batch_size=len(index), payload=reordered)
 
     # -- introspection -----------------------------------------------------------

@@ -148,13 +148,14 @@ class RecurrentDecoderCell(Module):
 
     def infer(
         self, embedded_token: np.ndarray, hidden: np.ndarray, memory: np.ndarray,
-        memory_pad_mask: np.ndarray, projected_keys: np.ndarray | None = None,
+        memory_pad_mask: np.ndarray, projected_keys: np.ndarray | None,
     ) -> np.ndarray:
         """:meth:`step` on plain arrays, for decoding; returns the new
-        hidden state, which is also the step's output."""
+        hidden state, which is also the step's output.  ``projected_keys``
+        is the attention's cached key projection (None without one)."""
         if self.attention is not None:
             context, _ = self.attention.infer(
-                hidden, memory, memory_pad_mask, projected_keys=projected_keys
+                hidden, memory, memory_pad_mask, projected_keys
             )
             x = np.concatenate([embedded_token, context], axis=-1)
         else:
@@ -169,8 +170,7 @@ class AdditiveAttention(Module):
     """Bahdanau-style additive attention.
 
     Scores ``v^T tanh(W_q q + W_k k)`` between a decoder state and every
-    encoder position; returns the context vector and the attention weights
-    (also retained in :attr:`last_weights` for visualization).
+    encoder position; returns the context vector and the attention weights.
     """
 
     def __init__(self, query_size: int, key_size: int, attn_size: int, rng=None):
@@ -179,7 +179,6 @@ class AdditiveAttention(Module):
         self.q_proj = Linear(query_size, attn_size, bias=False, rng=rng)
         self.k_proj = Linear(key_size, attn_size, bias=False, rng=rng)
         self.v = Parameter(init.xavier_uniform((attn_size, 1), rng))
-        self.last_weights: np.ndarray | None = None
 
     def forward(
         self,
@@ -194,7 +193,6 @@ class AdditiveAttention(Module):
         if memory_pad_mask is not None:
             scores = scores.masked_fill(memory_pad_mask, -1e9)
         weights = scores.softmax(axis=-1)
-        self.last_weights = weights.data
         context = (weights[:, None, :] @ memory)[:, 0, :]
         return context, weights
 
@@ -202,17 +200,15 @@ class AdditiveAttention(Module):
         self,
         query: np.ndarray,
         memory: np.ndarray,
-        memory_pad_mask: np.ndarray | None = None,
-        projected_keys: np.ndarray | None = None,
+        memory_pad_mask: np.ndarray | None,
+        projected_keys: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`forward` on plain arrays, for decoding.  ``projected_keys``
-        is ``k_proj.infer(memory)`` when a decoder cached it at ``start()``."""
+        is ``k_proj.infer(memory)``, which a decoder caches at ``start()``."""
         q = self.q_proj.infer(query)[:, None, :]
-        k = self.k_proj.infer(memory) if projected_keys is None else projected_keys
-        scores = (np.tanh(q + k) @ self.v.data)[:, :, 0]
+        scores = (np.tanh(q + projected_keys) @ self.v.data)[:, :, 0]
         if memory_pad_mask is not None:
             scores = np.where(memory_pad_mask, -1e9, scores)
         weights = softmax_np(scores, axis=-1)
-        self.last_weights = weights
         context = (weights[:, None, :] @ memory)[:, 0, :]
         return context, weights

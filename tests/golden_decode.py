@@ -1,8 +1,10 @@
 """Builder of ``tests/data/golden_decode.json`` — the decode byte pin.
 
-The optimized and the reference decoders share ``repro.autograd``, so
-``tests/test_decode_equivalence.py`` cannot see a numerics drift inside
-a ``Tensor`` op: both sides drift together.  This fixture freezes what
+The served decoders and the oracle in ``tests/decode_oracle.py`` both
+run on ``repro.autograd`` and ``repro.nn`` (the oracle through each
+model's teacher-forced ``forward``), so ``tests/test_decode_equivalence.py``
+cannot see a numerics drift inside a ``Tensor`` op or a module both
+paths call: both sides drift together.  This fixture freezes what
 the decode path produced at one commit — first-step logit bytes, every
 batch decoder's tokens / ``float.hex()`` log-probs / finished flags /
 work counters, and the digest of a bench-shaped ``rewrite_batch`` run —

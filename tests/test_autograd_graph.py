@@ -205,7 +205,6 @@ _OP_CASES = {
     "tanh": lambda: [_P.tanh(), _F32.tanh()],
     "sigmoid": lambda: [_P.sigmoid(), _F32.sigmoid(), (_P * 400.0).sigmoid()],
     "relu": lambda: [_P.relu(), _F32.relu()],
-    "gelu": lambda: [_P.gelu(), _F32.gelu()],
     "sum": lambda: [_P.sum(), _P.sum(axis=1), _P.sum(axis=0, keepdims=True), _F32.sum()],
     "mean": lambda: [_P.mean(), _P.mean(axis=1), _P.mean(axis=(0, 1)), _F32.mean()],
     "max": lambda: [_P.max(), _P.max(axis=0), _P.max(axis=1, keepdims=True), _F32.max()],

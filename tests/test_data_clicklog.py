@@ -82,12 +82,6 @@ class TestStatistics:
     def test_session_count_recorded(self, click_log):
         assert click_log.statistics()["num_search_sessions"] == 800
 
-    def test_query_product_clicks_view(self, click_log):
-        clicks = click_log.query_product_clicks()
-        assert clicks
-        for (text, product_id), count in list(clicks.items())[:20]:
-            assert click_log.queries[text].clicked_products[product_id] == count
-
 
 class TestMinClickFilter:
     def test_min_clicks_one_keeps_more_pairs(self, catalog):

@@ -3,18 +3,20 @@
 Pins the three contracts of the KV-cached rework (``docs/DECODING.md``):
 
 * **step ≡ forward** — cached incremental step logits match the
-  teacher-forced full forward (and the uncached step path) to 1e-6 for
-  the transformer, so the fast path is the slow path, reassociated, and
-  bit for bit for the recurrent-decoder models, whose array ``start`` /
-  ``step`` run the Tensor forward's NumPy expressions in its order;
+  teacher-forced full forward to 1e-6 for the transformer, so the fast
+  path is the slow path, reassociated, and bit for bit for the
+  recurrent-decoder models, whose array ``start`` / ``step`` run the
+  Tensor forward's NumPy expressions in its order;
 * **reorder invariance** — permuting/duplicating/compacting a cached
   state mid-decode and continuing is exact, so beam shuffles and
   active-row compaction never change results;
 * **decoder equivalence + bugfixes** — the optimized decoders return
-  token-identical hypotheses vs the frozen seed implementations in
-  ``repro.decoding.reference``, while fixing the seed's empty-pool NaN
-  crash and zombie-row stepping (regression tests here fail against the
-  pre-fix behaviour by construction: the frozen reference exhibits it).
+  token-identical hypotheses vs the seed decoders in
+  ``tests/decode_oracle.py``, which take every step's logits from the
+  teacher-forced forward and never touch ``start``/``step``/
+  ``reorder_state``, while fixing the seed's empty-pool NaN crash and
+  zombie-row stepping (regression tests here fail against the pre-fix
+  behaviour by construction: the oracle exhibits it).
 """
 
 import importlib
@@ -33,10 +35,11 @@ from repro.decoding import (
     top_n_sampling,
     top_n_sampling_batch,
 )
-from repro.decoding import reference
+from repro.experiments.scale import SMALL, TINY
 from repro.models import HybridNMT, ModelConfig, RecurrentNMT, TransformerNMT
 from repro.models.base import DecodeState, RecurrentDecoderModel, Seq2SeqModel
 from repro.text import Vocabulary
+from tests import decode_oracle
 
 VOCAB = 48
 LOGIT_TOL = 1e-6  # float-reassociation gate for the cached transformer path
@@ -104,20 +107,6 @@ def test_cached_steps_match_teacher_forced_forward(model, src):
             np.testing.assert_array_equal(logits, full[:, t, :])
         else:
             np.testing.assert_allclose(logits, full[:, t, :], atol=LOGIT_TOL, rtol=0)
-
-
-def test_cached_and_uncached_step_logits_match(model, src):
-    cached = model.start(src)
-    uncached = model.start(src, use_cache=False)
-    # The uncached state is the seed payload: no incremental caches.
-    assert "self_kv" not in uncached.payload
-    assert "mem_keys" not in uncached.payload
-    tokens = np.full(src.shape[0], model.sos_id, dtype=np.int64)
-    for _ in range(6):
-        logits_c, cached = model.step(cached, tokens)
-        logits_u, uncached = model.step(uncached, tokens)
-        np.testing.assert_allclose(logits_c, logits_u, atol=LOGIT_TOL, rtol=0)
-        tokens = logits_c.argmax(axis=1)
 
 
 def test_served_rewrite_batch_constructs_no_tensor(monkeypatch):
@@ -203,44 +192,124 @@ def test_compaction_keeps_surviving_rows_exact(model, src):
         nxt = logits_full.argmax(axis=1)
 
 
-# -- decoder equivalence vs the frozen seed implementations ------------------
+# -- decoder equivalence vs the teacher-forced seed decoders -----------------
 
-def test_greedy_batch_matches_reference(model, src):
+def test_greedy_batch_matches_oracle(model, src):
     new = greedy_decode_batch(model, src, max_len=12)
-    old = reference.greedy_decode_batch_reference(model, src, max_len=12)
+    old, _ = decode_oracle.greedy_decode_batch(model, src, max_len=12)
     _assert_hyps_equivalent(new, old)
 
 
-def test_topn_batch_matches_reference(model, src):
+def test_greedy_single_matches_oracle(model, src):
+    new = greedy_decode(model, src[:1], max_len=12)
+    old, _ = decode_oracle.greedy_decode_batch(model, src[:1], max_len=12)
+    _assert_hyps_equivalent([new], old)
+
+
+def test_topn_batch_matches_oracle(model, src):
     new = top_n_sampling_batch(
         model, src, k=3, n=8, max_len=12, rng=np.random.default_rng(42)
     )
-    old = reference.top_n_sampling_batch_reference(
+    old, _ = decode_oracle.top_n_sampling_batch(
         model, src, k=3, n=8, max_len=12, rng=np.random.default_rng(42)
     )
     assert [_hyp_tokens(g) for g in new] == [_hyp_tokens(g) for g in old]
     for ga, gb in zip(new, old):
-        for a, b in zip(ga, gb):
-            assert a.log_prob == pytest.approx(b.log_prob, abs=1e-9)
+        _assert_hyps_equivalent(ga, gb)
 
 
-def test_topn_single_matches_reference(model, src):
+def test_topn_single_matches_oracle(model, src):
     new = top_n_sampling(
         model, src[:1], k=3, n=8, max_len=12, rng=np.random.default_rng(9)
     )
-    old = reference.top_n_sampling_reference(
+    (old,), _ = decode_oracle.top_n_sampling_batch(
         model, src[:1], k=3, n=8, max_len=12, rng=np.random.default_rng(9)
     )
     _assert_hyps_equivalent(new, old)
 
 
-def test_beam_matches_reference(model, src):
+def test_beam_matches_oracle(model, src):
     new = beam_search_batch(model, src, beam_size=3, max_len=12)
-    old = reference.beam_search_batch_reference(model, src, beam_size=3, max_len=12)
+    old, _ = decode_oracle.beam_search_batch(model, src, beam_size=3, max_len=12)
     assert [_hyp_tokens(g) for g in new] == [_hyp_tokens(g) for g in old]
     single_new = beam_search(model, src[:1], beam_size=3, max_len=12)
-    single_old = reference.beam_search_reference(model, src[:1], beam_size=3, max_len=12)
+    (single_old,), _ = decode_oracle.beam_search_batch(
+        model, src[:1], beam_size=3, max_len=12
+    )
     _assert_hyps_equivalent(single_new, single_old)
+
+
+#: name -> (served batch decoder, its oracle, keyword arguments at a scale)
+DECODERS = {
+    "greedy": (greedy_decode_batch, decode_oracle.greedy_decode_batch, lambda scale: {}),
+    "top_n": (
+        top_n_sampling_batch,
+        decode_oracle.top_n_sampling_batch,
+        lambda scale: dict(k=3, n=scale.top_n, rng=np.random.default_rng(scale.seed + 1)),
+    ),
+    "beam": (
+        beam_search_batch,
+        decode_oracle.beam_search_batch,
+        lambda scale: dict(beam_size=scale.beam_width),
+    ),
+}
+
+
+def _tokens(result):
+    """Tokens and finished flags of a batch decoder's result, grouped or not."""
+    return [_hyp_tokens(r) if isinstance(r, list) else (r.tokens, r.finished) for r in result]
+
+
+def test_oracle_decodes_without_the_decode_state(model, src, monkeypatch):
+    """The oracle reads only ``forward``: once ``start``, ``step`` and
+    ``reorder_state`` raise, it still decodes what the served decoders
+    returned before."""
+    served = {
+        name: _tokens(decode(model, src, max_len=6, **kwargs(TINY)))
+        for name, (decode, _, kwargs) in DECODERS.items()
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle touched the decode state")
+
+    for name in ("start", "step", "reorder_state"):
+        monkeypatch.setattr(model, name, refuse)
+    with pytest.raises(AssertionError, match="decode state"):
+        greedy_decode_batch(model, src, max_len=6)
+    for name, (_, oracle, kwargs) in DECODERS.items():
+        decoded, _ = oracle(model, src, max_len=6, **kwargs(TINY))
+        assert _tokens(decoded) == served[name], name
+
+
+@pytest.mark.parametrize("decoder", list(DECODERS))
+@pytest.mark.parametrize("scale", [TINY, SMALL], ids=lambda s: s.name)
+def test_serving_shaped_transformer_decode_matches_oracle(scale, decoder):
+    """The serving tier's transformer shape (2+2 layers, ``max_len=80``,
+    the marketplace's 223-token vocabulary) over ragged 9-token sources,
+    as the serving_batched experiment once decoded it: KV-cached,
+    compacted decoding returns the oracle's tokens and steps no more rows
+    than the keep-every-row loop feeds."""
+    vocab_size = 223
+    model = TransformerNMT(
+        ModelConfig(
+            vocab_size=vocab_size, d_model=scale.d_model, num_heads=scale.num_heads,
+            d_ff=scale.d_ff, encoder_layers=2, decoder_layers=2, max_len=80,
+            dropout=0.0, seed=scale.seed,
+        )
+    )
+    model.eval()
+    rng = np.random.default_rng(scale.seed)
+    n_sources = scale.scaled(8, 2)
+    src = rng.integers(3, vocab_size, size=(n_sources, 9))
+    src[:, 7:] = np.where(rng.random((n_sources, 2)) < 0.5, 0, src[:, 7:])
+    max_len = scale.scaled(32, 6)
+    served, oracle, kwargs = DECODERS[decoder]
+
+    model.reset_decode_counters()
+    new = served(model, src, max_len=max_len, **kwargs(scale))
+    old, oracle_rows = oracle(model, src, max_len=max_len, **kwargs(scale))
+    assert _tokens(new) == _tokens(old)
+    assert 0 < model.decode_rows <= oracle_rows
 
 
 # -- batch vs single under ragged finish times -------------------------------
@@ -305,26 +374,36 @@ def test_sample_top_n_pools_illegal_rows_consume_no_randomness():
 # -- regression: empty-pool NaN crash & zombie-row stepping ------------------
 
 class ScriptedModel(Seq2SeqModel):
-    """Deterministic stub whose step logits are scripted by (source, t).
+    """Deterministic stub whose logits are scripted by (source, t).
 
-    Vocabulary layout: 0=PAD, 1=SOS, 2=EOS, 3.. real tokens.  The state
-    payload carries each row's source id and per-row step counter, both
-    reordered like any cached array, so compaction/permutation behave
-    exactly like a real model's.
+    Vocabulary layout: 0=PAD, 1=SOS, 2=EOS, 3.. real tokens.  A source's
+    id is its first token minus 3, so ``[[3, 2], [4, 2]]`` are sources 0
+    and 1 however rows are fanned out.  The decode payload carries each
+    row's source id and step counter, both reordered like any cached
+    array, so compaction/permutation behave exactly like a real model's;
+    :meth:`forward` stacks ``script(sid, t)`` over the target positions,
+    which is what the oracle reads.
     """
 
     def __init__(self, script, vocab_size: int = 6):
         super().__init__(vocab_size, pad_id=0, sos_id=1, eos_id=2)
         self.script = script
 
-    def start(self, src, use_cache: bool = True):
-        src = np.asarray(src)
+    @staticmethod
+    def _sids(src):
+        return np.asarray(src)[:, 0] - 3
+
+    def forward(self, src, tgt_in):
+        steps = range(np.shape(tgt_in)[1])
+        return Tensor(
+            np.array([[self.script(int(s), t) for t in steps] for s in self._sids(src)])
+        )
+
+    def start(self, src):
+        sid = self._sids(src)
         return DecodeState(
-            batch_size=src.shape[0],
-            payload={
-                "sid": np.arange(src.shape[0]),
-                "t": np.zeros(src.shape[0], dtype=np.int64),
-            },
+            batch_size=len(sid),
+            payload={"sid": sid, "t": np.zeros(len(sid), dtype=np.int64)},
         )
 
     def step(self, state, last_tokens):
@@ -353,8 +432,8 @@ def _one_hot(vocab, hot, scale=10.0):
 def test_topn_empty_pool_finishes_gracefully_instead_of_nan_crash():
     """Seed behaviour: an all-``-inf`` legal pool renormalizes to NaN and
     ``rng.choice`` raises.  The fixed sampler retires the candidate
-    unfinished, draws nothing, and the frozen reference still crashes —
-    which is exactly what makes this test fail against pre-fix code."""
+    unfinished, draws nothing, and the seed oracle still crashes — which
+    is exactly what makes this test fail against pre-fix code."""
 
     def script(sid, t):
         if t == 0:
@@ -374,9 +453,9 @@ def test_topn_empty_pool_finishes_gracefully_instead_of_nan_crash():
     assert all(not h.finished for h in hyps)
     # No randomness was consumed anywhere in the decode.
     assert rng.random() == np.random.default_rng(5).random()
-    # The frozen seed implementation crashes on the same input.
+    # The seed oracle crashes on the same input.
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-        reference.top_n_sampling_reference(
+        decode_oracle.top_n_sampling_batch(
             ScriptedModel(script), src, k=2, n=4, max_len=6,
             rng=np.random.default_rng(5),
         )
@@ -439,19 +518,18 @@ def test_greedy_batch_compacts_finished_rows():
         return _one_hot(6, 2 if t >= finish_at[sid] else 3)
 
     src = np.array([[3, 2], [4, 2]])
-    new_model = ScriptedModel(script)
-    hyps = greedy_decode_batch(new_model, src, max_len=8)
-    ref_model = ScriptedModel(script)
-    ref_hyps = reference.greedy_decode_batch_reference(ref_model, src, max_len=8)
+    model = ScriptedModel(script)
+    hyps = greedy_decode_batch(model, src, max_len=8)
+    ref_hyps, ref_rows = decode_oracle.greedy_decode_batch(model, src, max_len=8)
     _assert_hyps_equivalent(hyps, ref_hyps)
     assert hyps[0].tokens == () and hyps[0].finished
     assert hyps[1].tokens == (3, 3, 3, 3) and hyps[1].finished
-    # Compaction shows up in the work accounting; the reference steps the
-    # full width every step.  Pre-fix greedy behaved like the reference,
-    # so this inequality is exactly what fails on pre-fix code.
-    assert ref_model.decode_rows == 2 * 5
-    assert new_model.decode_rows < ref_model.decode_rows
-    assert new_model.decode_rows == 2 + 4  # both rows once, then row 1 alone
+    # Compaction shows up in the work accounting; the oracle feeds the
+    # full width every step.  Pre-fix greedy behaved like the oracle, so
+    # this inequality is exactly what fails on pre-fix code.
+    assert ref_rows == 2 * 5
+    assert model.decode_rows < ref_rows
+    assert model.decode_rows == 2 + 4  # both rows once, then row 1 alone
 
 
 def test_beam_batch_compacts_inactive_sources():
@@ -472,14 +550,14 @@ def test_beam_batch_compacts_inactive_sources():
         return row
 
     src = np.array([[3, 2], [4, 2]])
-    new_model = ScriptedModel(script)
-    results = beam_search_batch(new_model, src, beam_size=2, max_len=8)
-    ref_model = ScriptedModel(script)
-    ref_results = reference.beam_search_batch_reference(
-        ref_model, src, beam_size=2, max_len=8
+    model = ScriptedModel(script)
+    results = beam_search_batch(model, src, beam_size=2, max_len=8)
+    ref_results, ref_rows = decode_oracle.beam_search_batch(
+        model, src, beam_size=2, max_len=8
     )
     assert [_hyp_tokens(g) for g in results] == [_hyp_tokens(g) for g in ref_results]
     # Source 0 finished both beams at step 1; its rows must vanish from
-    # the decode batch afterwards.  The reference (= pre-fix behaviour)
-    # steps batch×beam rows every step, so equality here fails pre-fix.
-    assert new_model.decode_rows < ref_model.decode_rows
+    # the decode batch afterwards.  The oracle (= pre-fix behaviour)
+    # feeds batch×beam rows every step, so equality here fails pre-fix.
+    assert ref_rows == 2 * 2 * 6
+    assert model.decode_rows < ref_rows

@@ -1,9 +1,11 @@
 """The decode path reproduces ``tests/data/golden_decode.json`` byte for byte.
 
 ``tests/test_decode_equivalence.py`` compares the optimized decoders with
-the frozen reference ones, but both run on the same ``repro.autograd``
-and ``repro.nn``: a numerics drift inside a ``Tensor`` op or a fused gate
-moves both sides and passes.  The fixture was written by
+the seed decoders of ``tests/decode_oracle.py``, which step through each
+model's teacher-forced ``forward``; both run on the same
+``repro.autograd`` and ``repro.nn``, so a numerics drift inside a
+``Tensor`` op or a shared module moves both sides and passes.  The
+fixture was written by
 ``tests/golden_decode.py`` *before* the decode hot loop was reworked, so
 equality here means the rework changed no output bit: first-step logit
 bytes, tokens, ``float.hex()`` log-probs, finished flags, the seeded RNG

@@ -114,3 +114,19 @@ def test_serving_artifact_reproduces():
     from repro.experiments import TINY, serving
 
     assert serving.run(TINY).render() == serving.run(TINY).render()
+
+
+def test_lm_exploration_leaves_the_shared_vocabulary_alone():
+    """The LM rewriter adds its two separators to a private copy: the
+    context's vocabulary, which later experiments size their models by,
+    keeps its length, and a second run renders the same text."""
+    from repro.experiments import TINY, lm_exploration
+    from repro.experiments.shared import build_context
+    from repro.models.lm import SEP1, SEP2
+
+    vocab = build_context(TINY).vocab
+    size = len(vocab)
+    first = lm_exploration.run(TINY).render()
+    assert len(vocab) == size
+    assert SEP1 not in vocab and SEP2 not in vocab
+    assert lm_exploration.run(TINY).render() == first

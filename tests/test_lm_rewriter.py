@@ -98,7 +98,7 @@ class TestLMRewriter:
             config=LMRewriterConfig(train_steps=120, top_n=5, seed=0),
         )
         sequences = build_lm_sequences(
-            tiny_market.train_pairs, tiny_market.synonym_pairs, tiny_market.vocab
+            tiny_market.train_pairs, tiny_market.synonym_pairs, rewriter.vocab
         )
         losses = rewriter.fit(sequences)
         return rewriter, losses
@@ -132,3 +132,11 @@ class TestLMRewriter:
         rewriter = LMRewriter(tiny_market.vocab, model_config=TINY)
         with pytest.raises(ValueError):
             rewriter.fit([])
+
+    def test_separators_go_to_a_private_vocabulary(self, tiny_market):
+        vocab = tiny_market.vocab
+        tokens = vocab.tokens()
+        rewriter = LMRewriter(vocab, model_config=TINY)
+        assert vocab.tokens() == tokens
+        assert rewriter.vocab.tokens()[: len(tokens)] == tokens
+        assert {SEP1, SEP2} <= set(rewriter.vocab.tokens())

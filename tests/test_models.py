@@ -80,10 +80,6 @@ class TestInterface:
         lp_padded = model.sequence_log_prob(SRC[:1], tgt_padded)
         np.testing.assert_allclose(lp, lp_padded, atol=1e-9)
 
-    def test_token_accuracy_in_unit_interval(self, name, model):
-        acc = model.token_accuracy(SRC, TGT_IN, TGT_OUT)
-        assert 0.0 <= acc <= 1.0
-
     def test_decode_parity_with_teacher_forcing(self, name, model):
         """start/step logits must equal teacher-forced forward logits —
         the core invariant tying training to decoding."""
@@ -147,17 +143,6 @@ class TestRecurrentSpecific:
     def test_attention_nmt_forces_gru(self):
         model = AttentionNMT(CONFIG.scaled(cell_type="rnn"))
         assert model.config.cell_type == "gru"
-
-    def test_attention_map_none_without_attention(self):
-        model = RecurrentNMT(CONFIG, use_attention=False)
-        assert model.attention_map() is None
-
-    def test_attention_map_after_step(self):
-        model = AttentionNMT(CONFIG)
-        model.eval()
-        state = model.start(SRC[:1])
-        model.step(state, np.array([1]))
-        assert model.attention_map() is not None
 
     def test_constant_per_step_state_size(self):
         """RNN decode state does not grow with the prefix — the paper's

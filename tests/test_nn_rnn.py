@@ -99,14 +99,6 @@ class TestAdditiveAttention:
         expected = (weights.data[0][:, None] * memory_data[0]).sum(axis=0)
         np.testing.assert_allclose(context.data[0], expected, atol=1e-12)
 
-    def test_last_weights_recorded(self):
-        attn = AdditiveAttention(4, 4, 4, rng=np.random.default_rng(0))
-        attn(
-            Tensor(np.zeros((1, 4))),
-            Tensor(np.random.default_rng(0).normal(size=(1, 3, 4))),
-        )
-        assert attn.last_weights.shape == (1, 3)
-
 
 class TestRecurrentDecoderCell:
     def test_step_without_attention(self):
