@@ -1,13 +1,14 @@
 """Reverse-mode automatic differentiation on NumPy arrays.
 
-This package is the tensor substrate for the whole reproduction: the paper
+This package is the training substrate of the reproduction: the paper
 trains transformer / GRU / RNN translation models, and no deep-learning
 framework is available offline, so we implement a small but complete
 autograd engine here.
 
 The public surface is the :class:`Tensor` class plus a handful of
-free functions (``concat``, ``stack``, ``where``, ``logsumexp``, ...), and
-the :func:`no_grad` context manager used during decoding/inference.
+free functions (``concat``, ``stack``, ``where``, ``logsumexp``, ...).
+``Tensor`` is for training only: every op records its graph, and paths
+that do not train run the modules' ``infer`` methods on plain arrays.
 """
 
 from repro.autograd.tensor import (
@@ -18,12 +19,6 @@ from repro.autograd.tensor import (
     maximum,
     minimum,
     logsumexp,
-    no_grad,
-    is_grad_enabled,
-    tensor,
-    zeros,
-    ones,
-    arange,
 )
 
 __all__ = [
@@ -34,10 +29,4 @@ __all__ = [
     "maximum",
     "minimum",
     "logsumexp",
-    "no_grad",
-    "is_grad_enabled",
-    "tensor",
-    "zeros",
-    "ones",
-    "arange",
 ]

@@ -10,49 +10,21 @@ Design notes
 * Gradients are plain ``numpy.ndarray`` objects stored on ``Tensor.grad``.
 * Broadcasting is fully supported: :func:`_unbroadcast` sums a gradient back
   down to the shape of the input it belongs to.
-* A per-thread switch (:func:`no_grad`) disables graph construction during
-  inference, which matters a lot for decoding speed: with grad disabled
-  every operation returns through :func:`_graph_free` before it defines a
-  backward closure, so a decode step costs its NumPy calls and little else.
+* :class:`Tensor` is the training type only.  Every op records its graph;
+  paths that do not train (decoding, scoring, evaluation, encoding) run
+  the modules' ``infer`` methods on plain arrays instead, which compute
+  the same NumPy expressions in the same order.  :func:`sigmoid_np`,
+  :func:`softmax_np` and :func:`log_softmax_np` are the op forwards they
+  share.
 * Only float64/float32 data participates in differentiation; integer tensors
   (token ids) are carried as constants.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-
-class _GradMode(threading.local):
-    """The grad switch, one per thread: every thread starts enabled, so
-    overlapping :func:`no_grad` blocks on different threads cannot restore
-    each other's state."""
-
-    enabled = True
-
-
-_MODE = _GradMode()
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Context manager that disables autograd graph construction
-    (on the calling thread only)."""
-    previous = _MODE.enabled
-    _MODE.enabled = False
-    try:
-        yield
-    finally:
-        _MODE.enabled = previous
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradient information."""
-    return _MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -104,18 +76,10 @@ def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def _graph_free(data) -> "Tensor":
-    """The result every op returns while grad is disabled: a plain
-    :class:`Tensor` (never a subclass) cut from the graph, built without
-    ``__init__``, a backward closure or a parents tuple."""
-    out = Tensor.__new__(Tensor)
-    out.data = _as_array(data)
-    out.grad = None
-    out.requires_grad = False
-    out._backward = None
-    out._parents = ()
-    out.name = None
-    return out
+def log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The forward of :meth:`Tensor.log_softmax` on an ndarray."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 class Tensor:
@@ -142,7 +106,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(data)
-        self.requires_grad = bool(requires_grad) and _MODE.enabled
+        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -184,7 +148,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but cut from the graph."""
-        return _graph_free(self.data)
+        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -199,7 +163,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         """Create an op output, wiring the backward closure if any parent
-        requires grad (ops return before this point while grad is off)."""
+        requires grad."""
         requires = any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
@@ -282,8 +246,6 @@ class Tensor:
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
         out_data = self.data + _operand(other)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
         other = other if isinstance(other, Tensor) else Tensor(other)
 
         def backward(grad: np.ndarray) -> None:
@@ -296,8 +258,6 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        if not _MODE.enabled:
-            return _graph_free(-self.data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, -grad)
@@ -307,8 +267,6 @@ class Tensor:
 
     def __sub__(self, other) -> "Tensor":
         out_data = self.data - _operand(other)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
         other = other if isinstance(other, Tensor) else Tensor(other)
 
         def backward(grad: np.ndarray) -> None:
@@ -319,14 +277,10 @@ class Tensor:
         return out
 
     def __rsub__(self, other) -> "Tensor":
-        if not _MODE.enabled:
-            return _graph_free(_as_array(other) - self.data)
         return Tensor(other) - self
 
     def __mul__(self, other) -> "Tensor":
         out_data = self.data * _operand(other)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
         other = other if isinstance(other, Tensor) else Tensor(other)
 
         def backward(grad: np.ndarray) -> None:
@@ -340,8 +294,6 @@ class Tensor:
 
     def __truediv__(self, other) -> "Tensor":
         out_data = self.data / _operand(other)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
         other = other if isinstance(other, Tensor) else Tensor(other)
 
         def backward(grad: np.ndarray) -> None:
@@ -355,16 +307,12 @@ class Tensor:
         return out
 
     def __rtruediv__(self, other) -> "Tensor":
-        if not _MODE.enabled:
-            return _graph_free(_as_array(other) / self.data)
         return Tensor(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise TypeError("tensor exponents are not supported; use exp/log")
         out_data = self.data**exponent
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad * exponent * self.data ** (exponent - 1))
@@ -374,8 +322,6 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         out_data = self.data @ _operand(other)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
         other = other if isinstance(other, Tensor) else Tensor(other)
 
         def backward(grad: np.ndarray) -> None:
@@ -413,8 +359,6 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad * out_data)
@@ -424,8 +368,6 @@ class Tensor:
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad / self.data)
@@ -435,8 +377,6 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad * 0.5 / out_data)
@@ -446,8 +386,6 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad * (1.0 - out_data**2))
@@ -457,8 +395,6 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         out_data = sigmoid_np(self.data)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad * out_data * (1.0 - out_data))
@@ -469,8 +405,6 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out_data = self.data * mask
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad * mask)
@@ -483,8 +417,6 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             g = grad
@@ -497,8 +429,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.mean(axis=axis, keepdims=keepdims)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
         if axis is None:
             count = self.data.size
         else:
@@ -516,8 +446,6 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             g = grad
@@ -540,8 +468,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, grad.reshape(self.shape))
@@ -555,8 +481,6 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         out_data = self.data.transpose(axes)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
         inverse = np.argsort(axes)
 
         def backward(grad: np.ndarray) -> None:
@@ -572,8 +496,6 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data, dtype=np.float64)
@@ -591,8 +513,6 @@ class Tensor:
         """
         idx = np.asarray(indices)
         out_data = self.data[idx]
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data, dtype=np.float64)
@@ -606,8 +526,6 @@ class Tensor:
         """Return a tensor with positions where ``mask`` is True set to ``value``."""
         mask = np.asarray(mask, dtype=bool)
         out_data = np.where(mask, value, self.data)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._acc(self, _unbroadcast(np.where(mask, 0.0, grad), self.shape))
@@ -620,8 +538,6 @@ class Tensor:
     # ------------------------------------------------------------------
     def softmax(self, axis: int = -1) -> "Tensor":
         out_data = softmax_np(self.data, axis=axis)
-        if not _MODE.enabled:
-            return _graph_free(out_data)
 
         def backward(grad: np.ndarray) -> None:
             dot = (grad * out_data).sum(axis=axis, keepdims=True)
@@ -631,11 +547,7 @@ class Tensor:
         return out
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out_data = shifted - log_z
-        if not _MODE.enabled:
-            return _graph_free(out_data)
+        out_data = log_softmax_np(self.data, axis=axis)
         softmax = np.exp(out_data)
 
         def backward(grad: np.ndarray) -> None:
@@ -648,29 +560,10 @@ class Tensor:
 # ----------------------------------------------------------------------
 # Free functions
 # ----------------------------------------------------------------------
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    """Convenience constructor mirroring ``torch.tensor``."""
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def arange(*args, **kwargs) -> Tensor:
-    return Tensor(np.arange(*args, **kwargs).astype(np.float64))
-
-
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not _MODE.enabled:
-        return _graph_free(out_data)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -692,8 +585,6 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient support."""
     tensors = list(tensors)
     out_data = np.stack([t.data for t in tensors], axis=axis)
-    if not _MODE.enabled:
-        return _graph_free(out_data)
 
     def backward(grad: np.ndarray) -> None:
         for i, t in enumerate(tensors):
@@ -711,8 +602,6 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise select with gradient flow into both branches."""
     condition = np.asarray(condition, dtype=bool)
     out_data = np.where(condition, _operand(a), _operand(b))
-    if not _MODE.enabled:
-        return _graph_free(out_data)
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
 

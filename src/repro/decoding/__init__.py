@@ -26,8 +26,10 @@ Exported symbols:
   the per-row ``rng.choice`` contract, batched): serving, Algorithm 1's
   step 9, the Fig. 7 q2q metric and the causal LM's ``generate`` all
   sample through it.
-* :func:`log_softmax_np` / :func:`logsumexp_np` — numerically stable
-  log-space primitives every decoder and the rewrite scorer share.
+* :func:`logsumexp_np` — the numerically stable log-sum-exp the decoders
+  and the rewrite scorer share (their log-softmax is
+  :func:`repro.autograd.tensor.log_softmax_np`, the one ``Tensor.log_softmax``
+  computes).
 
 The ``*_batch`` variants accept either a padded (batch, seq) array or a
 list of variable-length id lists, and cost the same number of model calls
@@ -45,7 +47,7 @@ from repro.decoding.greedy import greedy_decode, greedy_decode_batch
 from repro.decoding.beam import beam_search, beam_search_batch
 from repro.decoding.topn import sample_top_n_pools, top_n_sampling, top_n_sampling_batch
 from repro.decoding.diverse_beam import diverse_beam_search
-from repro.decoding.logspace import log_softmax_np, logsumexp_np
+from repro.decoding.logspace import logsumexp_np
 
 __all__ = [
     "Hypothesis",
@@ -57,6 +59,5 @@ __all__ = [
     "top_n_sampling_batch",
     "sample_top_n_pools",
     "diverse_beam_search",
-    "log_softmax_np",
     "logsumexp_np",
 ]

@@ -13,9 +13,9 @@ from collections import Counter
 
 import numpy as np
 
+from repro.autograd.tensor import log_softmax_np
 from repro.decoding.beam import beam_search
 from repro.decoding.hypothesis import Hypothesis
-from repro.decoding.logspace import log_softmax_np
 from repro.models.base import Seq2SeqModel
 
 

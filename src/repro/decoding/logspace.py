@@ -10,12 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def log_softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log softmax on a plain ndarray."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 def logsumexp_np(values: np.ndarray, axis: int | None = None) -> np.ndarray:
     """Numerically stable log(sum(exp(values)))."""
     values = np.asarray(values, dtype=np.float64)

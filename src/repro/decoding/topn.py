@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd.tensor import log_softmax_np
 from repro.decoding.hypothesis import Hypothesis
-from repro.decoding.logspace import log_softmax_np
 from repro.models.base import Seq2SeqModel, pad_sources
 
 

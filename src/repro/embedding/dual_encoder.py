@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor
 from repro.data.dataset import pad_batch
 from repro.nn import Embedding, Linear, cross_entropy
 from repro.nn.module import Module
@@ -78,6 +78,16 @@ class DualEncoder(Module):
         """Differentiable title-tower encodings: (batch, len) ids -> unit rows."""
         return self._normalize(self.title_tower(self._pool(token_ids)))
 
+    def _infer(self, token_ids: np.ndarray, tower: Linear) -> np.ndarray:
+        """:meth:`query_encoding` (``tower`` the query tower) or
+        :meth:`title_encoding` on plain arrays."""
+        embedded = self.embedding.infer(token_ids)
+        keep = (token_ids != self.vocab.pad_id).astype(np.float64)[:, :, None]
+        summed = (embedded * keep).sum(axis=1)
+        counts = np.maximum(keep.sum(axis=1), 1.0)
+        x = tower.infer(summed / counts)
+        return x / np.sqrt((x * x).sum(axis=-1, keepdims=True) + 1e-12)
+
     # -- inference helpers -----------------------------------------------------
     def encode_query(self, text: str | list[str]) -> np.ndarray:
         """Unit-norm query embedding of one text (string or token list)."""
@@ -98,7 +108,7 @@ class DualEncoder(Module):
         back in input order; a text that tokenizes to nothing embeds to
         the zero vector (the only non-unit-norm output).
         """
-        return self._encode_batch(texts, self.query_encoding, batch_size)
+        return self._encode_batch(texts, self.query_tower, batch_size)
 
     def encode_titles(
         self, texts: list[str | list[str]], batch_size: int = 512
@@ -107,9 +117,9 @@ class DualEncoder(Module):
 
         Same contract as :meth:`encode_queries`, through the title tower.
         """
-        return self._encode_batch(texts, self.title_encoding, batch_size)
+        return self._encode_batch(texts, self.title_tower, batch_size)
 
-    def _encode_batch(self, texts, encoding_fn, batch_size: int) -> np.ndarray:
+    def _encode_batch(self, texts, tower: Linear, batch_size: int) -> np.ndarray:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         out = np.zeros((len(texts), self.config.output_dim), dtype=np.float64)
@@ -119,22 +129,17 @@ class DualEncoder(Module):
             )
             for t in texts
         ]
-        with no_grad():
-            for start in range(0, len(encoded), batch_size):
-                chunk = encoded[start : start + batch_size]
-                width = max((len(ids) for ids in chunk), default=0)
-                if width == 0:
-                    continue  # pad_batch needs at least one column
-                batch = pad_batch(chunk, self.vocab.pad_id)
-                rows = encoding_fn(batch).data
-                # Empty texts pool to zero, but the tower bias would still
-                # produce a unit vector; pin them to the zero vector so
-                # "nothing to encode" never matches anything.
-                empty = np.array([len(ids) == 0 for ids in chunk])
-                if empty.any():
-                    rows = rows.copy()
-                    rows[empty] = 0.0
-                out[start : start + len(chunk)] = rows
+        for start in range(0, len(encoded), batch_size):
+            chunk = encoded[start : start + batch_size]
+            width = max((len(ids) for ids in chunk), default=0)
+            if width == 0:
+                continue  # pad_batch needs at least one column
+            rows = self._infer(pad_batch(chunk, self.vocab.pad_id), tower)
+            # Empty texts pool to zero, but the tower bias would still
+            # produce a unit vector; pin them to the zero vector so
+            # "nothing to encode" never matches anything.
+            rows[np.array([len(ids) == 0 for ids in chunk])] = 0.0
+            out[start : start + len(chunk)] = rows
         return out
 
     def cosine(self, query_a: str | list[str], query_b: str | list[str]) -> float:

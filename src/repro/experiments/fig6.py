@@ -26,10 +26,7 @@ SHOWCASE_QUERY = "comfortable ah-di men shoe"
 def _attention_matrix(model, src_ids: np.ndarray, tgt_ids: np.ndarray) -> np.ndarray:
     """Mean-over-heads cross attention of the final decoder layer,
     shape (tgt_len, src_len)."""
-    from repro.autograd import no_grad
-
-    with no_grad():
-        model.forward(src_ids, tgt_ids[:, :-1])
+    model.logits(src_ids, tgt_ids[:, :-1])
     maps = model.cross_attention_maps()
     if not maps:
         raise RuntimeError("model recorded no cross-attention weights")

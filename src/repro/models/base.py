@@ -1,9 +1,11 @@
 """Common seq2seq model interface.
 
-Two views of the same model:
+Three views of the same model:
 
 * **Training** — ``forward(src, tgt_in)`` returns per-position logits under
-  teacher forcing.
+  teacher forcing, as an autograd ``Tensor``.
+* **Scoring** — ``logits(src, tgt_in)`` returns the same logits, bit for
+  bit, as a plain array computed by the modules' ``infer`` methods.
 * **Decoding** — ``start(src)`` builds a :class:`DecodeState`, and
   ``step(state, last_tokens)`` advances one target position, returning the
   next-token logits.  The state object is immutable-by-convention: ``step``
@@ -18,7 +20,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor
+from repro.autograd.tensor import log_softmax_np
 from repro.nn.loss import sequence_cross_entropy
 from repro.nn.module import Module
 
@@ -37,6 +40,13 @@ def pad_sources(sequences: list[list[int]], pad_id: int) -> np.ndarray:
     for i, seq in enumerate(sequences):
         out[i, : len(seq)] = seq
     return out
+
+
+def label_log_probs(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """log P of each label under ``(batch, seq, vocab)`` logits: ``(batch, seq)``."""
+    batch, seq_len = labels.shape
+    log_probs = log_softmax_np(logits, axis=-1)
+    return log_probs[np.arange(batch)[:, None], np.arange(seq_len)[None, :], labels]
 
 
 @dataclass
@@ -109,7 +119,12 @@ class Seq2SeqModel(Module):
     def reorder_state(self, state: DecodeState, index: np.ndarray) -> DecodeState:  # pragma: no cover
         raise NotImplementedError
 
-    # -- scoring ---------------------------------------------------------------
+    # -- scoring view ------------------------------------------------------------
+    def logits(self, src: np.ndarray, tgt_in: np.ndarray) -> np.ndarray:  # pragma: no cover
+        """:meth:`forward`'s logits on plain arrays, bit for bit.  Scoring
+        is not decoding: the decode counters do not move."""
+        raise NotImplementedError
+
     def sequence_log_prob(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         """log P(tgt | src) per batch element, summed over non-pad positions.
 
@@ -117,16 +132,10 @@ class Seq2SeqModel(Module):
         score candidate rewrites (Section III-E) and by the cyclic loss
         diagnostics.
         """
-        src = np.asarray(src)
         tgt = np.asarray(tgt)
-        with no_grad():
-            logits = self.forward(src, tgt[:, :-1])
-        log_probs = logits.log_softmax(axis=-1).data
         labels = tgt[:, 1:]
-        batch, seq_len = labels.shape
-        picked = log_probs[np.arange(batch)[:, None], np.arange(seq_len)[None, :], labels]
-        mask = labels != self.pad_id
-        return (picked * mask).sum(axis=1)
+        picked = label_log_probs(self.logits(src, tgt[:, :-1]), labels)
+        return (picked * (labels != self.pad_id)).sum(axis=1)
 
 
 class RecurrentDecoderModel(Seq2SeqModel):
@@ -148,6 +157,22 @@ class RecurrentDecoderModel(Seq2SeqModel):
         )
         new_payload = {**payload, "hidden": hidden}
         return self.output_proj.infer(hidden), DecodeState(state.batch_size, new_payload)
+
+    def logits(self, src: np.ndarray, tgt_in: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on plain arrays: :meth:`step`'s recurrence over
+        ``tgt_in`` from ``start(src)``, uncounted."""
+        tgt_in = np.asarray(tgt_in)
+        payload = self.start(src).payload
+        hidden = payload["hidden"]
+        embedded = self.embedding.infer(tgt_in)
+        step_logits = []
+        for t in range(tgt_in.shape[1]):
+            hidden = self.decoder.infer(
+                embedded[:, t, :], hidden, payload["memory"], payload["mem_pad"],
+                payload.get("mem_keys"),
+            )
+            step_logits.append(self.output_proj.infer(hidden))
+        return np.stack(step_logits, axis=1)
 
     def reorder_state(self, state: DecodeState, index: np.ndarray) -> DecodeState:
         """Select/duplicate batch rows, cached attention keys included."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor
 from repro.models.config import ModelConfig
 from repro.nn import Embedding, Linear, PositionalEncoding, TransformerEncoder
 from repro.nn.attention import causal_mask, padding_mask
@@ -60,6 +60,23 @@ class DecoderOnlyLM(Module):
         )
         return self.output_proj(hidden)
 
+    def _embed_infer(self, token_ids: np.ndarray, offset: int = 0) -> np.ndarray:
+        """Scaled token embeddings plus positions from ``offset``, on arrays."""
+        return self.positional.infer(
+            self.embedding.infer(token_ids) * self._embed_scale, offset=offset
+        )
+
+    def _prime(
+        self, token_ids: np.ndarray
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """The block stack's KV step over whole sequences from empty caches
+        (causal + pad mask): :meth:`forward`'s hidden states on plain
+        arrays, and the per-layer caches :meth:`generate` extends."""
+        batch, seq_len = token_ids.shape
+        mask = causal_mask(seq_len) | padding_mask(token_ids, self.pad_id)
+        caches = [layer.self_attn.empty_cache(batch) for layer in self.blocks.layers]
+        return self.blocks.step(self._embed_infer(token_ids), caches, mask=mask)
+
     def loss(self, token_ids: np.ndarray) -> tuple[Tensor, int]:
         """Causal LM loss: predict position t+1 from positions <= t."""
         token_ids = np.asarray(token_ids)
@@ -78,13 +95,13 @@ class DecoderOnlyLM(Module):
         """Top-n sample a continuation until a stop token or the budget.
 
         Returns only the newly generated ids (stop token excluded).  The
-        prompt is encoded once to prime per-layer self-attention K/V
-        caches; each subsequent step feeds only the newest token through
-        the block stack (O(prefix) instead of the seed's O(prefix²)
-        full re-encode).  A step whose legal pool is empty (every
-        unblocked token at ``-inf``) stops generation gracefully instead
-        of crashing on NaN sampling probabilities, and consumes no
-        randomness.
+        prompt runs once through the block stack's KV step to prime
+        per-layer self-attention caches; each subsequent step feeds only
+        the newest token through the same step (O(prefix) instead of the
+        seed's O(prefix²) full re-encode).  A step whose legal pool is
+        empty (every unblocked token at ``-inf``) stops generation
+        gracefully instead of crashing on NaN sampling probabilities, and
+        consumes no randomness.
         """
         from repro.decoding.topn import sample_top_n_pools
 
@@ -92,14 +109,8 @@ class DecoderOnlyLM(Module):
         forbid_ids = forbid_ids or set()
         generated: list[int] = []
         context = list(prefix_ids)
-        prompt = np.array([context])
-        seq_len = prompt.shape[1]
-        mask = causal_mask(seq_len) | padding_mask(prompt, self.pad_id)
-        with no_grad():
-            hidden, caches = self.blocks.forward_and_cache(
-                self.positional(self.embedding(prompt) * self._embed_scale), mask=mask
-            )
-            logits = self.output_proj(hidden[:, -1, :]).data[0]
+        hidden, caches = self._prime(np.array([context]))
+        logits = self.output_proj.infer(hidden[:, -1, :])[0]
         for _ in range(max_new_tokens):
             if len(context) >= self.config.max_len:
                 break
@@ -117,12 +128,11 @@ class DecoderOnlyLM(Module):
             context.append(token)
             if len(context) >= self.config.max_len:
                 break
-            with no_grad():
-                x = self.positional(
-                    self.embedding(np.array([[token]])) * self._embed_scale,
-                    offset=len(context) - 1,
-                )
-                key_mask = (np.array([context]) == self.pad_id)[:, None, None, :]
-                hidden, caches = self.blocks.step(x, caches, key_mask=key_mask)
-                logits = self.output_proj(hidden[:, 0, :]).data[0]
+            key_mask = (np.array([context]) == self.pad_id)[:, None, None, :]
+            hidden, caches = self.blocks.step(
+                self._embed_infer(np.array([[token]]), offset=len(context) - 1),
+                caches,
+                mask=key_mask,
+            )
+            logits = self.output_proj.infer(hidden[:, 0, :])[0]
         return generated

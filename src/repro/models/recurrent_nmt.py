@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad, stack
+from repro.autograd import Tensor, stack
 from repro.models.base import DecodeState, RecurrentDecoderModel
 from repro.models.config import ModelConfig
 from repro.nn import (
@@ -97,15 +97,16 @@ class RecurrentNMT(RecurrentDecoderModel):
 
     # -- decoding view ---------------------------------------------------------------
     def start(self, src: np.ndarray) -> DecodeState:
-        """Encode ``src``; with attention, precompute the additive
-        attention's key projection of the memory, the one per-step
-        sub-computation that never changes."""
+        """Encode ``src`` (:meth:`encode` on plain arrays); with
+        attention, precompute the additive attention's key projection of
+        the memory, the one per-step sub-computation that never
+        changes."""
         src = np.asarray(src)
-        with no_grad():
-            memory, final, pad_mask = self.encode(src)
-        payload = {"hidden": final.data, "memory": memory.data, "mem_pad": pad_mask}
+        pad_mask = src == self.pad_id
+        memory, final = self.encoder.infer(self.embedding.infer(src), pad_mask=pad_mask)
+        payload = {"hidden": final, "memory": memory, "mem_pad": pad_mask}
         if self.use_attention:
-            payload["mem_keys"] = self.decoder.attention.k_proj.infer(memory.data)
+            payload["mem_keys"] = self.decoder.attention.k_proj.infer(memory)
         return DecodeState(batch_size=src.shape[0], payload=payload)
 
 

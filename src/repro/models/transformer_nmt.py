@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor
 from repro.models.base import DecodeState, Seq2SeqModel
 from repro.models.config import ModelConfig
 from repro.nn import (
@@ -57,12 +57,39 @@ class TransformerNMT(Seq2SeqModel):
     def _embed(self, token_ids: np.ndarray, offset: int = 0) -> Tensor:
         return self.positional(self.embedding(token_ids) * self._embed_scale, offset=offset)
 
+    def _embed_infer(self, token_ids: np.ndarray, offset: int = 0) -> np.ndarray:
+        """:meth:`_embed` on plain arrays."""
+        return self.positional.infer(
+            self.embedding.infer(token_ids) * self._embed_scale, offset=offset
+        )
+
     def encode(self, src: np.ndarray) -> tuple[Tensor, np.ndarray]:
         """Returns (memory, src_key_mask)."""
         src = np.asarray(src)
         src_mask = padding_mask(src, self.pad_id)
         memory = self.encoder(self._embed(src), mask=src_mask)
         return memory, src_mask
+
+    def _encode_infer(self, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`encode` on plain arrays."""
+        src = np.asarray(src)
+        src_mask = padding_mask(src, self.pad_id)
+        return self.encoder.infer(self._embed_infer(src), mask=src_mask), src_mask
+
+    def _decode_infer(
+        self, tgt_in: np.ndarray, memory: np.ndarray, src_mask: np.ndarray
+    ) -> np.ndarray:
+        """The decoder stack over every position of ``tgt_in`` (causal,
+        teacher forced) on plain arrays: ``(batch, len, d_model)``.  It is
+        the decode step from empty caches, fed the whole prefix."""
+        layers = self.decoder.layers
+        return self.decoder.step(
+            self._embed_infer(tgt_in),
+            [layer.cross_attn.project_kv(memory) for layer in layers],
+            [layer.self_attn.empty_cache(len(tgt_in)) for layer in layers],
+            self_mask=causal_mask(tgt_in.shape[1]) | padding_mask(tgt_in, self.pad_id),
+            memory_mask=src_mask,
+        )[0]
 
     # -- training view --------------------------------------------------------
     def forward(self, src: np.ndarray, tgt_in: np.ndarray) -> Tensor:
@@ -76,6 +103,12 @@ class TransformerNMT(Seq2SeqModel):
         )
         return self.output_proj(decoded)
 
+    # -- scoring view -----------------------------------------------------------
+    def logits(self, src: np.ndarray, tgt_in: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on plain arrays."""
+        tgt_in = np.asarray(tgt_in)
+        return self.output_proj.infer(self._decode_infer(tgt_in, *self._encode_infer(src)))
+
     # -- decoding view ------------------------------------------------------------
     def start(self, src: np.ndarray) -> DecodeState:
         """Encode ``src`` and build the initial decode state.
@@ -87,17 +120,13 @@ class TransformerNMT(Seq2SeqModel):
         """
         src = np.asarray(src)
         batch = src.shape[0]
-        with no_grad():
-            memory, src_mask = self.encode(src)
-            cross_kv = self.decoder.project_memory(memory)
-        heads = self.config.num_heads
-        empty = np.zeros((batch, heads, 0, self.config.d_model // heads))
+        memory, src_mask = self._encode_infer(src)
         return DecodeState(
             batch_size=batch,
             payload={
                 "src_mask": src_mask,
-                "cross_kv": cross_kv,
-                "self_kv": [(empty, empty) for _ in self.decoder.layers],
+                "cross_kv": [layer.cross_attn.project_kv(memory) for layer in self.decoder.layers],
+                "self_kv": [layer.self_attn.empty_cache(batch) for layer in self.decoder.layers],
                 "prefix": np.zeros((batch, 0), dtype=np.int64),
             },
         )
@@ -120,16 +149,14 @@ class TransformerNMT(Seq2SeqModel):
         # itself), so only pad columns need blocking — same semantics as
         # forward's causal_mask | padding_mask at its last row.
         self_key_mask = (prefix == self.pad_id)[:, None, None, :]
-        with no_grad():
-            x = self._embed(last, offset=payload["prefix"].shape[1])
-            decoded, self_kv = self.decoder.step(
-                x,
-                payload["cross_kv"],
-                payload["self_kv"],
-                self_key_mask=self_key_mask,
-                memory_mask=payload["src_mask"],
-            )
-            logits = self.output_proj(decoded[:, 0, :])
+        decoded, self_kv = self.decoder.step(
+            self._embed_infer(last, offset=payload["prefix"].shape[1]),
+            payload["cross_kv"],
+            payload["self_kv"],
+            self_mask=self_key_mask,
+            memory_mask=payload["src_mask"],
+        )
+        logits = self.output_proj.infer(decoded[:, 0, :])
         new_state = DecodeState(
             batch_size=state.batch_size,
             payload={
@@ -139,7 +166,7 @@ class TransformerNMT(Seq2SeqModel):
                 "prefix": prefix,
             },
         )
-        return logits.data, new_state
+        return logits, new_state
 
     def reorder_state(self, state: DecodeState, index: np.ndarray) -> DecodeState:
         """Select/duplicate batch rows, K/V caches included.
@@ -158,7 +185,8 @@ class TransformerNMT(Seq2SeqModel):
 
     # -- introspection -----------------------------------------------------------
     def cross_attention_maps(self) -> list[np.ndarray]:
-        """Per-layer cross-attention weights from the most recent forward
-        pass, each of shape (batch, heads, tgt_len, src_len) — the raw
-        material of the paper's Figure 6 heat maps."""
+        """Per-layer cross-attention weights from the most recent
+        :meth:`forward`, :meth:`logits` or decode step, each of shape
+        (batch, heads, tgt_len, src_len) — the raw material of the
+        paper's Figure 6 heat maps."""
         return self.decoder.cross_attention_weights

@@ -59,45 +59,6 @@ class MultiHeadAttention(Module):
         batch, heads, seq, d_head = x.shape
         return x.transpose(0, 2, 1, 3).reshape(batch, seq, heads * d_head)
 
-    def project_kv(self, x: Tensor) -> tuple[np.ndarray, np.ndarray]:
-        """Project ``x`` through the K/V heads once, for reuse across steps.
-
-        Returns plain ``(batch, heads, seq, d_head)`` arrays — the exact
-        keys/values :meth:`forward` would compute from the same input — so
-        incremental decoders can cache them in a
-        :class:`~repro.models.base.DecodeState` instead of re-projecting
-        the whole prefix (or the whole encoder memory) every step.
-        """
-        return (
-            self._split_heads(self.k_proj(x)).data,
-            self._split_heads(self.v_proj(x)).data,
-        )
-
-    def attend_cached(
-        self,
-        query: Tensor,
-        k: np.ndarray,
-        v: np.ndarray,
-        mask: np.ndarray | None = None,
-    ) -> Tensor:
-        """Attend from ``query`` over *precomputed* keys/values.
-
-        ``k``/``v`` are ``(batch, heads, k_len, d_head)`` arrays from
-        :meth:`project_kv` (possibly grown one position per decode step).
-        The math is identical to :meth:`forward` with the projections
-        skipped, so cached decoding reproduces the uncached logits up to
-        float reassociation from the different matmul shapes.
-        """
-        q = self._split_heads(self.q_proj(query))
-        scores = (q @ Tensor(k).swapaxes(-1, -2)) * (self.d_head**-0.5)
-        if mask is not None:
-            scores = scores.masked_fill(mask, _NEG_INF)
-        weights = scores.softmax(axis=-1)
-        self.last_weights = weights.data
-        weights = self.attn_dropout(weights)
-        context = self._merge_heads(weights @ Tensor(v))
-        return self.out_proj(context)
-
     def forward(
         self,
         query: Tensor,
@@ -128,12 +89,37 @@ class MultiHeadAttention(Module):
         context = self._merge_heads(weights @ v)
         return self.out_proj(context)
 
-    def infer(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """Self-attention :meth:`forward` (``x`` as query, key and value)
-        on plain arrays, for decoding."""
-        q, k, v = (
-            self._split_heads(proj.infer(x)) for proj in (self.q_proj, self.k_proj, self.v_proj)
+    def infer(
+        self,
+        query: np.ndarray,
+        key: np.ndarray,
+        value: np.ndarray,
+        mask: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """:meth:`forward` on plain arrays."""
+        k = self._split_heads(self.k_proj.infer(key))
+        v = self._split_heads(self.v_proj.infer(value))
+        return self.attend(query, k, v, mask=mask)
+
+    def project_kv(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The keys and values :meth:`infer` attends over when ``x`` is
+        both ``key`` and ``value``: ``(batch, heads, seq, d_head)``
+        arrays, projected once and reused by :meth:`attend`."""
+        return (
+            self._split_heads(self.k_proj.infer(x)),
+            self._split_heads(self.v_proj.infer(x)),
         )
+
+    def attend(
+        self,
+        query: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
+        mask: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Attend from ``query`` over projected keys/values (the rest of
+        :meth:`infer`)."""
+        q = self._split_heads(self.q_proj.infer(query))
         scores = (q @ k.swapaxes(-1, -2)) * (self.d_head**-0.5)
         if mask is not None:
             scores = np.where(mask, _NEG_INF, scores)
@@ -142,6 +128,32 @@ class MultiHeadAttention(Module):
         weights = self.attn_dropout.infer(weights)
         context = self._merge_heads(weights @ v)
         return self.out_proj.infer(context)
+
+    def empty_cache(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """The keys/values :meth:`step` starts from: no positions yet."""
+        empty = np.zeros((batch, self.num_heads, 0, self.d_head))
+        return empty, empty
+
+    def step(
+        self,
+        x: np.ndarray,
+        cache: tuple[np.ndarray, np.ndarray],
+        mask: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """The KV-cached self-attention step: ``x``'s positions attend
+        over the cached positions and themselves.
+
+        ``cache`` holds the keys/values of every earlier position
+        (:meth:`empty_cache` before the first step); ``mask``
+        is broadcastable to ``(batch, heads, len(x), cached + len(x))``.
+        Fed a whole prefix with a causal mask, this is :meth:`infer`'s
+        self-attention (a prompt primes its cache); fed one position,
+        it costs O(prefix).  Returns the output and the grown cache.
+        """
+        k_new, v_new = self.project_kv(x)
+        k = np.concatenate([cache[0], k_new], axis=2)
+        v = np.concatenate([cache[1], v_new], axis=2)
+        return self.attend(x, k, v, mask=mask), (k, v)
 
 
 def padding_mask(token_ids: np.ndarray, pad_id: int) -> np.ndarray:

@@ -30,7 +30,7 @@ class Dropout(Module):
         return x.masked_fill(~mask, 0.0) * (1.0 / keep)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on plain arrays, for decoding."""
+        """:meth:`forward` on plain arrays."""
         if not self.training or self.p == 0.0:
             return x
         keep = 1.0 - self.p

@@ -60,7 +60,7 @@ class Embedding(Module):
         return out
 
     def infer(self, token_ids: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on plain arrays, for decoding."""
+        """:meth:`forward` on plain arrays."""
         ids = self._checked(token_ids)
         out = self.weight.data[ids]
         if self.padding_idx is not None:

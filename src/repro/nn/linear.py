@@ -43,7 +43,7 @@ class Linear(Module):
         return out
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on plain arrays, for decoding."""
+        """:meth:`forward` on plain arrays."""
         out = x @ self.weight.data
         if self.bias is not None:
             out = out + self.bias.data

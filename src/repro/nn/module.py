@@ -10,12 +10,11 @@ from repro.autograd import Tensor
 
 
 class Parameter(Tensor):
-    """A trainable tensor: always requires grad outside of ``no_grad``."""
+    """A trainable tensor: it always requires grad.  ``forward`` trains
+    through it; ``infer`` reads its ``.data``."""
 
     def __init__(self, data, name: str | None = None):
         super().__init__(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
-        # Parameters must require grad even if constructed inside no_grad().
-        self.requires_grad = True
 
 
 class Module:

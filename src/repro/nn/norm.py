@@ -25,7 +25,7 @@ class LayerNorm(Module):
         return normed * self.gamma + self.beta
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on plain arrays, for decoding."""
+        """:meth:`forward` on plain arrays."""
         mean = x.mean(axis=-1, keepdims=True)
         centered = x - mean
         var = (centered * centered).mean(axis=-1, keepdims=True)

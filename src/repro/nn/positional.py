@@ -40,5 +40,5 @@ class PositionalEncoding(Module):
         return x + Tensor(self._rows(offset, x.shape[1]))
 
     def infer(self, x: np.ndarray, offset: int = 0) -> np.ndarray:
-        """:meth:`forward` on plain arrays, for decoding."""
+        """:meth:`forward` on plain arrays."""
         return x + self._rows(offset, x.shape[1])

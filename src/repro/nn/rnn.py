@@ -32,7 +32,7 @@ class RNNCell(Module):
         return (x @ self.w_x + h @ self.w_h + self.bias).tanh()
 
     def infer(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on plain arrays, for decoding."""
+        """:meth:`forward` on plain arrays."""
         return np.tanh(x @ self.w_x.data + h @ self.w_h.data + self.bias.data)
 
     def initial_state(self, batch_size: int) -> Tensor:
@@ -68,7 +68,7 @@ class GRUCell(Module):
         return (1.0 - z) * n + z * h
 
     def infer(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on plain arrays, for decoding."""
+        """:meth:`forward` on plain arrays."""
         hs = self.hidden_size
         gates_x = x @ self.w_x.data + self.bias.data
         gates_h = h @ self.w_h.data
@@ -111,6 +111,19 @@ class RecurrentEncoder(Module):
                 h = h_new
             outputs.append(h)
         return stack(outputs, axis=1), h
+
+    def infer(
+        self, embedded: np.ndarray, pad_mask: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`forward` on plain arrays."""
+        batch, seq_len, _ = embedded.shape
+        h = np.zeros((batch, self.cell.hidden_size))
+        outputs = []
+        for t in range(seq_len):
+            h_new = self.cell.infer(embedded[:, t, :], h)
+            h = np.where(pad_mask[:, t][:, None], h, h_new) if pad_mask is not None else h_new
+            outputs.append(h)
+        return np.stack(outputs, axis=1), h
 
 
 class RecurrentDecoderCell(Module):

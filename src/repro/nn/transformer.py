@@ -39,7 +39,7 @@ class FeedForward(Module):
         return self.fc2(self.dropout(self.fc1(x).relu()))
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on plain arrays, for decoding."""
+        """:meth:`forward` on plain arrays."""
         hidden = self.fc1.infer(x)
         hidden = hidden * (hidden > 0)
         return self.fc2.infer(self.dropout.infer(hidden))
@@ -71,49 +71,26 @@ class TransformerEncoderLayer(Module):
         return x
 
     def infer(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`forward` on plain arrays, for decoding."""
+        """:meth:`forward` on plain arrays."""
         normed = self.norm1.infer(x)
-        x = x + self.dropout.infer(self.self_attn.infer(normed, mask=mask))
+        x = x + self.dropout.infer(self.self_attn.infer(normed, normed, normed, mask=mask))
         x = x + self.dropout.infer(self.ff.infer(self.norm2.infer(x)))
         return x
 
-    def forward_and_cache(
-        self, x: Tensor, mask: np.ndarray | None = None
-    ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
-        """Full-sequence forward that also returns the self-attention K/V.
-
-        Used to *prime* an incremental cache from an existing prefix (the
-        causal LM's prompt): the output equals :meth:`forward` and the
-        returned ``(k, v)`` pair seeds :meth:`step`'s cache.
-        """
-        normed = self.norm1(x)
-        k, v = self.self_attn.project_kv(normed)
-        x = x + self.dropout(self.self_attn.attend_cached(normed, k, v, mask=mask))
-        x = x + self.dropout(self.ff(self.norm2(x)))
-        return x, (k, v)
-
     def step(
         self,
-        x: Tensor,
+        x: np.ndarray,
         cache: tuple[np.ndarray, np.ndarray],
-        key_mask: np.ndarray | None = None,
-    ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
-        """Advance one position with a self-attention K/V cache.
-
-        ``x`` is the newest position only, ``(batch, 1, d_model)``; the
-        cached keys/values cover every earlier position.  Because the
-        newest query may attend to the whole (pad-masked) past plus
-        itself, no causal mask is needed — ``key_mask`` only blocks pad
-        key columns, broadcastable to ``(batch, 1, 1, cached+1)``.
-        Returns the block output and the grown cache.
-        """
-        normed = self.norm1(x)
-        k_new, v_new = self.self_attn.project_kv(normed)
-        k = np.concatenate([cache[0], k_new], axis=2)
-        v = np.concatenate([cache[1], v_new], axis=2)
-        x = x + self.dropout(self.self_attn.attend_cached(normed, k, v, mask=key_mask))
-        x = x + self.dropout(self.ff(self.norm2(x)))
-        return x, (k, v)
+        mask: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """:meth:`infer` over new positions ``x`` after the cached ones
+        (see :meth:`MultiHeadAttention.step`, which ``mask`` is for).
+        Returns the block output and the grown self-attention cache."""
+        normed = self.norm1.infer(x)
+        attended, cache = self.self_attn.step(normed, cache, mask=mask)
+        x = x + self.dropout.infer(attended)
+        x = x + self.dropout.infer(self.ff.infer(self.norm2.infer(x)))
+        return x, cache
 
 
 class TransformerDecoderLayer(Module):
@@ -153,39 +130,26 @@ class TransformerDecoderLayer(Module):
 
     def step(
         self,
-        x: Tensor,
+        x: np.ndarray,
         cross_kv: tuple[np.ndarray, np.ndarray],
-        self_cache: tuple[np.ndarray, np.ndarray],
-        self_key_mask: np.ndarray | None = None,
+        cache: tuple[np.ndarray, np.ndarray],
+        self_mask: np.ndarray | None = None,
         memory_mask: np.ndarray | None = None,
-    ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
-        """Advance one decode position with K/V caches.
-
-        ``x`` is the newest target position, ``(batch, 1, d_model)``.
-        ``cross_kv`` holds this layer's cross-attention projections of the
-        encoder memory (computed once per decode, see
-        :meth:`TransformerDecoder.project_memory`); ``self_cache`` holds
-        the self-attention K/V of every earlier target position.  The
-        newest position may attend to the entire cached prefix plus
-        itself, so causality is structural and ``self_key_mask`` only
-        blocks pad key columns.  Returns the block output and the grown
-        self-attention cache.
-        """
-        normed = self.norm1(x)
-        k_new, v_new = self.self_attn.project_kv(normed)
-        k = np.concatenate([self_cache[0], k_new], axis=2)
-        v = np.concatenate([self_cache[1], v_new], axis=2)
-        x = x + self.dropout(
-            self.self_attn.attend_cached(normed, k, v, mask=self_key_mask)
-        )
-        normed = self.norm2(x)
-        x = x + self.dropout(
-            self.cross_attn.attend_cached(
-                normed, cross_kv[0], cross_kv[1], mask=memory_mask
-            )
-        )
-        x = x + self.dropout(self.ff(self.norm3(x)))
-        return x, (k, v)
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """:meth:`forward` on plain arrays, over new target positions
+        ``x`` after the cached ones.  ``cross_kv`` is
+        ``cross_attn.project_kv(memory)``, computed once per decode;
+        ``cache`` and ``self_mask`` are the self-attention's (see
+        :meth:`MultiHeadAttention.step`).  From an empty cache over a whole
+        prefix this is :meth:`forward`'s array twin.  Returns the block
+        output and the grown self-attention cache."""
+        normed = self.norm1.infer(x)
+        attended, cache = self.self_attn.step(normed, cache, mask=self_mask)
+        x = x + self.dropout.infer(attended)
+        normed = self.norm2.infer(x)
+        x = x + self.dropout.infer(self.cross_attn.attend(normed, *cross_kv, mask=memory_mask))
+        x = x + self.dropout.infer(self.ff.infer(self.norm3.infer(x)))
+        return x, cache
 
 
 class TransformerEncoder(Module):
@@ -214,44 +178,26 @@ class TransformerEncoder(Module):
         return self.final_norm(x)
 
     def infer(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`forward` on plain arrays, for decoding."""
+        """:meth:`forward` on plain arrays."""
         for layer in self.layers:
             x = layer.infer(x, mask=mask)
         return self.final_norm.infer(x)
 
-    def forward_and_cache(
-        self, x: Tensor, mask: np.ndarray | None = None
-    ) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
-        """Full-sequence forward that also returns per-layer K/V caches.
-
-        Primes incremental decoding from an existing prefix (the causal
-        LM's prompt): the output equals :meth:`forward`, and the caches
-        seed :meth:`step`.
-        """
-        caches: list[tuple[np.ndarray, np.ndarray]] = []
-        for layer in self.layers:
-            x, kv = layer.forward_and_cache(x, mask=mask)
-            caches.append(kv)
-        return self.final_norm(x), caches
-
     def step(
         self,
-        x: Tensor,
+        x: np.ndarray,
         caches: list[tuple[np.ndarray, np.ndarray]],
-        key_mask: np.ndarray | None = None,
-    ) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
-        """Advance one position through the stack with K/V caches.
-
-        Used for causal (GPT-style) decoding, where this encoder stack
-        runs under a causal mask: ``x`` is the newest position only and
-        ``key_mask`` blocks pad key columns, ``(batch, 1, 1, cached+1)``.
-        Returns the final-normed output and the grown per-layer caches.
-        """
-        new_caches: list[tuple[np.ndarray, np.ndarray]] = []
+        mask: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """:meth:`infer` over new positions ``x`` after the cached ones,
+        one self-attention cache per layer: the causal (GPT-style) decode
+        of this stack.  Returns the final-normed output and the grown
+        caches."""
+        grown = []
         for layer, cache in zip(self.layers, caches):
-            x, grown = layer.step(x, cache, key_mask=key_mask)
-            new_caches.append(grown)
-        return self.final_norm(x), new_caches
+            x, cache = layer.step(x, cache, mask=mask)
+            grown.append(cache)
+        return self.final_norm.infer(x), grown
 
 
 class TransformerDecoder(Module):
@@ -289,44 +235,27 @@ class TransformerDecoder(Module):
             x = layer(x, memory, self_mask=self_mask, memory_mask=memory_mask)
         return self.final_norm(x)
 
-    def project_memory(
-        self, memory: Tensor
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer cross-attention K/V projections of encoder memory.
-
-        Computed once per decode in a model's ``start()``; every
-        subsequent :meth:`step` reuses them instead of re-projecting the
-        (unchanging) memory.  One ``(k, v)`` pair per layer.
-        """
-        return [layer.cross_attn.project_kv(memory) for layer in self.layers]
-
     def step(
         self,
-        x: Tensor,
+        x: np.ndarray,
         cross_kv: list[tuple[np.ndarray, np.ndarray]],
-        self_caches: list[tuple[np.ndarray, np.ndarray]],
-        self_key_mask: np.ndarray | None = None,
+        caches: list[tuple[np.ndarray, np.ndarray]],
+        self_mask: np.ndarray | None = None,
         memory_mask: np.ndarray | None = None,
-    ) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
-        """Advance one decode position through the whole stack.
-
-        ``x`` is the newest target position, ``(batch, 1, d_model)``;
-        ``cross_kv``/``self_caches`` hold one entry per layer.  Returns
-        the final-normed output for that position and the grown per-layer
-        self-attention caches.  Per-step cost is O(prefix) — the
-        incremental path that replaces re-decoding the full prefix.
-        """
-        new_caches: list[tuple[np.ndarray, np.ndarray]] = []
-        for layer, layer_cross, layer_cache in zip(self.layers, cross_kv, self_caches):
-            x, grown = layer.step(
-                x,
-                layer_cross,
-                layer_cache,
-                self_key_mask=self_key_mask,
-                memory_mask=memory_mask,
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """:meth:`forward` on plain arrays, over new target positions
+        ``x`` after the cached ones, with one ``cross_kv`` pair and one
+        self-attention cache per layer.  From empty caches over a whole
+        prefix it is the teacher-forced pass; one new position costs
+        O(prefix), not the O(prefix²) of re-running the whole prefix.
+        Returns the final-normed output and the grown caches."""
+        grown = []
+        for layer, layer_cross, cache in zip(self.layers, cross_kv, caches):
+            x, cache = layer.step(
+                x, layer_cross, cache, self_mask=self_mask, memory_mask=memory_mask
             )
-            new_caches.append(grown)
-        return self.final_norm(x), new_caches
+            grown.append(cache)
+        return self.final_norm.infer(x), grown
 
     @property
     def cross_attention_weights(self) -> list[np.ndarray]:

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import no_grad
 from repro.data.dataset import BatchIterator, ParallelCorpus, pad_batch
 from repro.decoding.logspace import logsumexp_np
-from repro.models.base import Seq2SeqModel
+from repro.models.base import Seq2SeqModel, label_log_probs
 from repro.text import Vocabulary
 from repro.training.history import History
 from repro.training.seq_score import sample_title_rows
@@ -41,21 +40,16 @@ def teacher_forced_metrics(
     for i, batch in enumerate(iterator):
         if i >= max_batches:
             break
-        with no_grad():
-            logits = model.forward(batch.source, batch.target_in)
-        log_probs = logits.log_softmax(axis=-1).data
+        logits = model.logits(batch.source, batch.target_in)
         labels = batch.target_out
         mask = labels != model.pad_id
-        batch_n, seq_len = labels.shape
-        picked = log_probs[
-            np.arange(batch_n)[:, None], np.arange(seq_len)[None, :], labels
-        ]
+        picked = label_log_probs(logits, labels)
         total_nll += float(-(picked * mask).sum())
         total_tokens += int(mask.sum())
-        predictions = log_probs.argmax(axis=-1)
+        predictions = logits.argmax(axis=-1)
         total_correct += int(((predictions == labels) & mask).sum())
         total_seq_logprob += float((picked * mask).sum(axis=1).sum())
-        total_sequences += batch_n
+        total_sequences += len(labels)
     if total_tokens == 0:
         raise ValueError("evaluation corpus produced no tokens")
     mean_nll = total_nll / total_tokens
@@ -99,15 +93,14 @@ def translate_back_metrics(
     q_tgt = pad_batch([[vocab.sos_id] + queries[i] for i in rep], pad)
 
     lp_forward = forward_model.sequence_log_prob(q_src[rep], y_tgt)  # (batch*k,)
-    lp_backward = backward_model.sequence_log_prob(y_src, q_tgt)
-
-    # Token accuracy of the backward model reconstructing each query,
-    # weighted by the (normalized) forward title probabilities.
-    with no_grad():
-        logits = backward_model.forward(y_src, q_tgt[:, :-1])
-    predictions = logits.data.argmax(axis=-1)
+    # One teacher-forced pass of the backward model gives both its
+    # sequence log-probs and the token accuracy of it reconstructing each
+    # query, weighted by the (normalized) forward title probabilities.
+    logits = backward_model.logits(y_src, q_tgt[:, :-1])
     labels = q_tgt[:, 1:]
     mask = labels != pad
+    lp_backward = (label_log_probs(logits, labels) * mask).sum(axis=1)
+    predictions = logits.argmax(axis=-1)
     per_row_accuracy = ((predictions == labels) & mask).sum(axis=1) / np.maximum(
         mask.sum(axis=1), 1
     )

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import no_grad
+from repro.autograd.tensor import log_softmax_np
 from repro.decoding.hypothesis import Hypothesis
-from repro.decoding.logspace import log_softmax_np
 from repro.models.base import Seq2SeqModel
 
 
@@ -50,8 +49,7 @@ class TeacherForced:
     def log_probs(self) -> np.ndarray:
         """(rows, vocab) log-probs of the token after each row's prefix."""
         self.rows += len(self.prefix)
-        with no_grad():
-            logits = self.model.forward(self.src, self.prefix).data[:, -1]
+        logits = self.model.forward(self.src, self.prefix).data[:, -1]
         return log_softmax_np(logits)
 
     def advance(self, index: np.ndarray, tokens: np.ndarray) -> None:

@@ -7,6 +7,10 @@ Pins the three contracts of the KV-cached rework (``docs/DECODING.md``):
   path is the slow path, reassociated, and bit for bit for the
   recurrent-decoder models, whose array ``start`` / ``step`` run the
   Tensor forward's NumPy expressions in its order;
+* **one inference engine** — each model's array ``logits`` is its
+  ``forward`` bit for bit, and no path that does not train (decoding,
+  scoring, the Fig. 6/7 evaluations, LM generation, the dual encoder)
+  constructs a ``Tensor``;
 * **reorder invariance** — permuting/duplicating/compacting a cached
   state mid-decode and continuing is exact, so beam shuffles and
   active-row compaction never change results;
@@ -19,13 +23,12 @@ Pins the three contracts of the KV-cached rework (``docs/DECODING.md``):
   behaviour by construction: the oracle exhibits it).
 """
 
-import importlib
-
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor
 from repro.core.rewriter import DirectRewriter, RewriterConfig
+from repro.data.dataset import ParallelCorpus, pad_batch
 from repro.decoding import (
     beam_search,
     beam_search_batch,
@@ -35,10 +38,14 @@ from repro.decoding import (
     top_n_sampling,
     top_n_sampling_batch,
 )
+from repro.embedding import DualEncoder
+from repro.experiments import fig6
 from repro.experiments.scale import SMALL, TINY
 from repro.models import HybridNMT, ModelConfig, RecurrentNMT, TransformerNMT
+from repro.models.lm import DecoderOnlyLM
 from repro.models.base import DecodeState, RecurrentDecoderModel, Seq2SeqModel
 from repro.text import Vocabulary
+from repro.training.evaluation import ConvergenceTracker, translate_back_metrics
 from tests import decode_oracle
 
 VOCAB = 48
@@ -98,8 +105,7 @@ def test_cached_steps_match_teacher_forced_forward(model, src):
          rng.integers(3, VOCAB, size=(src.shape[0], 5))],
         axis=1,
     )
-    with no_grad():
-        full = model.forward(src, tgt).data
+    full = model.forward(src, tgt).data
     state = model.start(src)
     for t in range(tgt.shape[1]):
         logits, state = model.step(state, tgt[:, t])
@@ -109,40 +115,145 @@ def test_cached_steps_match_teacher_forced_forward(model, src):
             np.testing.assert_allclose(logits, full[:, t, :], atol=LOGIT_TOL, rtol=0)
 
 
-def test_served_rewrite_batch_constructs_no_tensor(monkeypatch):
-    """The served decode (``DirectRewriter.rewrite_batch`` over the
-    bench's ``HybridNMT`` shape) runs on plain arrays: it builds no
-    ``Tensor``, graph-free or full, anywhere between the query strings
-    and the rewrites."""
-    vocab = Vocabulary([f"w{i}" for i in range(40)])
-    model = HybridNMT(
-        ModelConfig(
-            vocab_size=len(vocab), d_model=32, num_heads=4, d_ff=64,
-            encoder_layers=1, decoder_layers=1, dropout=0.0, seed=0,
-        )
+def test_logits_equal_forward_and_leave_the_decode_counters(model, src):
+    """``logits`` is ``forward`` on plain arrays, bit for bit; scoring is
+    not decoding, so ``decode_steps``/``decode_rows`` do not move."""
+    rng = np.random.default_rng(5)
+    tgt_in = np.concatenate(
+        [np.full((src.shape[0], 1), model.sos_id, dtype=np.int64),
+         rng.integers(3, VOCAB, size=(src.shape[0], 5))],
+        axis=1,
     )
+    tgt_in[2, 4:] = model.pad_id
+    model.reset_decode_counters()
+    np.testing.assert_array_equal(model.logits(src, tgt_in), model.forward(src, tgt_in).data)
+    assert (model.decode_steps, model.decode_rows) == (0, 0)
+
+
+def _tiny_config(vocab_size: int) -> ModelConfig:
+    return ModelConfig(
+        vocab_size=vocab_size, d_model=32, num_heads=4, d_ff=64,
+        encoder_layers=1, decoder_layers=1, dropout=0.0, seed=0,
+    )
+
+
+def _served_rewrite_batch():
+    """``DirectRewriter.rewrite_batch`` over the bench's ``HybridNMT`` shape."""
+    vocab = Vocabulary([f"w{i}" for i in range(40)])
+    model = HybridNMT(_tiny_config(len(vocab)))
     rewriter = DirectRewriter(
         model, vocab, RewriterConfig(k=3, top_n=5, max_query_len=10, seed=0)
     )
     queries = [f"w{i} w{(7 * i) % 40}" for i in range(16)]
-    # the module, not ``repro.autograd.tensor``, the constructor function
-    tensor_module = importlib.import_module("repro.autograd.tensor")
-    built = {"Tensor": 0, "graph-free": 0}
-    init, graph_free = Tensor.__init__, tensor_module._graph_free
+
+    def run():
+        results = rewriter.rewrite_batch(queries)
+        assert model.decode_steps > 1 and any(results)
+
+    return run
+
+
+def _scoring_pair():
+    """Two untrained transformers over a 40-word vocabulary, eval'd, and
+    query rows (EOS-terminated) to score and translate back."""
+    vocab = Vocabulary([f"w{i}" for i in range(40)])
+    forward, backward = (
+        TransformerNMT(_tiny_config(len(vocab)).scaled(seed=seed)).eval() for seed in (0, 1)
+    )
+    rng = np.random.default_rng(3)
+    queries = [vocab.encode([f"w{i}" for i in rng.integers(0, 40, size=3)]) for _ in range(6)]
+    return vocab, forward, backward, queries
+
+
+def _sequence_log_prob():
+    _, forward, _, queries = _scoring_pair()
+    src = pad_batch(queries, 0)
+    tgt = pad_batch([[forward.sos_id] + q for q in queries], 0)
+    return lambda: forward.sequence_log_prob(src, tgt)
+
+
+def _evaluate():
+    vocab, forward, backward, queries = _scoring_pair()
+    corpus = ParallelCorpus(queries, [[vocab.sos_id] + q for q in queries], vocab)
+    tracker = ConvergenceTracker(
+        forward, backward, corpus, corpus, queries, vocab, k=2, top_n=4
+    )
+    return lambda: tracker.evaluate(0)
+
+
+def _translate_back_metrics():
+    vocab, forward, backward, queries = _scoring_pair()
+    return lambda: translate_back_metrics(
+        forward, backward, queries, vocab, k=2, top_n=4, rng=np.random.default_rng(0)
+    )
+
+
+def _transformer_greedy():
+    _, forward, _, queries = _scoring_pair()
+    return lambda: greedy_decode_batch(forward, pad_batch(queries, 0), max_len=8)
+
+
+def _recurrent_decode():
+    model = RecurrentNMT(_tiny_config(44)).eval()
+    src = pad_batch([[5, 6, 7, 2], [8, 2]], 0)
+    return lambda: top_n_sampling_batch(
+        model, src, k=2, n=4, max_len=8, rng=np.random.default_rng(0)
+    )
+
+
+def _lm_generate():
+    lm = DecoderOnlyLM(_tiny_config(44)).eval()
+    return lambda: lm.generate(
+        [5, 6, 7], max_new_tokens=6, stop_ids={2}, rng=np.random.default_rng(0)
+    )
+
+
+def _dual_encoder():
+    vocab = Vocabulary([f"w{i}" for i in range(40)])
+    encoder = DualEncoder(vocab)
+    return lambda: encoder.encode_queries(["w1 w2 w3", "w4", ""])
+
+
+def _fig6_attention():
+    _, forward, _, queries = _scoring_pair()
+    src = np.array([queries[0]])
+    tgt = np.array([[forward.sos_id] + queries[1]])
+    return lambda: fig6._attention_matrix(forward, src, tgt)
+
+
+#: inference entry point -> builder returning the call to count
+INFERENCE_PATHS = {
+    "served_rewrite_batch": _served_rewrite_batch,
+    "sequence_log_prob": _sequence_log_prob,
+    "evaluate": _evaluate,
+    "translate_back_metrics": _translate_back_metrics,
+    "transformer_greedy": _transformer_greedy,
+    "recurrent_decode": _recurrent_decode,
+    "lm_generate": _lm_generate,
+    "dual_encoder": _dual_encoder,
+    "fig6_attention": _fig6_attention,
+}
+
+
+@pytest.mark.parametrize("path", list(INFERENCE_PATHS))
+def test_inference_constructs_no_tensor(path, monkeypatch):
+    """Every path that does not train runs on plain arrays: between its
+    inputs and its outputs it builds no ``Tensor``.  Every construction,
+    ``Tensor(...)``, a ``Parameter`` or an op's result, runs
+    ``Tensor.__init__``.  (Counting through ``__new__`` cannot be undone:
+    deleting a class's ``__new__`` override leaves its slot calling
+    ``object.__new__`` with the constructor's arguments.)"""
+    run = INFERENCE_PATHS[path]()
+    built = []
+    init = Tensor.__init__
 
     def counting_init(self, *args, **kwargs):
-        built["Tensor"] += 1
+        built.append(type(self).__name__)
         init(self, *args, **kwargs)
 
-    def counting_graph_free(data):
-        built["graph-free"] += 1
-        return graph_free(data)
-
     monkeypatch.setattr(Tensor, "__init__", counting_init)
-    monkeypatch.setattr(tensor_module, "_graph_free", counting_graph_free)
-    results = rewriter.rewrite_batch(queries)
-    assert model.decode_steps > 1 and any(results)
-    assert built == {"Tensor": 0, "graph-free": 0}
+    run()
+    assert built == []
 
 
 # -- reorder invariance ------------------------------------------------------
@@ -169,8 +280,7 @@ def test_reorder_permutation_and_duplication_mid_decode(model, src):
         for i, tok in enumerate(rng.integers(3, VOCAB, size=len(index))):
             prefixes[i].append(int(tok))
     tgt = np.array([p[:-1] for p in prefixes], dtype=np.int64)
-    with no_grad():
-        full = model.forward(src[index], tgt).data
+    full = model.forward(src[index], tgt).data
     np.testing.assert_allclose(last_logits, full[:, -1, :], atol=LOGIT_TOL, rtol=0)
 
 

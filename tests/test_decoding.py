@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.autograd.tensor import log_softmax_np
 from repro.decoding import (
     beam_search,
     diverse_beam_search,
     greedy_decode,
-    log_softmax_np,
     logsumexp_np,
     top_n_sampling,
 )

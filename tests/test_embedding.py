@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.data.dataset import pad_batch
 from repro.embedding import DualEncoder, DualEncoderConfig, train_dual_encoder
+from repro.text import tokenize
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +41,8 @@ class TestEncodings:
         vocab = tiny_market.vocab
         ids = np.array([vocab.encode(["mobile", "phone"], add_eos=False)])
         padded = np.array([vocab.encode(["mobile", "phone"], add_eos=False) + [vocab.pad_id] * 3])
-        from repro.autograd import no_grad
-
-        with no_grad():
-            a = encoder.query_encoding(ids).data
-            b = encoder.query_encoding(padded).data
+        a = encoder.query_encoding(ids).data
+        b = encoder.query_encoding(padded).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -102,6 +101,23 @@ class TestBatchEncoding:
         np.testing.assert_array_equal(out[0], np.zeros(encoder.config.output_dim))
         np.testing.assert_array_equal(out[2], np.zeros(encoder.config.output_dim))
         assert np.linalg.norm(out[1]) == pytest.approx(1.0)
+
+    def test_batch_encodings_equal_the_training_towers(self, tiny_market):
+        """``encode_queries``/``encode_titles`` run the towers on plain
+        arrays: bit for bit what ``query_encoding``/``title_encoding``
+        give on the same padded batch."""
+        encoder, vocab = DualEncoder(tiny_market.vocab), tiny_market.vocab
+        ids = pad_batch(
+            [vocab.encode(tokenize(t) if isinstance(t, str) else t, add_eos=False)
+             for t in self.TEXTS],
+            vocab.pad_id,
+        )
+        np.testing.assert_array_equal(
+            encoder.encode_queries(self.TEXTS), encoder.query_encoding(ids).data
+        )
+        np.testing.assert_array_equal(
+            encoder.encode_titles(self.TEXTS), encoder.title_encoding(ids).data
+        )
 
     def test_no_texts(self, tiny_market):
         encoder = DualEncoder(tiny_market.vocab)

@@ -24,14 +24,21 @@ class TestDecoderOnlyLM:
         """Future tokens must not influence earlier logits."""
         lm = DecoderOnlyLM(TINY)
         lm.eval()
-        from repro.autograd import no_grad
-
         a = np.array([[5, 6, 7, 8]])
         b = np.array([[5, 6, 7, 9]])  # differs only at the last position
-        with no_grad():
-            logits_a = lm.forward(a).data
-            logits_b = lm.forward(b).data
+        logits_a = lm.forward(a).data
+        logits_b = lm.forward(b).data
         np.testing.assert_allclose(logits_a[0, :3], logits_b[0, :3], atol=1e-9)
+
+    def test_prompt_logits_equal_forward(self):
+        """The KV step that primes ``generate`` from a prompt gives
+        ``forward``'s logits bit for bit, pad positions included."""
+        lm = DecoderOnlyLM(TINY).eval()
+        prompts = np.array([[5, 6, 7, 8, 9], [10, 11, 12, 0, 0]])
+        hidden, _ = lm._prime(prompts)
+        np.testing.assert_array_equal(
+            lm.output_proj.infer(hidden), lm.forward(prompts).data
+        )
 
     def test_loss_trains(self):
         lm = DecoderOnlyLM(TINY)
